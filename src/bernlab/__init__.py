@@ -3,9 +3,8 @@ error, conservative/dissipative criteria, and exact type classification."""
 
 __version__ = "1.0.0"
 
-from .bump import BumpCocycle, build_special
+from .bump import BumpCocycle
 from .cocycles import (
-    BoundedValue,
     cocycle_coeff,
     norm_sq,
     norm_sq_bruteforce,
@@ -23,7 +22,7 @@ from .criteria import (
     rn_sample,
     verify_certificate,
 )
-from .exact import LogValue, parse_fraction
+from .exact import BoundedValue, LogValue, parse_fraction
 from .folner import FolnerCocycle, build_folner
 from .groups import (
     FreeGroup,

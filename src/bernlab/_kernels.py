@@ -1,25 +1,12 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
-
-Set BERNLAB_NO_NUMBA=1 to force the numpy implementations (also used
-automatically when numba is unavailable). Both paths are exercised by the
-test suite and compared in benchmarks/bench_kernels.py.
-"""
+"""Hot numeric kernels, vectorized with numpy."""
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
-__all__ = [
-    "USING_NUMBA",
-    "zseq_norm_head",
-    "segment_square_sum",
-    "zseq_norm_head_numpy",
-    "segment_square_sum_numpy",
-]
+__all__ = ["zseq_norm_head", "segment_square_sum"]
 
 
-def zseq_norm_head_numpy(a: np.ndarray, k: int, J: int) -> float:
+def zseq_norm_head(a: np.ndarray, k: int, J: int) -> float:
     """Head of a translate-difference square sum for a decreasing sequence.
 
     Returns sum_{j<k} a[j]^2 + sum_{j<J} (a[j] - a[j+k])^2; needs len(a) >= J+k.
@@ -29,58 +16,10 @@ def zseq_norm_head_numpy(a: np.ndarray, k: int, J: int) -> float:
     return head + float(np.dot(d, d))
 
 
-def segment_square_sum_numpy(u: np.ndarray, s: np.ndarray, L: np.ndarray) -> float:
+def segment_square_sum(u: np.ndarray, s: np.ndarray, L: np.ndarray) -> float:
     """Sum of (u_i + s_i * j)^2 over j = 0..L_i-1, accumulated over segments."""
     L = L.astype(np.float64)
     t1 = L * u * u
     t2 = s * u * L * (L - 1.0)
     t3 = s * s * (L - 1.0) * L * (2.0 * L - 1.0) / 6.0
     return float(np.sum(t1 + t2 + t3))
-
-
-_no_numba = os.environ.get("BERNLAB_NO_NUMBA", "") not in ("", "0")
-
-if not _no_numba:
-    try:
-        import numba
-    except ImportError:
-        _no_numba = True
-
-if _no_numba:
-    USING_NUMBA = False
-    zseq_norm_head = zseq_norm_head_numpy
-    segment_square_sum = segment_square_sum_numpy
-else:
-    USING_NUMBA = True
-
-    @numba.njit(cache=True)
-    def _zseq_norm_head_nb(a, k, J):  # pragma: no cover - jitted
-        acc = 0.0
-        for j in range(k):
-            acc += a[j] * a[j]
-        for j in range(J):
-            d = a[j] - a[j + k]
-            acc += d * d
-        return acc
-
-    @numba.njit(cache=True)
-    def _segment_square_sum_nb(u, s, L):  # pragma: no cover - jitted
-        acc = 0.0
-        for i in range(u.shape[0]):
-            Li = float(L[i])
-            acc += Li * u[i] * u[i]
-            acc += s[i] * u[i] * Li * (Li - 1.0)
-            acc += s[i] * s[i] * (Li - 1.0) * Li * (2.0 * Li - 1.0) / 6.0
-        return acc
-
-    def zseq_norm_head(a: np.ndarray, k: int, J: int) -> float:
-        return float(_zseq_norm_head_nb(np.ascontiguousarray(a), k, J))
-
-    def segment_square_sum(u: np.ndarray, s: np.ndarray, L: np.ndarray) -> float:
-        return float(
-            _segment_square_sum_nb(
-                np.ascontiguousarray(u, dtype=np.float64),
-                np.ascontiguousarray(s, dtype=np.float64),
-                np.ascontiguousarray(L, dtype=np.int64),
-            )
-        )

@@ -15,7 +15,7 @@ import numpy as np
 from . import _kernels
 from .exact import parse_fraction
 
-__all__ = ["BumpCocycle", "build_special"]
+__all__ = ["BumpCocycle"]
 
 
 class BumpCocycle:
@@ -145,7 +145,3 @@ class BumpCocycle:
         out = (max(0.0, partial - slack), partial + tail + slack)
         self._gamma_cache[(k, N)] = out
         return out
-
-
-def build_special(D) -> BumpCocycle:
-    return BumpCocycle(D)

@@ -11,7 +11,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import re
 import sys
 import time
@@ -19,7 +18,7 @@ from fractions import Fraction
 
 from . import __version__
 from . import groups
-from .cocycles import norm_sq, norm_sq_bruteforce
+from .cocycles import norm_sq, norm_sq_bruteforce, value_pairs
 from .criteria import (
     classify_conservativity,
     hellinger_product,
@@ -33,12 +32,12 @@ from .exact import LogValue, format_fraction, parse_fraction
 from .groups import FreeGroup, Integers, format_element, parse_element, word_length
 from .marginals import (
     ActionSpec,
+    BaseMeasure,
     DecreasingSequence,
     SpecError,
     SpecialCocycle,
     WSplit,
     ZSequence,
-    f_value,
     make_folner_family,
     spec_from_json,
     spec_to_json,
@@ -97,7 +96,7 @@ def preset(name: str, power: int = 1) -> ActionSpec:
         return ActionSpec(FreeGroup(2), fam, multiplicity=power, delta=Fraction(1, 3))
     if base == "f2-dissipative":
         D = parse_fraction(arg) if arg else Fraction(36)
-        fam = SpecialCocycle(D, Fraction(1, 2), Fraction(1, 4)).with_cocycle()
+        fam = SpecialCocycle(D, Fraction(1, 2), Fraction(1, 4))
         return ActionSpec(FreeGroup(2), fam, multiplicity=power, delta=Fraction(1, 4))
     if base == "folner-z":
         fam = make_folner_family(
@@ -105,7 +104,7 @@ def preset(name: str, power: int = 1) -> ActionSpec:
             phi_scale=Fraction(1, 16),
             horizon=256,
             offset=Fraction(1, 2),
-            delta_f=1.0 / 6.0,
+            delta_f=Fraction(1, 6),
         )
         return ActionSpec(Integers(), fam, multiplicity=power, delta=Fraction(1, 3))
     raise CliError(f"unknown preset {name!r}")
@@ -179,6 +178,11 @@ def default_grid(spec: ActionSpec):
     return [k for k in range(-1000, 1001) if k != 0]
 
 
+def _finite_or_none(x: float):
+    # JSON has no infinity or NaN: a float that overflowed is reported as null
+    return x if math.isfinite(x) else None
+
+
 def verify_bounds(spec: ActionSpec, grid=None, tol: float = 1e-6) -> dict:
     """Per-element inequality suite relating the integral products to the
     cocycle norm; failures are report content, not errors."""
@@ -195,17 +199,25 @@ def verify_bounds(spec: ActionSpec, grid=None, tol: float = 1e-6) -> dict:
         pv = negsq_product(spec, g, tol=product_tol)
         lower_ok = hv.upper >= math.exp(-0.6 * nv.upper) * (1 - 1e-12)
         upper_ok = hv.lower <= math.exp(-0.5 * max(nv.lower, 0.0)) * (1 + 1e-12)
-        negsq_ok = pv.lower <= math.exp(k0 * nv.upper) * (1 + 1e-12)
+        # e^{k0 ||c_g||^2} overflows a float for large norms: compare logs
+        log_bound = k0 * nv.upper
+        negsq_ok = (pv.lower <= 0.0
+                    or math.log(pv.lower) <= log_bound + math.log1p(1e-12))
         ok = lower_ok and upper_ok and negsq_ok
         failures += not ok
+        try:
+            negsq_margin = math.exp(log_bound) - pv.lower
+        except OverflowError:
+            negsq_margin = math.inf
         rows.append({
             "g": format_element(g),
             "norm_sq": {"value": nv.value, "err": nv.err},
             "sqrt_omega_integral": {"value": hv.value, "err": hv.err},
-            "negsq_omega_integral": {"value": pv.value, "err": pv.err},
+            "negsq_omega_integral": {"value": _finite_or_none(pv.value),
+                                     "err": _finite_or_none(pv.err)},
             "sqrt_lower_margin": hv.upper - math.exp(-0.6 * nv.upper),
             "sqrt_upper_margin": math.exp(-0.5 * max(nv.lower, 0.0)) - hv.lower,
-            "negsq_margin": math.exp(k0 * nv.upper) - pv.lower,
+            "negsq_margin": _finite_or_none(negsq_margin),
             "pass": ok,
         })
     return {"kappa0": k0, "n_checked": len(rows), "n_failed": failures,
@@ -216,13 +228,8 @@ def verify_bounds(spec: ActionSpec, grid=None, tol: float = 1e-6) -> dict:
 
 def element_ratio_values(spec: ActionSpec, g):
     """Exact values of the Radon-Nikodym cocycle omega(g, .) per coordinate."""
-    from .cocycles import support_elements
-
-    gi = groups.inv(g)
     values = set()
-    for h in support_elements(spec, gi, 0):
-        p = f_value(spec, h)
-        q = f_value(spec, groups.mul(g, h))
+    for _, p, q in value_pairs(spec, g, 0):
         if not isinstance(p, Fraction) or not isinstance(q, Fraction):
             raise CliError("classification needs a rational-valued family")
         if p != q:
@@ -232,8 +239,6 @@ def element_ratio_values(spec: ActionSpec, g):
 
 
 def _parse_measure(text: str):
-    from .marginals import BaseMeasure
-
     return BaseMeasure(tuple(parse_fraction(p) for p in text.split(",")))
 
 
@@ -470,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("criterion", help="conservative/dissipative verdict")
     _add_spec_flags(p)
     p.add_argument("--kappa", default="auto")
-    p.add_argument("--radius", type=int, default=6)
     p.add_argument("--csv", help="dump partial-sum trajectories here")
     p.add_argument("--require-certificate", action="store_true")
     p.set_defaults(func=cmd_criterion)
@@ -511,17 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("BERNLAB_THREADS")
-    if threads:
-        try:
-            from . import _kernels
-
-            if _kernels.USING_NUMBA:
-                import numba
-
-                numba.set_num_threads(max(1, int(threads)))
-        except (ImportError, ValueError):
-            pass
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

@@ -1,29 +1,14 @@
 """Cocycle coefficients c_g(i) = F(i) - F(g^{-1} i) and certified norms.
 
-norm_sq uses a family-specific closed form (exact rational where the cocycle
-is finitely supported, certified truncation otherwise); norm_sq_bruteforce is
-an independent pointwise oracle over explicit index windows.
+norm_sq uses the family's closed form (exact rational where the cocycle is
+finitely supported, certified truncation otherwise); norm_sq_bruteforce is an
+independent pointwise oracle over explicit index windows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
-
-import numpy as np
-
-from . import _kernels, groups
-from .groups import Element, Word, descending_sign_changes, inv, mul, word_length
-from .marginals import (
-    ActionSpec,
-    FolnerInduced,
-    FreeProductW,
-    SpecError,
-    SpecialCocycle,
-    WSplit,
-    ZSequence,
-    f_value,
-)
+from .exact import BoundedValue
+from .groups import Element, inv, mul, word_length
+from .marginals import ActionSpec, SpecError, f_value
 
 __all__ = [
     "BoundedValue",
@@ -31,44 +16,9 @@ __all__ = [
     "norm_sq",
     "norm_sq_bruteforce",
     "support_elements",
+    "value_pairs",
     "affinity_pairs",
 ]
-
-_FLOAT_SLACK = 1e-12
-
-
-@dataclass(frozen=True)
-class BoundedValue:
-    """A real number known to lie in [value - err, value + err]."""
-
-    value: float
-    err: float
-    exact: Optional[Fraction] = None
-
-    def __post_init__(self):
-        if self.err < 0:
-            raise ValueError("error radius must be nonnegative")
-
-    @classmethod
-    def from_exact(cls, q) -> "BoundedValue":
-        q = Fraction(q)
-        return cls(float(q), 0.0, q)
-
-    @classmethod
-    def from_bracket(cls, lo: float, hi: float) -> "BoundedValue":
-        return cls((lo + hi) / 2.0, (hi - lo) / 2.0)
-
-    @property
-    def lower(self) -> float:
-        return self.value - self.err
-
-    @property
-    def upper(self) -> float:
-        return self.value + self.err
-
-    def scaled(self, m) -> "BoundedValue":
-        exact = None if self.exact is None else self.exact * m
-        return BoundedValue(self.value * float(m), self.err * float(m), exact)
 
 
 def cocycle_coeff(spec: ActionSpec, g: Element, h: Element):
@@ -78,81 +28,14 @@ def cocycle_coeff(spec: ActionSpec, g: Element, h: Element):
     return a - b
 
 
-def _wsplit_closed(fam: WSplit, g: Word) -> Fraction:
-    alpha = fam.p_a - fam.p_w
-    beta = fam.p_w - fam.p_b
-    n_a = sum(abs(e) for gen, e in g.syls if gen == 1)
-    n_b = sum(abs(e) for gen, e in g.syls if gen == 2)
-    cross = 2 * alpha * beta * descending_sign_changes(g)
-    return alpha * alpha * n_a + beta * beta * n_b + cross
-
-
-def _zseq_tail(fam: ZSequence, k: int, J: int) -> float:
-    # telescoping: sum_{j>=J} (a_j - a_{j+k})^2 <= sum_{j=J}^{J+k-1} a_j^2
-    a = fam.seq.values(J + k)
-    return float(np.sum(a[J:] ** 2))
-
-
-def _zseq_norm(fam: ZSequence, k: int, tol: float) -> BoundedValue:
-    k = abs(k)
-    if k == 0:
-        return BoundedValue.from_exact(0)
-    J = max(4 * k, 64)
-    while True:
-        tail = _zseq_tail(fam, k, J)
-        if tail <= tol or J > 5 * 10**7:
-            break
-        J *= 2
-    if tail > tol:
-        raise SpecError(f"tail bound fails to reach tol={tol} (stuck at {tail})")
-    a = fam.seq.values(J + k)
-    head = _kernels.zseq_norm_head(a, k, J)
-    slack = _FLOAT_SLACK * (1.0 + head)
-    return BoundedValue(head + tail / 2.0, tail / 2.0 + slack)
-
-
-def _special_norm(spec: ActionSpec, g: Word) -> BoundedValue:
-    fam = spec.family.with_cocycle()
-    bc = fam.bc
-    s2 = float(fam.scale) ** 2
-    lo = hi = 0.0
-    for _, e in g.syls:
-        glo, ghi = bc.gamma_norm_sq_bounds(e)
-        lo += glo
-        hi += ghi
-    cross = Fraction(0)
-    for (_, e1), (_, e2) in zip(g.syls, g.syls[1:]):
-        if e1 >= 1 and e2 <= -1:
-            cross += bc.h_exact(e1) * bc.h_exact(-e2)
-    lo = s2 * (lo + 2 * float(cross))
-    hi = s2 * (hi + 2 * float(cross))
-    return BoundedValue.from_bracket(lo, hi)
-
-
 def norm_sq(spec: ActionSpec, g: Element, tol: float = 1e-6) -> BoundedValue:
     """||c_g||_2^2, multiplied by the diagonal-power multiplicity."""
     if tol <= 0:
         raise SpecError("tol must be positive")
-    m = spec.multiplicity
-    fam = spec.family
     if word_length(g) == 0:
         return BoundedValue.from_exact(0)
-    if isinstance(fam, WSplit):
-        return BoundedValue.from_exact(_wsplit_closed(fam, g)).scaled(m)
-    if isinstance(fam, ZSequence):
-        return _zseq_norm(fam, g, tol / max(m, 1)).scaled(m)
-    if isinstance(fam, SpecialCocycle):
-        return _special_norm(spec, g).scaled(m)
-    if isinstance(fam, FolnerInduced):
-        val = fam.cocycle.norm_sq_closed(g)
-        return BoundedValue(val, _FLOAT_SLACK * (1.0 + val)).scaled(m)
-    if isinstance(fam, FreeProductW):
-        total = Fraction(0)
-        for h in groups.ball(spec.group, word_length(g)):
-            d = cocycle_coeff(spec, g, h)
-            total += d * d
-        return BoundedValue.from_exact(total).scaled(m)
-    raise SpecError(f"unsupported family {type(fam).__name__}")
+    m = spec.multiplicity
+    return spec.family.norm_sq(g, tol / max(m, 1)).scaled(m)
 
 
 def support_elements(spec: ActionSpec, g: Element, extent: int):
@@ -160,55 +43,9 @@ def support_elements(spec: ActionSpec, g: Element, extent: int):
 
     extent controls the truncation depth for infinitely supported families.
     """
-    fam = spec.family
     if word_length(g) == 0:
         return
-    if isinstance(fam, (WSplit, FreeProductW)):
-        for h in groups.ball(spec.group, word_length(g)):
-            yield h
-        return
-    if isinstance(fam, ZSequence):
-        k = g
-        lo = fam.n0 - max(-k, 0)
-        hi = fam.n0 + extent + max(k, 0)
-        for h in range(lo, hi):
-            yield h
-        return
-    if isinstance(fam, FolnerInduced):
-        for lo, hi in fam.cocycle.support_zones(g):
-            for h in range(lo, hi):
-                yield h
-        return
-    if isinstance(fam, SpecialCocycle):
-        seen = set()
-        prefixes = [Word(2, ())]
-        for j in range(len(g.syls)):
-            prefixes.append(Word(2, g.syls[: j + 1]))
-        for p in prefixes:
-            for gen in (1, 2):
-                for n in range(-extent, extent + 1):
-                    if n == 0:
-                        h = p
-                    else:
-                        h = mul(p, Word(2, ((gen, n),)))
-                    if h not in seen:
-                        seen.add(h)
-                        yield h
-        return
-    raise SpecError(f"unsupported family {type(fam).__name__}")
-
-
-def _special_position_tail(spec: ActionSpec, g: Word, extent: int) -> float:
-    """Mass of c_g outside the axis windows |n| <= extent."""
-    fam = spec.family.with_cocycle()
-    bc = fam.bc
-    s2 = float(fam.scale) ** 2
-    pos = max(extent - word_length(g), 1)
-    M = bc.bump_index_at(pos)
-    tail = 0.0
-    for _, e in g.syls:
-        tail += s2 * bc.tail_bound(e, M)
-    return tail
+    yield from spec.family.support(g, extent)
 
 
 def norm_sq_bruteforce(spec: ActionSpec, g: Element, radius: int) -> BoundedValue:
@@ -220,26 +57,19 @@ def norm_sq_bruteforce(spec: ActionSpec, g: Element, radius: int) -> BoundedValu
         raise SpecError("radius must cover the word length")
     m = spec.multiplicity
     fam = spec.family
-    if isinstance(fam, (WSplit, FreeProductW)):
-        total = Fraction(0)
-        for h in groups.ball(spec.group, radius):
-            d = cocycle_coeff(spec, g, h)
-            total += d * d
-        return BoundedValue.from_exact(total).scaled(m)
+    if fam.on_ball:
+        return BoundedValue.from_exact(fam.ball_norm_sq(g, radius)).scaled(m)
     total = 0.0
     for h in support_elements(spec, g, radius):
         d = float(cocycle_coeff(spec, g, h))
         total += d * d
-    if isinstance(fam, ZSequence):
-        tail = _zseq_tail(fam, abs(g), radius)
-    elif isinstance(fam, FolnerInduced):
-        tail = 0.0
-    elif isinstance(fam, SpecialCocycle):
-        tail = _special_position_tail(spec, g, radius)
-    else:
-        raise SpecError(f"unsupported family {type(fam).__name__}")
-    slack = _FLOAT_SLACK * (1.0 + total)
-    return BoundedValue(total + tail / 2.0, tail / 2.0 + slack).scaled(m)
+    return BoundedValue.from_truncation(total, fam.tail(g, radius)).scaled(m)
+
+
+def value_pairs(spec: ActionSpec, g: Element, extent: int):
+    """(h, F(h), F(g h)) for every h where c_{g^-1} can be nonzero."""
+    for h in support_elements(spec, inv(g), extent):
+        yield h, f_value(spec, h), f_value(spec, mul(g, h))
 
 
 def affinity_pairs(spec: ActionSpec, g: Element, extent: int = 4096):
@@ -249,21 +79,7 @@ def affinity_pairs(spec: ActionSpec, g: Element, extent: int = 4096):
     The pairs drive the per-coordinate Hellinger and negative-square products;
     the tail bound turns their truncation into a certificate.
     """
-    pairs = []
-    gi = inv(g)
-    for h in support_elements(spec, gi, extent):
-        p = f_value(spec, h)
-        q = f_value(spec, mul(g, h))
-        if p != q:
-            pairs.append((float(p), float(q)))
-    fam = spec.family
-    if isinstance(fam, (WSplit, FreeProductW, FolnerInduced)):
-        tail = 0.0
-    elif isinstance(fam, ZSequence):
-        tail = _zseq_tail(fam, abs(g), extent)
-    elif isinstance(fam, SpecialCocycle):
-        tail = _special_position_tail(spec, gi, extent)
-    else:
-        raise SpecError(f"unsupported family {type(fam).__name__}")
+    pairs = [(float(p), float(q)) for _, p, q in value_pairs(spec, g, extent) if p != q]
+    tail = spec.family.tail(inv(g), extent)
     pairs.sort(key=lambda pq: abs(pq[0] - pq[1]), reverse=True)
     return pairs, tail * spec.multiplicity

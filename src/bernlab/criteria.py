@@ -12,19 +12,10 @@ from typing import Optional
 import numpy as np
 
 from . import groups
-from .cocycles import BoundedValue, affinity_pairs, norm_sq, support_elements
+from .cocycles import BoundedValue, affinity_pairs, norm_sq, value_pairs
 from .exact import parse_fraction
-from .groups import FreeGroup, Word, format_element, inv, mul, word_length
-from .marginals import (
-    ActionSpec,
-    FolnerInduced,
-    FreeProductW,
-    SpecError,
-    SpecialCocycle,
-    WSplit,
-    ZSequence,
-    f_value,
-)
+from .groups import FreeGroup, Word, format_element, inv, word_length
+from .marginals import ActionSpec, SpecError, sample_window
 
 __all__ = [
     "CriterionVerdict",
@@ -84,38 +75,11 @@ def criterion_partial_sums(spec: ActionSpec, kappa: float, radius: int):
 
 # --- classification ----------------------------------------------------------
 
-def _wsplit_rates(fam: WSplit):
-    alpha = fam.p_a - fam.p_w
-    beta = fam.p_w - fam.p_b
-    return alpha, beta
-
-
-def _wsplit_witness_q(fam: WSplit, kappa: float, m: int, n_terms: Optional[int] = None):
-    """Per-level weight of the two-generator witness subgroup family.
-
-    Words (a^-1 b^{n_1} a b^{m_1}) ... (a^-1 b^{n_k} a b^{m_k}) have
-    2k a-letters, sum(n_i + m_i) b-letters and k-1 descending pairs; summing
-    the geometric series over the inner exponents leaves a pure power q^k.
-    """
-    alpha, beta = _wsplit_rates(fam)
-    a2 = float(alpha * alpha)
-    b2 = float(beta * beta)
-    ab = float(alpha * beta)
-    x = math.exp(-kappa * m * b2)
-    if n_terms is None:
-        s = x / (1.0 - x)
-    else:
-        s = x * (1.0 - x**n_terms) / (1.0 - x)
-    q = math.exp(-kappa * m * (2.0 * a2 + 2.0 * ab)) * s * s
-    const = math.exp(2.0 * kappa * m * ab)
-    return q, const
-
-
-def witness_partial_sum(fam: WSplit, kappa: float, m: int, levels: int,
+def witness_partial_sum(fam, kappa: float, m: int, levels: int,
                         n_terms: int) -> float:
-    """Partial sum of exp(-kappa ||c_g||^2) over the witness subfamily with
-    subgroup length <= levels and inner exponents <= n_terms."""
-    q, const = _wsplit_witness_q(fam, kappa, m, n_terms)
+    """Partial sum of exp(-kappa ||c_g||^2) over the witness subfamily of a
+    WSplit family with subgroup length <= levels and inner exponents <= n_terms."""
+    q, const = fam.witness_q(kappa, m, n_terms)
     total = 0.0
     for k in range(1, levels + 1):
         total += const * q**k
@@ -129,149 +93,12 @@ def classify_conservativity(spec: ActionSpec, kappa=None) -> CriterionVerdict:
     exp(-||c||^2 / 2); Conservative needs a divergent minorant of
     exp(-kappa ||c||^2) for some kappa above the threshold kappa0(delta).
     """
-    m = spec.multiplicity
-    fam = spec.family
     k0 = float(kappa0(spec.delta))
     kap = float(kappa) if kappa is not None else float(auto_kappa(spec.delta))
-
-    # dissipative direction: fixed weight 1/2
-    if isinstance(fam, WSplit):
-        alpha, beta = _wsplit_rates(fam)
-        if alpha == 0 and beta == 0:
-            return CriterionVerdict(
-                "Conservative",
-                kap,
-                {
-                    "witness": "identity-cocycle",
-                    "minorant": "every term equals 1; the sum over balls diverges",
-                },
-            )
-        if alpha >= 0 and beta >= 0:
-            rate = float(min(alpha * alpha, beta * beta))
-        else:
-            rate = float(min(alpha * alpha, beta * beta) - abs(alpha * beta))
-        if rate > 0:
-            rho = 3.0 * math.exp(-0.5 * m * rate)
-            if rho < 1.0:
-                return CriterionVerdict(
-                    "Dissipative",
-                    0.5,
-                    {
-                        "certificate": "geometric",
-                        "rho": rho,
-                        "beta": 4.0 / 3.0,
-                        "head": 1.0,
-                        "rate": rate,
-                        "power": m,
-                    },
-                )
-        if kap > k0:
-            q, const = _wsplit_witness_q(fam, kap, m)
-            if q >= 1.0:
-                return CriterionVerdict(
-                    "Conservative",
-                    kap,
-                    {
-                        "witness": "two-generator subgroup family",
-                        "q": q,
-                        "const": const,
-                        "minorant": "sum_k const * q^k with q >= 1",
-                    },
-                )
+    found = spec.family.certificate(spec.multiplicity, kap, k0)
+    if found is None:
         return _inconclusive(spec, kap)
-
-    if isinstance(fam, ZSequence):
-        kind = fam.seq.kind
-        if kind == "inv_sqrt":
-            sig2 = float(fam.seq.scale) ** 2
-            s = m * sig2 / 2.0
-            if s > 1.0:
-                tail = 2.0 ** (1.0 - s) / (s - 1.0) + 2.0 ** (-s)
-                return CriterionVerdict(
-                    "Dissipative",
-                    0.5,
-                    {
-                        "certificate": "integral-test",
-                        "exponent": s,
-                        "term_bound": "(1+k)^-s",
-                        "tail_bound": tail,
-                        "power": m,
-                    },
-                )
-            c = 2.0 * kap * m * sig2
-            if kap > k0 and c <= 1.0:
-                return CriterionVerdict(
-                    "Conservative",
-                    kap,
-                    {
-                        "witness": "logarithmic norm bound",
-                        "minorant": f"exp(-{c:.6g}) * sum k^-{c:.6g}",
-                        "constant": math.exp(-c),
-                        "exponent": c,
-                    },
-                )
-            return _inconclusive(spec, kap)
-        if kind == "inv_sqrt_log":
-            n0 = fam.seq.n0
-            a0sq = fam.seq.a(0) ** 2
-            c = 2.0 * kap * m
-            if kap > k0:
-                return CriterionVerdict(
-                    "Conservative",
-                    kap,
-                    {
-                        "witness": "iterated-logarithm norm bound",
-                        "minorant": f"C * sum (log(k+{n0}))^-{c:.6g}",
-                        "constant": math.exp(-c * a0sq) * math.log(n0) ** c,
-                        "exponent": c,
-                    },
-                )
-            return _inconclusive(spec, kap)
-        return _inconclusive(spec, kap)
-
-    if isinstance(fam, SpecialCocycle):
-        rate = float(fam.scale) ** 2 * float(fam.D)
-        rho = 3.0 * math.exp(-0.5 * m * rate)
-        if rho < 1.0:
-            return CriterionVerdict(
-                "Dissipative",
-                0.5,
-                {
-                    "certificate": "geometric",
-                    "rho": rho,
-                    "beta": 4.0 / 3.0,
-                    "head": 1.0,
-                    "rate": rate,
-                    "power": m,
-                },
-            )
-        return _inconclusive(spec, kap)
-
-    if isinstance(fam, FolnerInduced):
-        if fam.phi_kind == "sqrt_log" and kap > k0:
-            c = kap * m * float(fam.phi_scale)
-            if c <= 1.0:
-                return CriterionVerdict(
-                    "Conservative",
-                    kap,
-                    {
-                        "witness": "construction norm bound",
-                        "minorant": f"sum (1+k)^-{c:.6g}",
-                        "exponent": c,
-                    },
-                )
-        return _inconclusive(spec, kap)
-
-    if isinstance(fam, FreeProductW):
-        if fam.mu0 == fam.mu1:
-            return CriterionVerdict(
-                "Conservative",
-                kap,
-                {"witness": "identity-cocycle", "minorant": "all terms equal 1"},
-            )
-        return _inconclusive(spec, kap)
-
-    return _inconclusive(spec, kap)
+    return CriterionVerdict(*found)
 
 
 def _inconclusive(spec: ActionSpec, kap: float) -> CriterionVerdict:
@@ -409,15 +236,12 @@ def _mc_rng(seed: int, g, radius: int) -> np.random.Generator:
 
 
 def _mc_coords(spec: ActionSpec, g, radius: int):
-    fam = spec.family
-    if isinstance(fam, (WSplit, FreeProductW)) and radius < word_length(g):
+    if spec.family.on_ball and radius < word_length(g):
         raise SpecError("window too small to cover the cocycle support")
     p0, r0, r1 = [], [], []
     coords = []
-    gi = inv(g)
-    for h in support_elements(spec, g, radius):
-        p = float(f_value(spec, h))
-        q = float(f_value(spec, mul(gi, h)))
+    for h, p, q in value_pairs(spec, inv(g), radius):
+        p, q = float(p), float(q)
         if p == q:
             continue
         coords.append(h)
@@ -465,9 +289,8 @@ def mc_omega(spec: ActionSpec, g, radius: int, samples: int, seed: int) -> dict:
     means = sums / samples
     var = np.maximum(sqsums / samples - means**2, 0.0)
     ses = np.sqrt(var / samples)
-    note = "window covers support" if isinstance(
-        spec.family, (WSplit, FreeProductW, FolnerInduced)
-    ) else f"product truncated to {len(coords)} coordinates"
+    note = ("window covers support" if spec.family.finite
+            else f"product truncated to {len(coords)} coordinates")
     return {
         "mean_omega": float(means[0]), "se_omega": float(ses[0]),
         "mean_sqrt_omega": float(means[1]), "se_sqrt_omega": float(ses[1]),
@@ -478,8 +301,6 @@ def mc_omega(spec: ActionSpec, g, radius: int, samples: int, seed: int) -> dict:
 
 def rn_sample(spec: ActionSpec, g, radius: int, seed: int) -> RNSample:
     """One configuration over the support window with its truncated omega."""
-    from .marginals import sample_window
-
     coords, p0, r0, r1 = _mc_coords(spec, g, radius)
     config = sample_window(spec, coords, seed)
     omega = 1.0

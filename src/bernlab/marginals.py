@@ -2,8 +2,11 @@
 
 An ActionSpec fixes a shift action on a product of two-point (or small finite)
 base measures indexed by the group, through a function F assigning the
-marginal mass of 0 to each index. Families are declarative and immutable;
-samplers derive independent substreams from (seed, window digest).
+marginal mass of 0 to each index. Families are declarative and immutable, and
+each family class carries everything that depends on it: F, the support and
+norm of the cocycle c_g(h) = F(h) - F(g^{-1} h), its tail outside a window, a
+conservativity certificate and the JSON form. Samplers derive independent
+substreams from (seed, window digest).
 """
 from __future__ import annotations
 
@@ -12,34 +15,44 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import ClassVar, Optional
 
 import numpy as np
 
+from . import _kernels
 from .bump import BumpCocycle
-from .exact import LogValue, format_fraction, parse_fraction
+from .exact import BoundedValue, LogValue, format_fraction, parse_fraction
 from .folner import FolnerCocycle, build_folner
 from .groups import (
     Element,
     FreeGroup,
     Group,
     Integers,
+    Word,
+    ball,
+    descending_sign_changes,
     e_class,
+    format_element,
+    inv,
+    mul,
     pi_a,
     pi_b,
+    sphere,
     w_class,
+    w_last_positive,
+    word_length,
 )
 
 __all__ = [
     "BaseMeasure",
     "DecreasingSequence",
+    "MarginalFamily",
     "ZSequence",
     "WSplit",
     "FreeProductW",
     "FolnerInduced",
     "SpecialCocycle",
     "ActionSpec",
-    "IndexPoint",
     "SpecError",
     "f_value",
     "base_measure",
@@ -91,6 +104,10 @@ class BaseMeasure:
         return tuple(q / p for p, q in zip(self.probs, other.probs))
 
 
+def _frac_str(q) -> str:
+    return format_fraction(Fraction(q))
+
+
 @dataclass(frozen=True)
 class DecreasingSequence:
     """a_0 >= a_1 >= ... > 0 given by a closed form or an explicit list."""
@@ -100,6 +117,24 @@ class DecreasingSequence:
     n0: int = 2
     explicit: tuple = ()
 
+    def __post_init__(self):
+        if self.kind == "inv_sqrt":
+            if self.scale is None or self.scale <= 0:
+                raise SpecError(f"inv_sqrt needs scale > 0, got {self.scale}")
+        elif self.kind == "inv_sqrt_log":
+            if self.n0 < 2:
+                raise SpecError(f"inv_sqrt_log needs n0 >= 2, got {self.n0}")
+        elif self.kind == "explicit":
+            vals = self.explicit
+            if not vals:
+                raise SpecError("explicit sequence needs at least one value")
+            if min(vals) <= 0:
+                raise SpecError("explicit sequence values must be positive")
+            if any(x < y for x, y in zip(vals, vals[1:])):
+                raise SpecError("explicit sequence values must be nonincreasing")
+        else:
+            raise SpecError(f"unknown sequence kind {self.kind!r}")
+
     def a(self, j: int) -> float:
         if j < 0:
             raise SpecError("sequence index must be >= 0")
@@ -108,9 +143,7 @@ class DecreasingSequence:
         if self.kind == "inv_sqrt_log":
             x = j + self.n0
             return 1.0 / math.sqrt(x * math.log(x))
-        if self.kind == "explicit":
-            return float(self.explicit[min(j, len(self.explicit) - 1)])
-        raise SpecError(f"unknown sequence kind {self.kind!r}")
+        return float(self.explicit[min(j, len(self.explicit) - 1)])
 
     def values(self, J: int) -> np.ndarray:
         j = np.arange(J, dtype=np.float64)
@@ -119,32 +152,320 @@ class DecreasingSequence:
         if self.kind == "inv_sqrt_log":
             x = j + self.n0
             return 1.0 / np.sqrt(x * np.log(x))
-        if self.kind == "explicit":
-            idx = np.minimum(j.astype(np.int64), len(self.explicit) - 1)
-            return np.array([float(self.explicit[i]) for i in idx])
-        raise SpecError(f"unknown sequence kind {self.kind!r}")
+        idx = np.minimum(j.astype(np.int64), len(self.explicit) - 1)
+        return np.array([float(self.explicit[i]) for i in idx])
+
+    def to_json(self) -> dict:
+        if self.kind == "inv_sqrt":
+            return {"kind": self.kind, "scale": _frac_str(self.scale)}
+        if self.kind == "inv_sqrt_log":
+            return {"kind": self.kind, "n0": self.n0}
+        return {"kind": self.kind, "values": [_frac_str(v) for v in self.explicit]}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "DecreasingSequence":
+        kind = data["kind"]
+        if kind == "inv_sqrt":
+            return cls(kind, scale=parse_fraction(data["scale"]))
+        if kind == "inv_sqrt_log":
+            return cls(kind, n0=int(data["n0"]))
+        if kind == "explicit":
+            return cls(kind, explicit=tuple(parse_fraction(v) for v in data["values"]))
+        return cls(kind)  # rejected as unknown
+
+
+# --- marginal families -------------------------------------------------------
+
+def _geometric(rate: float, m: int):
+    """Dissipative verdict data when ||c_g||^2 >= rate |g|: the sphere-weighted
+    series of exp(-m ||c_g||^2 / 2) is geometric with ratio 3 exp(-m rate / 2)."""
+    rho = 3.0 * math.exp(-0.5 * m * rate)
+    if rho >= 1.0:
+        return None
+    return ("Dissipative", 0.5, {"certificate": "geometric", "rho": rho,
+                                 "beta": 4.0 / 3.0, "head": 1.0, "rate": rate,
+                                 "power": m})
+
+
+class MarginalFamily:
+    """Base of the marginal families: one subclass per construction.
+
+    A family is registered under its JSON `kind` in `_FAMILIES`. Norms and
+    tails are for one copy; the callers in `cocycles` scale them by the
+    multiplicity of the diagonal power.
+    """
+
+    kind: ClassVar[str]
+    # support(g, extent) yields all of supp c_g whatever the extent: tail() is 0
+    finite: ClassVar[bool] = False
+    # F is rational and c_g vanishes off the ball of radius |g|, so the oracle
+    # sums c_g exactly over a ball
+    on_ball: ClassVar[bool] = False
+    # the limit of F at infinity, where the family has one
+    limit: ClassVar[Optional[float]] = None
+
+    def to_json(self) -> dict:
+        """The family's JSON object, with its `kind` first."""
+        raise NotImplementedError
+
+    @classmethod
+    def from_json(cls, data: dict) -> "MarginalFamily":
+        """Inverse of `to_json`; a missing field raises KeyError."""
+        raise NotImplementedError
+
+    def validate(self, group: Group):
+        """Raise SpecError unless the family lives on `group`; return the
+        (name, mass) pairs that must lie in [delta, 1 - delta]."""
+        raise NotImplementedError
+
+    def f(self, g: Element):
+        """F(g), the mass of 0 at index g."""
+        raise NotImplementedError
+
+    def measure(self, g: Element) -> BaseMeasure:
+        """The base measure at index g."""
+        p = self.f(g)
+        return BaseMeasure((p, 1 - p))
+
+    def support(self, g: Element, extent: int):
+        """Yield, once each, the points where c_g can be nonzero; `extent`
+        truncates infinite supports."""
+        raise NotImplementedError
+
+    def norm_sq(self, g: Element, tol: float) -> BoundedValue:
+        """||c_g||_2^2 of one copy, to within `tol` where it is truncated."""
+        raise NotImplementedError
+
+    def tail(self, g: Element, extent: int) -> float:
+        """Bound on the mass of c_g outside support(g, extent)."""
+        if self.finite:
+            return 0.0
+        raise NotImplementedError
+
+    def ball_tail(self, g: Element, radius: int):
+        """Bound on the mass of c_g outside the ball of `radius`, or None."""
+        return None
+
+    def certificate(self, m: int, kappa: float, k0: float):
+        """(verdict, kappa, evidence) of the m-fold power, where this family
+        has a certificate at kappa against the threshold k0, else None."""
+        return None
+
+
+class _BallFamily(MarginalFamily):
+    """Free-group families whose F depends on the last syllable only, so that
+    c_g vanishes off the ball of radius |g|."""
+
+    finite = True
+    on_ball = True
+
+    def support(self, g, extent):
+        yield from ball(FreeGroup(g.rank), word_length(g))
+
+    def ball_norm_sq(self, g, radius: int) -> Fraction:
+        """Exact sum of c_g(h)^2 over the ball of `radius`."""
+        gi = inv(g)
+        total = Fraction(0)
+        for h in ball(FreeGroup(g.rank), radius):
+            d = self.f(h) - self.f(mul(gi, h))
+            total += d * d
+        return total
+
+    def ball_tail(self, g, radius):
+        return 0.0 if radius >= word_length(g) else None
 
 
 @dataclass(frozen=True)
-class ZSequence:
+class ZSequence(MarginalFamily):
     """F(n) = lam + a_{n - n0} for n >= n0, lam otherwise."""
 
     lam: Fraction
     n0: int
     seq: DecreasingSequence
 
+    kind = "zsequence"
+
+    @property
+    def limit(self):
+        return float(self.lam)
+
+    def to_json(self):
+        return {"kind": self.kind, "lambda": _frac_str(self.lam), "n0": self.n0,
+                "sequence": self.seq.to_json()}
+
+    @classmethod
+    def from_json(cls, data):
+        return cls(parse_fraction(data["lambda"]), int(data["n0"]),
+                   DecreasingSequence.from_json(data["sequence"]))
+
+    def validate(self, group):
+        if not isinstance(group, Integers):
+            raise SpecError("ZSequence requires the integer group")
+        return (("lambda", self.lam),
+                ("lambda + a_0",
+                 Fraction(self.lam) + Fraction(self.seq.a(0)).limit_denominator(10**9)))
+
+    def f(self, n):
+        if not isinstance(n, int):
+            raise SpecError("ZSequence index must be an integer")
+        if n < self.n0:
+            return float(self.lam)
+        return float(self.lam) + self.seq.a(n - self.n0)
+
+    def support(self, k, extent):
+        yield from range(self.n0 - max(-k, 0), self.n0 + extent + max(k, 0))
+
+    def tail(self, k, extent):
+        # telescoping: sum_{j>=J} (a_j - a_{j+k})^2 <= sum_{j=J}^{J+k-1} a_j^2
+        k = abs(k)
+        a = self.seq.values(extent + k)
+        return float(np.sum(a[extent:] ** 2))
+
+    def ball_tail(self, k, radius):
+        return self.tail(k, max(radius - self.n0, 0)) if k else None
+
+    def norm_sq(self, k, tol):
+        k = abs(k)
+        if self.seq.kind == "explicit":
+            # a_j is constant from j = L-1 on: finitely many nonzero differences
+            a = self.seq.explicit
+            L = len(a)
+            head = sum(a[min(j, L - 1)] ** 2 for j in range(k))
+            diffs = sum((a[j] - a[min(j + k, L - 1)]) ** 2 for j in range(L - 1))
+            return BoundedValue.from_exact(head + diffs)
+        J = max(4 * k, 64)
+        while True:
+            tail = self.tail(k, J)
+            if tail <= tol or J > 5 * 10**7:
+                break
+            J *= 2
+        if tail > tol:
+            raise SpecError(f"tail bound fails to reach tol={tol} (stuck at {tail})")
+        head = _kernels.zseq_norm_head(self.seq.values(J + k), k, J)
+        return BoundedValue.from_truncation(head, tail)
+
+    def certificate(self, m, kappa, k0):
+        kind = self.seq.kind
+        if kind == "inv_sqrt":
+            sig2 = float(self.seq.scale) ** 2
+            s = m * sig2 / 2.0
+            if s > 1.0:
+                tail = 2.0 ** (1.0 - s) / (s - 1.0) + 2.0 ** (-s)
+                return ("Dissipative", 0.5, {
+                    "certificate": "integral-test",
+                    "exponent": s,
+                    "term_bound": "(1+k)^-s",
+                    "tail_bound": tail,
+                    "power": m,
+                })
+            c = 2.0 * kappa * m * sig2
+            if kappa > k0 and c <= 1.0:
+                return ("Conservative", kappa, {
+                    "witness": "logarithmic norm bound",
+                    "minorant": f"exp(-{c:.6g}) * sum k^-{c:.6g}",
+                    "constant": math.exp(-c),
+                    "exponent": c,
+                })
+        elif kind == "inv_sqrt_log" and kappa > k0:
+            n0 = self.seq.n0
+            c = 2.0 * kappa * m
+            return ("Conservative", kappa, {
+                "witness": "iterated-logarithm norm bound",
+                "minorant": f"C * sum (log(k+{n0}))^-{c:.6g}",
+                "constant": math.exp(-c * self.seq.a(0) ** 2) * math.log(n0) ** c,
+                "exponent": c,
+            })
+        return None
+
 
 @dataclass(frozen=True)
-class WSplit:
+class WSplit(_BallFamily):
     """F constant on the three last-letter classes of F2."""
 
     p_a: Fraction
     p_b: Fraction
     p_w: Fraction
 
+    kind = "wsplit"
+
+    def to_json(self):
+        return {"kind": self.kind, "p_a": _frac_str(self.p_a),
+                "p_b": _frac_str(self.p_b), "p_w": _frac_str(self.p_w)}
+
+    @classmethod
+    def from_json(cls, data):
+        return cls(parse_fraction(data["p_a"]), parse_fraction(data["p_b"]),
+                   parse_fraction(data["p_w"]))
+
+    def validate(self, group):
+        if not isinstance(group, FreeGroup) or group.rank != 2:
+            raise SpecError("WSplit requires the rank-2 free group")
+        return (("p_a", self.p_a), ("p_b", self.p_b), ("p_w", self.p_w))
+
+    def f(self, g):
+        return {"W_a": self.p_a, "W_b": self.p_b, "W": self.p_w}[w_class(g)]
+
+    @property
+    def rates(self):
+        """(alpha, beta) = (p_a - p_w, p_w - p_b)."""
+        return self.p_a - self.p_w, self.p_w - self.p_b
+
+    def norm_sq(self, g, tol):
+        alpha, beta = self.rates
+        n_a = sum(abs(e) for gen, e in g.syls if gen == 1)
+        n_b = sum(abs(e) for gen, e in g.syls if gen == 2)
+        cross = 2 * alpha * beta * descending_sign_changes(g)
+        return BoundedValue.from_exact(alpha * alpha * n_a + beta * beta * n_b + cross)
+
+    def witness_q(self, kappa: float, m: int, n_terms: Optional[int] = None):
+        """Per-level weight of the two-generator witness subgroup family.
+
+        Words (a^-1 b^{n_1} a b^{m_1}) ... (a^-1 b^{n_k} a b^{m_k}) have
+        2k a-letters, sum(n_i + m_i) b-letters and k-1 descending pairs; summing
+        the geometric series over the inner exponents leaves a pure power q^k.
+        """
+        alpha, beta = self.rates
+        a2 = float(alpha * alpha)
+        b2 = float(beta * beta)
+        ab = float(alpha * beta)
+        x = math.exp(-kappa * m * b2)
+        if n_terms is None:
+            s = x / (1.0 - x)
+        else:
+            s = x * (1.0 - x**n_terms) / (1.0 - x)
+        q = math.exp(-kappa * m * (2.0 * a2 + 2.0 * ab)) * s * s
+        const = math.exp(2.0 * kappa * m * ab)
+        return q, const
+
+    def certificate(self, m, kappa, k0):
+        alpha, beta = self.rates
+        if alpha == 0 and beta == 0:
+            return ("Conservative", kappa, {
+                "witness": "identity-cocycle",
+                "minorant": "every term equals 1; the sum over balls diverges",
+            })
+        if alpha >= 0 and beta >= 0:
+            rate = float(min(alpha * alpha, beta * beta))
+        else:
+            rate = float(min(alpha * alpha, beta * beta) - abs(alpha * beta))
+        if rate > 0:
+            found = _geometric(rate, m)
+            if found is not None:
+                return found
+        if kappa > k0:
+            q, const = self.witness_q(kappa, m)
+            if q >= 1.0:
+                return ("Conservative", kappa, {
+                    "witness": "two-generator subgroup family",
+                    "q": q,
+                    "const": const,
+                    "minorant": "sum_k const * q^k with q >= 1",
+                })
+        return None
+
 
 @dataclass(frozen=True)
-class FreeProductW:
+class FreeProductW(_BallFamily):
     """mu_g = mu1 on words ending in a strictly positive power of the
     distinguished generator, mu0 elsewhere."""
 
@@ -152,16 +473,58 @@ class FreeProductW:
     mu1: BaseMeasure
     distinguished: int = 1
 
+    kind = "free_product_w"
+
+    def to_json(self):
+        return {"kind": self.kind, "mu0": [_frac_str(p) for p in self.mu0.probs],
+                "mu1": [_frac_str(p) for p in self.mu1.probs],
+                "distinguished": self.distinguished}
+
+    @classmethod
+    def from_json(cls, data):
+        return cls(BaseMeasure(tuple(parse_fraction(p) for p in data["mu0"])),
+                   BaseMeasure(tuple(parse_fraction(p) for p in data["mu1"])),
+                   int(data.get("distinguished", 1)))
+
+    def validate(self, group):
+        if not isinstance(group, FreeGroup):
+            raise SpecError("FreeProductW requires a free group")
+        return [("base mass", p) for mu in (self.mu0, self.mu1) for p in mu.probs]
+
+    def measure(self, g):
+        return self.mu1 if w_last_positive(g, self.distinguished) else self.mu0
+
+    def f(self, g):
+        return self.measure(g).probs[0]
+
+    def norm_sq(self, g, tol):
+        return BoundedValue.from_exact(self.ball_norm_sq(g, word_length(g)))
+
+    def certificate(self, m, kappa, k0):
+        if self.mu0 == self.mu1:
+            return ("Conservative", kappa,
+                    {"witness": "identity-cocycle", "minorant": "all terms equal 1"})
+        return None
+
 
 @dataclass(frozen=True)
-class FolnerInduced:
-    """Marginal mu_k(0) = F(k) + offset for a Folner-interval cocycle on Z."""
+class FolnerInduced(MarginalFamily):
+    """Marginal mu_k(0) = F(k) + offset for a Folner-interval cocycle on Z
+    whose amplitudes stay below delta_f."""
 
     phi_kind: str  # log | sqrt_log
     phi_scale: Fraction
     horizon: int
     offset: Fraction
-    cocycle: FolnerCocycle = field(compare=False, repr=False, default=None)
+    delta_f: Fraction = Fraction(1, 2)
+    cocycle: FolnerCocycle = field(init=False, compare=False, repr=False)
+
+    kind = "folner"
+    finite = True
+
+    def __post_init__(self):
+        coc = build_folner(self.phi, horizon=self.horizon, delta=float(self.delta_f))
+        object.__setattr__(self, "cocycle", coc)
 
     def phi(self, k: int) -> float:
         if self.phi_kind == "log":
@@ -170,42 +533,153 @@ class FolnerInduced:
             return math.sqrt(float(self.phi_scale) * math.log(1.0 + k))
         raise SpecError(f"unknown phi kind {self.phi_kind!r}")
 
+    @property
+    def limit(self):
+        return float(self.offset)
+
+    def to_json(self):
+        return {"kind": self.kind,
+                "phi": {"kind": self.phi_kind, "scale": _frac_str(self.phi_scale)},
+                "horizon": self.horizon, "offset": _frac_str(self.offset),
+                "delta_f": _frac_str(self.delta_f)}
+
+    @classmethod
+    def from_json(cls, data):
+        return make_folner_family(
+            phi_kind=data["phi"]["kind"],
+            phi_scale=data["phi"].get("scale", "1"),
+            horizon=int(data["horizon"]),
+            offset=data["offset"],
+            delta_f=data.get("delta_f", "1/2"),
+        )
+
+    def validate(self, group):
+        if not isinstance(group, Integers):
+            raise SpecError("FolnerInduced requires the integer group")
+        fmax = max(self.cocycle.values)
+        return (("offset", self.offset),
+                ("offset + max F",
+                 Fraction(self.offset) + Fraction(fmax).limit_denominator(10**9)))
+
+    def f(self, k):
+        return float(self.offset) + self.cocycle.f(k)
+
+    def support(self, k, extent):
+        for lo, hi in self.cocycle.support_zones(k):
+            yield from range(lo, hi)
+
+    def norm_sq(self, k, tol):
+        return BoundedValue.from_truncation(self.cocycle.norm_sq_closed(k), 0.0)
+
+    def certificate(self, m, kappa, k0):
+        if self.phi_kind == "sqrt_log" and kappa > k0:
+            c = kappa * m * float(self.phi_scale)
+            if c <= 1.0:
+                return ("Conservative", kappa, {
+                    "witness": "construction norm bound",
+                    "minorant": f"sum (1+k)^-{c:.6g}",
+                    "exponent": c,
+                })
+        return None
+
 
 def make_folner_family(
     phi_kind: str = "log",
     phi_scale=Fraction(1),
     horizon: int = 256,
     offset=Fraction(1, 2),
-    delta_f: float = 0.5,
+    delta_f=Fraction(1, 2),
 ) -> FolnerInduced:
-    fam = FolnerInduced(phi_kind, parse_fraction(phi_scale), horizon, parse_fraction(offset))
-    coc = build_folner(fam.phi, horizon=horizon, delta=delta_f)
-    object.__setattr__(fam, "cocycle", coc)
-    return fam
+    return FolnerInduced(phi_kind, parse_fraction(phi_scale), horizon,
+                         parse_fraction(offset), parse_fraction(delta_f))
 
 
 @dataclass(frozen=True)
-class SpecialCocycle:
+class SpecialCocycle(MarginalFamily):
     """F(g) = base +/- scale * H(pi(g)) via the bounded oscillating H."""
 
     D: Fraction
     base: Fraction
     scale: Fraction
-    bc: BumpCocycle = field(compare=False, repr=False, default=None)
+    bc: BumpCocycle = field(init=False, compare=False, repr=False)
 
-    def with_cocycle(self) -> "SpecialCocycle":
-        if self.bc is None:
-            object.__setattr__(self, "bc", BumpCocycle(self.D))
-        return self
+    kind = "special"
+
+    def __post_init__(self):
+        if self.D <= 0:
+            raise SpecError(f"D must be positive, got {self.D}")
+        object.__setattr__(self, "bc", BumpCocycle(self.D))
+
+    def to_json(self):
+        return {"kind": self.kind, "D": _frac_str(self.D),
+                "base": _frac_str(self.base), "scale": _frac_str(self.scale)}
+
+    @classmethod
+    def from_json(cls, data):
+        return cls(parse_fraction(data["D"]), parse_fraction(data["base"]),
+                   parse_fraction(data["scale"]))
+
+    def validate(self, group):
+        if not isinstance(group, FreeGroup) or group.rank != 2:
+            raise SpecError("SpecialCocycle requires the rank-2 free group")
+        return (("base - scale", self.base - self.scale),
+                ("base + scale", self.base + self.scale))
+
+    def f(self, g):
+        cls = e_class(g)
+        if cls == "e":
+            return self.base
+        if cls == "E_a":
+            return self.base + self.scale * self.bc.h_exact(pi_a(g))
+        return self.base - self.scale * self.bc.h_exact(pi_b(g))
+
+    def support(self, g, extent):
+        # axis windows |n| <= extent through every prefix of g
+        seen = set()
+        prefixes = [Word(2, ())]
+        for j in range(len(g.syls)):
+            prefixes.append(Word(2, g.syls[: j + 1]))
+        for p in prefixes:
+            for gen in (1, 2):
+                for n in range(-extent, extent + 1):
+                    if n == 0:
+                        h = p
+                    else:
+                        h = mul(p, Word(2, ((gen, n),)))
+                    if h not in seen:
+                        seen.add(h)
+                        yield h
+
+    def tail(self, g, extent):
+        s2 = float(self.scale) ** 2
+        M = self.bc.bump_index_at(max(extent - word_length(g), 1))
+        tail = 0.0
+        for _, e in g.syls:
+            tail += s2 * self.bc.tail_bound(e, M)
+        return tail
+
+    def norm_sq(self, g, tol):
+        bc = self.bc
+        s2 = float(self.scale) ** 2
+        lo = hi = 0.0
+        for _, e in g.syls:
+            glo, ghi = bc.gamma_norm_sq_bounds(e)
+            lo += glo
+            hi += ghi
+        cross = Fraction(0)
+        for (_, e1), (_, e2) in zip(g.syls, g.syls[1:]):
+            if e1 >= 1 and e2 <= -1:
+                cross += bc.h_exact(e1) * bc.h_exact(-e2)
+        lo = s2 * (lo + 2 * float(cross))
+        hi = s2 * (hi + 2 * float(cross))
+        return BoundedValue.from_bracket(lo, hi)
+
+    def certificate(self, m, kappa, k0):
+        return _geometric(float(self.scale) ** 2 * float(self.D), m)
 
 
-MarginalFamily = Union[ZSequence, WSplit, FreeProductW, FolnerInduced, SpecialCocycle]
-
-
-@dataclass(frozen=True)
-class IndexPoint:
-    elem: Element
-    copy: int = 1
+_FAMILIES = {cls.kind: cls for cls in
+             (WSplit, ZSequence, FreeProductW, FolnerInduced, SpecialCocycle)}
 
 
 @dataclass(frozen=True)
@@ -222,128 +696,36 @@ class ActionSpec:
         if not (0 < delta <= Fraction(1, 2)):
             raise SpecError(f"delta must lie in (0, 1/2], got {delta}")
         object.__setattr__(self, "delta", delta)
-        self._validate_range()
-
-    def _validate_range(self):
-        lo, hi = self.delta, 1 - self.delta
-        fam = self.family
-
-        def check(v, what):
+        lo, hi = delta, 1 - delta
+        for what, v in self.family.validate(self.group):
             if not (lo <= v <= hi):
                 raise SpecError(f"{what} = {v} leaves [{lo}, {hi}]")
 
-        if isinstance(fam, WSplit):
-            if not isinstance(self.group, FreeGroup) or self.group.rank != 2:
-                raise SpecError("WSplit requires the rank-2 free group")
-            for name, p in (("p_a", fam.p_a), ("p_b", fam.p_b), ("p_w", fam.p_w)):
-                check(p, name)
-        elif isinstance(fam, ZSequence):
-            if not isinstance(self.group, Integers):
-                raise SpecError("ZSequence requires the integer group")
-            check(fam.lam, "lambda")
-            check(Fraction(fam.lam) + Fraction(fam.seq.a(0)).limit_denominator(10**9),
-                  "lambda + a_0")
-        elif isinstance(fam, FreeProductW):
-            if not isinstance(self.group, FreeGroup):
-                raise SpecError("FreeProductW requires a free group")
-            for mu in (fam.mu0, fam.mu1):
-                for p in mu.probs:
-                    check(p, "base mass")
-        elif isinstance(fam, FolnerInduced):
-            if not isinstance(self.group, Integers):
-                raise SpecError("FolnerInduced requires the integer group")
-            fmax = max(fam.cocycle.values)
-            check(fam.offset, "offset")
-            check(Fraction(fam.offset) + Fraction(fmax).limit_denominator(10**9),
-                  "offset + max F")
-        elif isinstance(fam, SpecialCocycle):
-            if not isinstance(self.group, FreeGroup) or self.group.rank != 2:
-                raise SpecError("SpecialCocycle requires the rank-2 free group")
-            check(fam.base - fam.scale, "base - scale")
-            check(fam.base + fam.scale, "base + scale")
-        else:
-            raise SpecError(f"unknown family {type(fam).__name__}")
-
-
-def _elem_of(i) -> Element:
-    return i.elem if isinstance(i, IndexPoint) else i
-
 
 def f_value(spec: ActionSpec, i):
-    """F at an index point; copies of a diagonal power share F."""
-    g = _elem_of(i)
-    if isinstance(i, IndexPoint) and not (1 <= i.copy <= spec.multiplicity):
-        raise SpecError(f"copy {i.copy} out of range for multiplicity {spec.multiplicity}")
-    fam = spec.family
-    if isinstance(fam, WSplit):
-        cls = w_class(g)
-        return {"W_a": fam.p_a, "W_b": fam.p_b, "W": fam.p_w}[cls]
-    if isinstance(fam, ZSequence):
-        if not isinstance(g, int):
-            raise SpecError("ZSequence index must be an integer")
-        if g < fam.n0:
-            return float(fam.lam)
-        return float(fam.lam) + fam.seq.a(g - fam.n0)
-    if isinstance(fam, FreeProductW):
-        from .groups import w_last_positive
-
-        mu = fam.mu1 if w_last_positive(g, fam.distinguished) else fam.mu0
-        return mu.probs[0]
-    if isinstance(fam, FolnerInduced):
-        return float(fam.offset) + fam.cocycle.f(g)
-    if isinstance(fam, SpecialCocycle):
-        fam.with_cocycle()
-        cls = e_class(g)
-        if cls == "e":
-            return fam.base
-        if cls == "E_a":
-            return fam.base + fam.scale * fam.bc.h_exact(pi_a(g))
-        return fam.base - fam.scale * fam.bc.h_exact(pi_b(g))
-    raise SpecError(f"unknown family {type(fam).__name__}")
+    """F at an index point; the copies of a diagonal power share F."""
+    return spec.family.f(i)
 
 
 def base_measure(spec: ActionSpec, i) -> BaseMeasure:
-    fam = spec.family
-    if isinstance(fam, FreeProductW):
-        from .groups import w_last_positive
-
-        g = _elem_of(i)
-        return fam.mu1 if w_last_positive(g, fam.distinguished) else fam.mu0
-    p = f_value(spec, i)
-    if isinstance(p, Fraction):
-        return BaseMeasure((p, 1 - p))
-    return BaseMeasure((p, 1.0 - p))
+    return spec.family.measure(i)
 
 
 def check_nonsingular_hypotheses(spec: ActionSpec, probes, radius: int) -> dict:
     """Report-only hypothesis check: square-summability of F(g.) - F(.) per
     probe, plus the observed approach of F to its limit on the sphere."""
-    from . import groups
-
     report = {"probes": [], "radius": radius}
     for g in probes:
         partial = 0.0
-        for h in groups.ball(spec.group, radius):
-            d = float(f_value(spec, groups.mul(g, h))) - float(f_value(spec, h))
+        for h in ball(spec.group, radius):
+            d = float(f_value(spec, mul(g, h))) - float(f_value(spec, h))
             partial += d * d
-        entry = {"g": groups.format_element(g), "partial_sum": partial, "tail_bound": None}
-        fam = spec.family
-        if isinstance(fam, WSplit) and radius >= groups.word_length(g):
-            entry["tail_bound"] = 0.0
-        if isinstance(fam, ZSequence) and isinstance(g, int) and g != 0:
-            k = abs(g)
-            J = max(radius - fam.n0, 0)
-            entry["tail_bound"] = float(np.sum(fam.seq.values(J + k)[J:] ** 2))
-        report["probes"].append(entry)
-    fam = spec.family
-    lam = None
-    if isinstance(fam, ZSequence):
-        lam = float(fam.lam)
-    elif isinstance(fam, FolnerInduced):
-        lam = float(fam.offset)
+        report["probes"].append({"g": format_element(g), "partial_sum": partial,
+                                 "tail_bound": spec.family.ball_tail(g, radius)})
+    lam = spec.family.limit
     if lam is not None:
         sup = 0.0
-        for h in groups.sphere(spec.group, radius):
+        for h in sphere(spec.group, radius):
             sup = max(sup, abs(float(f_value(spec, h)) - lam))
         report["sup_deviation_on_sphere"] = sup
         report["limit_value"] = lam
@@ -351,10 +733,8 @@ def check_nonsingular_hypotheses(spec: ActionSpec, probes, radius: int) -> dict:
 
 
 def _window_rng(seed: int, window) -> np.random.Generator:
-    from . import groups
-
     digest = hashlib.sha256(
-        repr([groups.format_element(_elem_of(i)) for i in window]).encode()
+        repr([format_element(i) for i in window]).encode()
     ).digest()
     key = int.from_bytes(digest[:8], "big")
     return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), key]))
@@ -448,61 +828,16 @@ def measures_from_atomic_eta(atoms) -> tuple:
 
 # --- serialization -----------------------------------------------------------
 
-def _frac_str(q) -> str:
-    return format_fraction(Fraction(q))
-
-
 def spec_to_json(spec: ActionSpec) -> dict:
     if isinstance(spec.group, FreeGroup):
         group = {"type": "free", "rank": spec.group.rank}
     else:
         group = {"type": "integers"}
-    fam = spec.family
-    if isinstance(fam, WSplit):
-        family = {
-            "kind": "wsplit",
-            "p_a": _frac_str(fam.p_a),
-            "p_b": _frac_str(fam.p_b),
-            "p_w": _frac_str(fam.p_w),
-        }
-    elif isinstance(fam, ZSequence):
-        seq = {"kind": fam.seq.kind}
-        if fam.seq.kind == "inv_sqrt":
-            seq["scale"] = _frac_str(fam.seq.scale)
-        elif fam.seq.kind == "inv_sqrt_log":
-            seq["n0"] = fam.seq.n0
-        else:
-            seq["values"] = [_frac_str(v) for v in fam.seq.explicit]
-        family = {"kind": "zsequence", "lambda": _frac_str(fam.lam), "n0": fam.n0,
-                  "sequence": seq}
-    elif isinstance(fam, FreeProductW):
-        family = {
-            "kind": "free_product_w",
-            "mu0": [_frac_str(p) for p in fam.mu0.probs],
-            "mu1": [_frac_str(p) for p in fam.mu1.probs],
-            "distinguished": fam.distinguished,
-        }
-    elif isinstance(fam, FolnerInduced):
-        family = {
-            "kind": "folner",
-            "phi": {"kind": fam.phi_kind, "scale": _frac_str(fam.phi_scale)},
-            "horizon": fam.horizon,
-            "offset": _frac_str(fam.offset),
-        }
-    elif isinstance(fam, SpecialCocycle):
-        family = {
-            "kind": "special",
-            "D": _frac_str(fam.D),
-            "base": _frac_str(fam.base),
-            "scale": _frac_str(fam.scale),
-        }
-    else:
-        raise SpecError(f"unknown family {type(fam).__name__}")
     return {
         "group": group,
         "multiplicity": spec.multiplicity,
         "delta": _frac_str(spec.delta),
-        "family": family,
+        "family": spec.family.to_json(),
     }
 
 
@@ -517,52 +852,12 @@ def spec_from_json(data) -> ActionSpec:
             group = Integers()
         else:
             raise SpecError(f"unknown group type {gspec['type']!r}")
-        fspec = data["family"]
-        kind = fspec["kind"]
-        if kind == "wsplit":
-            fam: MarginalFamily = WSplit(
-                parse_fraction(fspec["p_a"]),
-                parse_fraction(fspec["p_b"]),
-                parse_fraction(fspec["p_w"]),
-            )
-        elif kind == "zsequence":
-            sq = fspec["sequence"]
-            if sq["kind"] == "inv_sqrt":
-                seq = DecreasingSequence("inv_sqrt", scale=parse_fraction(sq["scale"]))
-            elif sq["kind"] == "inv_sqrt_log":
-                seq = DecreasingSequence("inv_sqrt_log", n0=int(sq["n0"]))
-            elif sq["kind"] == "explicit":
-                seq = DecreasingSequence(
-                    "explicit",
-                    explicit=tuple(parse_fraction(v) for v in sq["values"]),
-                )
-            else:
-                raise SpecError(f"unknown sequence kind {sq['kind']!r}")
-            fam = ZSequence(parse_fraction(fspec["lambda"]), int(fspec["n0"]), seq)
-        elif kind == "free_product_w":
-            fam = FreeProductW(
-                BaseMeasure(tuple(parse_fraction(p) for p in fspec["mu0"])),
-                BaseMeasure(tuple(parse_fraction(p) for p in fspec["mu1"])),
-                int(fspec.get("distinguished", 1)),
-            )
-        elif kind == "folner":
-            fam = make_folner_family(
-                phi_kind=fspec["phi"]["kind"],
-                phi_scale=parse_fraction(fspec["phi"].get("scale", "1")),
-                horizon=int(fspec["horizon"]),
-                offset=parse_fraction(fspec["offset"]),
-            )
-        elif kind == "special":
-            fam = SpecialCocycle(
-                parse_fraction(fspec["D"]),
-                parse_fraction(fspec["base"]),
-                parse_fraction(fspec["scale"]),
-            ).with_cocycle()
-        else:
+        kind = data["family"]["kind"]
+        if kind not in _FAMILIES:
             raise SpecError(f"unknown family kind {kind!r}")
         return ActionSpec(
             group=group,
-            family=fam,
+            family=_FAMILIES[kind].from_json(data["family"]),
             multiplicity=int(data.get("multiplicity", 1)),
             delta=parse_fraction(data.get("delta", "1/3")),
         )

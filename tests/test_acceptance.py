@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bernlab.bump import build_special
+from bernlab.bump import BumpCocycle
 from bernlab.cli import preset, verify_bounds
 from bernlab.cocycles import affinity_pairs, norm_sq, norm_sq_bruteforce
 from bernlab.criteria import (
@@ -133,12 +133,12 @@ def test_05_sandwich_suite():
 
 def test_06_special_cocycle():
     for D in (Fraction(1, 2), Fraction(1), Fraction(36)):
-        bc = build_special(D)
+        bc = BumpCocycle(D)
         for k in range(1, 129):
             lo, _ = bc.gamma_norm_sq_bounds(k)
             assert lo >= float(D) * k ** 1.5, f"D={D}, k={k}"
         fam = SpecialCocycle(D, Fraction(1, 2), Fraction(1, 4))
-        spec = ActionSpec(F2, fam.with_cocycle(), delta=Fraction(1, 4))
+        spec = ActionSpec(F2, fam, delta=Fraction(1, 4))
         for g in ball(F2, 6):
             L = word_length(g)
             if L:

@@ -161,6 +161,23 @@ class TestCommands:
         code, _, err = run(capsys, "criterion")
         assert code == 2
 
+    def test_criterion_radius_is_an_argument_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["criterion", "--preset", "f2-wsplit", "--radius", "3"])
+        assert exc.value.code == 2
+
+    def test_verify_overflow_reports_valid_json(self, capsys):
+        # e^{kappa0 ||c_g||^2} and the omega^-2 integral overflow a float here
+        code, out, _ = run(capsys, "verify", "--preset", "f2-dissipative",
+                           "--radius", "1", "--tol", "100")
+        assert code in (0, 2)
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        rep = json.loads(out, parse_constant=reject)
+        assert rep["results"]["n_checked"] == 4
+
     def test_nonamenable(self, capsys):
         code, out, _ = run(capsys, "nonamenable", "--preset", "f2-wsplit")
         assert code == 0

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bernlab.bump import BumpCocycle, build_special
+from bernlab.bump import BumpCocycle
 from bernlab.cocycles import (
     cocycle_coeff,
     norm_sq,
@@ -146,7 +146,7 @@ class TestBumpCocycle:
 
     def test_gamma_lower_bound(self):
         for D in (Fraction(1, 2), Fraction(1), Fraction(36)):
-            bc = build_special(D)
+            bc = BumpCocycle(D)
             for k in (1, 2, 7, 32, 128):
                 lo, hi = bc.gamma_norm_sq_bounds(k)
                 assert lo >= float(D) * k ** 1.5
@@ -170,7 +170,7 @@ class TestBumpCocycle:
 @pytest.fixture(scope="module")
 def spec():
     fam = SpecialCocycle(Fraction(1), Fraction(1, 2), Fraction(1, 4))
-    return ActionSpec(F2, fam.with_cocycle(), delta=Fraction(1, 4))
+    return ActionSpec(F2, fam, delta=Fraction(1, 4))
 
 
 class TestSpecialNorm:
@@ -231,7 +231,7 @@ class TestSupport:
 
     def test_no_duplicates(self):
         fam = SpecialCocycle(Fraction(1), Fraction(1, 2), Fraction(1, 4))
-        spec = ActionSpec(F2, fam.with_cocycle(), delta=Fraction(1, 4))
+        spec = ActionSpec(F2, fam, delta=Fraction(1, 4))
         pts = list(support_elements(spec, w("a b"), 50))
         assert len(pts) == len(set(pts))
 

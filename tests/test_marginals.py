@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from bernlab.cocycles import norm_sq, norm_sq_bruteforce
 from bernlab.exact import LogValue
-from bernlab.groups import FreeGroup, Integers, parse_element
+from bernlab.groups import FreeGroup, Integers, ball, parse_element
 from bernlab.marginals import (
     ActionSpec,
     BaseMeasure,
@@ -109,7 +110,7 @@ class TestSerialization:
         ActionSpec(F2, FreeProductW(*measures_from_lambda(Fraction(1, 2))),
                    delta=Fraction(1, 4)),
         ActionSpec(F2, SpecialCocycle(Fraction(36), Fraction(1, 2),
-                                      Fraction(1, 4)).with_cocycle(),
+                                      Fraction(1, 4)),
                    delta=Fraction(1, 4)),
     ])
     def test_roundtrip(self, spec):
@@ -127,6 +128,19 @@ class TestSerialization:
         # rebuilt deterministically: identical interval layout and values
         assert back.family.cocycle.starts == fam.cocycle.starts
         assert back.family.cocycle.values == fam.cocycle.values
+
+    def test_folner_delta_f_roundtrip(self):
+        fam = make_folner_family(phi_kind="log", horizon=32, delta_f=0.1)
+        spec = ActionSpec(Integers(), fam, delta=Fraction(1, 3))
+        data = spec_to_json(spec)
+        assert data["family"]["delta_f"] == "1/10"
+        back = spec_from_json(json.dumps(data))
+        assert back == spec
+        assert back.family.cocycle.values == fam.cocycle.values
+        # a file without delta_f means 1/2, whose amplitudes leave [1/3, 2/3]
+        del data["family"]["delta_f"]
+        with pytest.raises(SpecError, match="offset"):
+            spec_from_json(json.dumps(data))
 
     def test_missing_field(self):
         with pytest.raises(SpecError):
@@ -157,3 +171,75 @@ def test_nonsingular_hypotheses_report():
     entry = rep["probes"][0]
     assert entry["tail_bound"] == 0.0
     assert entry["partial_sum"] == pytest.approx(1 / 100)
+
+
+def zsequence_json(sequence, n0=1):
+    return json.dumps({"group": {"type": "integers"}, "delta": "1/4",
+                       "family": {"kind": "zsequence", "lambda": "1/2", "n0": n0,
+                                  "sequence": sequence}})
+
+
+@pytest.mark.parametrize("sequence", [
+    {"kind": "inv_sqrt", "scale": "-1/6"},
+    {"kind": "inv_sqrt_log", "n0": 1},
+    {"kind": "explicit", "values": []},
+    {"kind": "explicit", "values": ["1/5", "-1/10"]},
+    {"kind": "explicit", "values": ["1/10", "1/5"]},
+])
+def test_bad_sequence_rejected(sequence):
+    with pytest.raises(SpecError):
+        spec_from_json(zsequence_json(sequence))
+
+
+def test_explicit_zsequence_exact_norm():
+    spec = spec_from_json(zsequence_json(
+        {"kind": "explicit", "values": ["1/5", "1/10", "1/20"]}, n0=0))
+    # c_1 = (a_0, a_1 - a_0, a_2 - a_1) on 0, 1, 2
+    assert norm_sq(spec, 1).exact == Fraction(21, 400)
+    for k in (1, 2, 3, 7, -3):
+        nv = norm_sq(spec, k)
+        assert nv.err == 0 and nv.exact == norm_sq(spec, -k).exact
+        ov = norm_sq_bruteforce(spec, k, 64)
+        assert ov.lower <= nv.value <= ov.upper
+
+
+def w(text):
+    return parse_element(F2, text)
+
+
+# kind -> (spec, grid of g, oracle radius, window for F)
+FAMILY_CASES = {
+    "wsplit": lambda: (wsplit_spec(), [w("a"), w("a b^-1"), w("b a^2")], 4,
+                       list(ball(F2, 2))),
+    "zsequence": lambda: (
+        ActionSpec(Integers(), ZSequence(Fraction(1, 2), 1, DecreasingSequence(
+            "inv_sqrt", scale=Fraction(1, 6)))), [1, 2, -3], 4000, range(-5, 40)),
+    "free_product_w": lambda: (
+        ActionSpec(F2, FreeProductW(*measures_from_lambda(Fraction(1, 2))),
+                   multiplicity=2, delta=Fraction(1, 4)),
+        [w("a"), w("a b^-1"), w("b a^2")], 4, list(ball(F2, 2))),
+    "folner": lambda: (
+        ActionSpec(Integers(), make_folner_family(
+            phi_kind="sqrt_log", phi_scale=Fraction(1, 16), horizon=32,
+            delta_f=Fraction(1, 6))), [1, 2, 7], 8, range(-5, 300)),
+    "special": lambda: (
+        ActionSpec(F2, SpecialCocycle(Fraction(1), Fraction(1, 2), Fraction(1, 4)),
+                   delta=Fraction(1, 4)), [w("a"), w("a b^-1")], 1000,
+        list(ball(F2, 2)) + [w("a^40"), w("b^-9")]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILY_CASES))
+def test_family_protocol(kind):
+    spec, grid, radius, window = FAMILY_CASES[kind]()
+    data = spec_to_json(spec)
+    assert data["family"]["kind"] == kind
+    back = spec_from_json(json.dumps(data))
+    assert back == spec
+    assert [f_value(back, h) for h in window] == [f_value(spec, h) for h in window]
+    for g in grid:
+        nv, ov = norm_sq(spec, g), norm_sq_bruteforce(spec, g, radius)
+        assert abs(nv.value - ov.value) <= nv.err + ov.err + 1e-12
+    data["family"]["kind"] = "no_such_" + kind
+    with pytest.raises(SpecError, match="unknown family kind"):
+        spec_from_json(json.dumps(data))
