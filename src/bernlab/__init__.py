@@ -14,6 +14,7 @@ from .criteria import (
     CriterionVerdict,
     classify_conservativity,
     hellinger_product,
+    integral_products,
     kappa0,
     kesten_norm,
     mc_omega,
@@ -61,6 +62,7 @@ from .typeclass import (
     RatioGroup,
     StableParams,
     TypeLabel,
+    krieger_type,
     plain_type,
     ratio_group,
     sd_generators,

@@ -32,12 +32,6 @@ class BumpCocycle:
         self._b = np.array([0, 2], dtype=np.int64)
         self._gamma_cache: dict = {}
 
-    def _a_of(self, n: int) -> int:
-        if n == 0:
-            return 1
-        p, q = self.delta.numerator, self.delta.denominator
-        return (p * n * n + q - 1) // q
-
     def ensure_bumps(self, N: int) -> None:
         """Materialize a_n and b_n for all n < N (b has N+1 entries)."""
         cur = len(self._a)

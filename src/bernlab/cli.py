@@ -20,11 +20,11 @@ from . import __version__
 from . import groups
 from .cocycles import norm_sq, norm_sq_bruteforce, value_pairs
 from .criteria import (
+    HELLINGER_TAIL,
     classify_conservativity,
-    hellinger_product,
+    integral_products,
     kappa0,
     mc_omega,
-    negsq_product,
     nonamenability_check,
     verify_certificate,
 )
@@ -43,9 +43,8 @@ from .marginals import (
     spec_to_json,
 )
 from .typeclass import (
-    plain_type,
+    krieger_type,
     ratio_group,
-    sd_generators,
     stable_params,
     stable_type_set,
 )
@@ -172,22 +171,14 @@ def _parse_g(spec: ActionSpec, text: str):
 
 # --- verify_bounds -----------------------------------------------------------
 
-def default_grid(spec: ActionSpec):
-    if isinstance(spec.group, FreeGroup):
-        return [g for g in groups.ball(spec.group, 4) if word_length(g) > 0]
-    return [k for k in range(-1000, 1001) if k != 0]
-
-
 def _finite_or_none(x: float):
     # JSON has no infinity or NaN: a float that overflowed is reported as null
     return x if math.isfinite(x) else None
 
 
-def verify_bounds(spec: ActionSpec, grid=None, tol: float = 1e-6) -> dict:
+def verify_bounds(spec: ActionSpec, grid, tol: float = 1e-6) -> dict:
     """Per-element inequality suite relating the integral products to the
     cocycle norm; failures are report content, not errors."""
-    if grid is None:
-        grid = default_grid(spec)
     k0 = float(kappa0(spec.delta))
     # the integral products only need a loose tail: it widens the certified
     # bracket slightly but keeps slowly decaying families fast
@@ -195,9 +186,8 @@ def verify_bounds(spec: ActionSpec, grid=None, tol: float = 1e-6) -> dict:
     rows, failures = [], 0
     for g in grid:
         nv = norm_sq(spec, g, tol=tol)
-        hv = hellinger_product(spec, g, tol=product_tol)
-        pv = negsq_product(spec, g, tol=product_tol)
-        lower_ok = hv.upper >= math.exp(-0.6 * nv.upper) * (1 - 1e-12)
+        hv, pv = integral_products(spec, g, tol=product_tol)
+        lower_ok = hv.upper >= math.exp(-HELLINGER_TAIL * nv.upper) * (1 - 1e-12)
         upper_ok = hv.lower <= math.exp(-0.5 * max(nv.lower, 0.0)) * (1 + 1e-12)
         # e^{k0 ||c_g||^2} overflows a float for large norms: compare logs
         log_bound = k0 * nv.upper
@@ -215,7 +205,7 @@ def verify_bounds(spec: ActionSpec, grid=None, tol: float = 1e-6) -> dict:
             "sqrt_omega_integral": {"value": hv.value, "err": hv.err},
             "negsq_omega_integral": {"value": _finite_or_none(pv.value),
                                      "err": _finite_or_none(pv.err)},
-            "sqrt_lower_margin": hv.upper - math.exp(-0.6 * nv.upper),
+            "sqrt_lower_margin": hv.upper - math.exp(-HELLINGER_TAIL * nv.upper),
             "sqrt_upper_margin": math.exp(-0.5 * max(nv.lower, 0.0)) - hv.lower,
             "negsq_margin": _finite_or_none(negsq_margin),
             "pass": ok,
@@ -232,9 +222,8 @@ def element_ratio_values(spec: ActionSpec, g):
     for _, p, q in value_pairs(spec, g, 0):
         if not isinstance(p, Fraction) or not isinstance(q, Fraction):
             raise CliError("classification needs a rational-valued family")
-        if p != q:
-            values.add(q / p)
-            values.add((1 - q) / (1 - p))
+        values.add(q / p)
+        values.add((1 - q) / (1 - p))
     return sorted(values)
 
 
@@ -256,12 +245,11 @@ def _type_json(t):
 
 
 def classify_report(mu0, mu1, stable: bool) -> dict:
-    t = plain_type(mu0, mu1)
     rg = ratio_group(mu0.t_values(mu1))
     results = {
-        "type": _type_json(t),
+        "type": _type_json(krieger_type(rg)),
         "L": repr(rg),
-        "sd_basis": [format_fraction(q) for q in sd_generators(mu0, mu1)],
+        "sd_basis": [format_fraction(q) for q in rg.generators],
     }
     if stable:
         sp = stable_params(mu0, mu1)
@@ -342,7 +330,7 @@ def cmd_criterion(args) -> int:
         "verdict": verdict.verdict,
         "kappa": verdict.kappa,
         "evidence": verdict.evidence,
-        "certificate_checks": verify_certificate(verdict),
+        "certificate_checks": verify_certificate(spec, verdict),
     }
     if args.csv and "partial_sums" in verdict.evidence:
         _write_csv(args.csv, [
@@ -370,21 +358,12 @@ def cmd_classify(args) -> int:
         raise CliError("--element is required with --spec/--preset")
     g = _parse_g(spec, args.element)
     values = element_ratio_values(spec, g)
-    rg = ratio_group(values) if values else None
-    if rg is None:
-        t = {"label": "II_1"}
-    elif rg.kind == "trivial":
-        t = {"label": "II_1"}
-    elif rg.kind == "cyclic":
-        t = {"label": f"III_{format_fraction(rg.generator)}",
-             "lambda": float(rg.generator)}
-    else:
-        t = {"label": "III_1"}
+    rg = ratio_group(values)
     results = {
         "g": format_element(g),
         "omega_values": [format_fraction(v) for v in values],
-        "ratio_group": repr(rg) if rg else "RatioGroup(trivial)",
-        "type": t,
+        "ratio_group": repr(rg),
+        "type": _type_json(krieger_type(rg)),
     }
     _emit(make_report("classify", spec, results, started=started), args.out)
     return 0

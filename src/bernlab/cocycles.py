@@ -67,9 +67,12 @@ def norm_sq_bruteforce(spec: ActionSpec, g: Element, radius: int) -> BoundedValu
 
 
 def value_pairs(spec: ActionSpec, g: Element, extent: int):
-    """(h, F(h), F(g h)) for every h where c_{g^-1} can be nonzero."""
+    """(h, F(h), F(g h)) for every h in the window of c_{g^-1} where the two
+    values differ: the coordinates where omega(g, .) is not 1."""
     for h in support_elements(spec, inv(g), extent):
-        yield h, f_value(spec, h), f_value(spec, mul(g, h))
+        p, q = f_value(spec, h), f_value(spec, mul(g, h))
+        if p != q:
+            yield h, p, q
 
 
 def affinity_pairs(spec: ActionSpec, g: Element, extent: int = 4096):
@@ -79,7 +82,7 @@ def affinity_pairs(spec: ActionSpec, g: Element, extent: int = 4096):
     The pairs drive the per-coordinate Hellinger and negative-square products;
     the tail bound turns their truncation into a certificate.
     """
-    pairs = [(float(p), float(q)) for _, p, q in value_pairs(spec, g, extent) if p != q]
+    pairs = [(float(p), float(q)) for _, p, q in value_pairs(spec, g, extent)]
     tail = spec.family.tail(inv(g), extent)
     pairs.sort(key=lambda pq: abs(pq[0] - pq[1]), reverse=True)
     return pairs, tail * spec.multiplicity

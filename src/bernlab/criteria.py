@@ -3,7 +3,6 @@ Hellinger-type integral products, the Zimmer-nonamenability test against the
 Kesten norm, and Monte Carlo estimates of the Radon-Nikodym cocycle."""
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -15,7 +14,7 @@ from . import groups
 from .cocycles import BoundedValue, affinity_pairs, norm_sq, value_pairs
 from .exact import parse_fraction
 from .groups import FreeGroup, Word, format_element, inv, word_length
-from .marginals import ActionSpec, SpecError, sample_window
+from .marginals import ActionSpec, SpecError, sample_window, substream_rng
 
 __all__ = [
     "CriterionVerdict",
@@ -26,6 +25,7 @@ __all__ = [
     "classify_conservativity",
     "verify_certificate",
     "witness_partial_sum",
+    "integral_products",
     "hellinger_product",
     "negsq_product",
     "kesten_norm",
@@ -114,69 +114,69 @@ def _inconclusive(spec: ActionSpec, kap: float) -> CriterionVerdict:
     )
 
 
-def verify_certificate(verdict: CriterionVerdict) -> bool:
-    """Re-check a stored certificate from its own data."""
-    ev = verdict.evidence
-    if verdict.verdict == "Dissipative":
-        if ev.get("certificate") == "geometric":
-            rho, beta, head = ev["rho"], ev["beta"], ev["head"]
-            return 0.0 < rho < 1.0 and head + beta * rho / (1.0 - rho) < math.inf
-        if ev.get("certificate") == "integral-test":
-            return ev["exponent"] > 1.0 and ev["tail_bound"] < math.inf
+def verify_certificate(spec: ActionSpec, verdict: CriterionVerdict) -> bool:
+    """Re-derive the certificate from the spec at the verdict's kappa and
+    compare: a verdict the family does not certify, or evidence it does not
+    produce, is rejected. Inconclusive verdicts carry no certificate."""
+    if verdict.verdict == "Inconclusive" or verdict.kappa is None:
         return False
-    if verdict.verdict == "Conservative":
-        if "q" in ev:
-            return ev["q"] >= 1.0
-        if "exponent" in ev:
-            return ev["exponent"] <= 1.0 or "log" in ev["minorant"]
-        return "minorant" in ev
-    return False
+    found = spec.family.certificate(spec.multiplicity, verdict.kappa,
+                                    float(kappa0(spec.delta)))
+    return found is not None and CriterionVerdict(*found) == verdict
 
 
 # --- integral products -------------------------------------------------------
 
-def _adaptive_pairs(spec, g, tol):
+# exp(-HELLINGER_TAIL tau) is taken as the lower bound on the affinity of a
+# cocycle mass tau, here and in verify_bounds against ||c_g||^2. To leading
+# order it holds only where p(1-p) >= 5/24, which explicit-z leaves.
+HELLINGER_TAIL = 0.6
+
+
+def integral_products(spec: ActionSpec, g, tol: float = 1e-6) -> tuple:
+    """(integral of sqrt(omega(g, .)), integral of omega(g, .)^-2), from one
+    pass over the pairs of `affinity_pairs`.
+
+    The per-coordinate factors are the affinity sqrt(pq) + sqrt((1-p)(1-q))
+    and p^3/q^2 + (1-p)^3/(1-q)^2. With tau bounding the cocycle mass left
+    outside the window, the truncated tails are bracketed by
+    [exp(-HELLINGER_TAIL tau), 1] and [1, exp(kappa0 tau)]; the window's
+    extent grows until tau <= tol or it reaches 2^20.
+    """
+    if word_length(g) == 0:
+        one = BoundedValue.from_exact(1)
+        return one, one
     extent = 4096
-    while True:
-        pairs, tail = affinity_pairs(spec, g, extent)
-        if tail <= tol or extent >= 2**20:
-            return pairs, tail
+    pairs, tail = affinity_pairs(spec, g, extent)
+    while tail > tol and extent < 2**20:
         extent *= 4
+        pairs, tail = affinity_pairs(spec, g, extent)
+    hell = negsq = 1.0
+    for p, q in pairs:
+        hell *= math.sqrt(p * q) + math.sqrt((1.0 - p) * (1.0 - q))
+        negsq *= p**3 / q**2 + (1.0 - p) ** 3 / (1.0 - q) ** 2
+    m = spec.multiplicity
+    hell = hell ** m
+    lo = hell * math.exp(-HELLINGER_TAIL * tail)
+    slack = 1e-12 * hell
+    sqrt_omega = BoundedValue.from_bracket(max(lo - slack, 0.0), hell + slack)
+    try:
+        negsq = negsq ** m
+        hi = negsq * math.exp(float(kappa0(spec.delta)) * tail)
+    except OverflowError:
+        negsq = hi = math.inf
+    slack = 1e-12 * hi
+    return sqrt_omega, BoundedValue.from_bracket(max(negsq - slack, 0.0), hi + slack)
 
 
 def hellinger_product(spec: ActionSpec, g, tol: float = 1e-6) -> BoundedValue:
-    """Product of per-coordinate affinities sqrt(pq) + sqrt((1-p)(1-q)),
-    i.e. the integral of sqrt(omega(g, .)).
-
-    The truncated tail is bracketed by [exp(-(3/5) tau), 1] where tau bounds
-    the cocycle mass left outside the window.
-    """
-    if word_length(g) == 0:
-        return BoundedValue.from_exact(1)
-    pairs, tail = _adaptive_pairs(spec, g, tol)
-    head = 1.0
-    for p, q in pairs:
-        head *= math.sqrt(p * q) + math.sqrt((1.0 - p) * (1.0 - q))
-    head = head ** spec.multiplicity
-    lo = head * math.exp(-0.6 * tail)
-    slack = 1e-12 * head
-    return BoundedValue.from_bracket(max(lo - slack, 0.0), head + slack)
+    """The integral of sqrt(omega(g, .)); see `integral_products`."""
+    return integral_products(spec, g, tol)[0]
 
 
 def negsq_product(spec: ActionSpec, g, tol: float = 1e-6) -> BoundedValue:
-    """Product of per-coordinate factors p^3/q^2 + (1-p)^3/(1-q)^2, i.e. the
-    integral of omega(g, .)^-2; the tail is bracketed by [1, exp(kappa0 tau)]."""
-    if word_length(g) == 0:
-        return BoundedValue.from_exact(1)
-    pairs, tail = _adaptive_pairs(spec, g, tol)
-    head = 1.0
-    for p, q in pairs:
-        head *= p**3 / q**2 + (1.0 - p) ** 3 / (1.0 - q) ** 2
-    head = head ** spec.multiplicity
-    k0 = float(kappa0(spec.delta))
-    hi = head * math.exp(k0 * tail)
-    slack = 1e-12 * hi
-    return BoundedValue.from_bracket(max(head - slack, 0.0), hi + slack)
+    """The integral of omega(g, .)^-2; see `integral_products`."""
+    return integral_products(spec, g, tol)[1]
 
 
 # --- nonamenability ----------------------------------------------------------
@@ -227,14 +227,6 @@ class RNSample:
     truncation_note: str
 
 
-def _mc_rng(seed: int, g, radius: int) -> np.random.Generator:
-    digest = hashlib.sha256(
-        f"{format_element(g)}|{radius}".encode()
-    ).digest()
-    key = int.from_bytes(digest[:8], "big")
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), key]))
-
-
 def _mc_coords(spec: ActionSpec, g, radius: int):
     if spec.family.on_ball and radius < word_length(g):
         raise SpecError("window too small to cover the cocycle support")
@@ -242,8 +234,6 @@ def _mc_coords(spec: ActionSpec, g, radius: int):
     coords = []
     for h, p, q in value_pairs(spec, inv(g), radius):
         p, q = float(p), float(q)
-        if p == q:
-            continue
         coords.append(h)
         p0.append(p)
         r0.append(q / p)
@@ -270,7 +260,7 @@ def mc_omega(spec: ActionSpec, g, radius: int, samples: int, seed: int) -> dict:
     m = spec.multiplicity
     log_r0 = np.log(lr0)
     log_r1 = np.log(lr1)
-    rng = _mc_rng(seed, g, radius)
+    rng = substream_rng(seed, f"{format_element(g)}|{radius}")
     sums = np.zeros(3)
     sqsums = np.zeros(3)
     block = max(1, min(samples, 2 * 10**6 // max(len(coords), 1)))

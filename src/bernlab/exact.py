@@ -12,21 +12,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-__all__ = ["BoundedValue", "LogValue", "parse_fraction", "format_fraction"]
+__all__ = ["BoundedValue", "LogValue", "SpecError", "parse_fraction",
+           "format_fraction"]
 
 # relative allowance for float rounding in a certified float sum
 _FLOAT_SLACK = 1e-12
+
+
+class SpecError(ValueError):
+    """Invalid input: a malformed or inadmissible spec, measure or argument."""
 
 
 def parse_fraction(text) -> Fraction:
     """Parse "p/q" (or an int/float/Fraction passthrough) into a Fraction."""
     if isinstance(text, Fraction):
         return text
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, float):
-        return Fraction(text).limit_denominator(10**12)
-    return Fraction(str(text).strip())
+    try:
+        if isinstance(text, int):
+            return Fraction(text)
+        if isinstance(text, float):
+            return Fraction(text).limit_denominator(10**12)
+        return Fraction(str(text).strip())
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise SpecError(f"not a rational number: {text!r}") from exc
 
 
 def format_fraction(q: Fraction) -> str:
@@ -47,19 +55,6 @@ class LogValue:
     def __float__(self) -> float:
         # math.log(Fraction) loses precision for huge numerators; split the log
         return math.log(self.arg.numerator) - math.log(self.arg.denominator)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.arg == 1
-
-    def __neg__(self) -> "LogValue":
-        return LogValue(1 / self.arg)
-
-    def __add__(self, other: "LogValue") -> "LogValue":
-        return LogValue(self.arg * other.arg)
-
-    def __sub__(self, other: "LogValue") -> "LogValue":
-        return LogValue(self.arg / other.arg)
 
     def __repr__(self):
         return f"log({format_fraction(self.arg)})"

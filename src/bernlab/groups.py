@@ -20,7 +20,6 @@ __all__ = [
     "mul",
     "inv",
     "word_length",
-    "syllables",
     "descending_sign_changes",
     "sphere",
     "ball",
@@ -138,13 +137,6 @@ def word_length(g: Element) -> int:
     if isinstance(g, int):
         return abs(g)
     return sum(abs(exp) for _, exp in g.syls)
-
-
-def syllables(g: Word) -> tuple:
-    """Syllable decomposition (gen, exponent) of a reduced word."""
-    if not isinstance(g, Word):
-        raise GroupError("syllables are defined for free-group words only")
-    return g.syls
 
 
 def descending_sign_changes(g: Word) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from .bump import BumpCocycle
-from .exact import BoundedValue, LogValue, format_fraction, parse_fraction
+from .exact import BoundedValue, LogValue, SpecError, format_fraction, parse_fraction
 from .folner import FolnerCocycle, build_folner
 from .groups import (
     Element,
@@ -64,10 +64,6 @@ __all__ = [
     "spec_to_json",
     "spec_from_json",
 ]
-
-
-class SpecError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -369,10 +365,14 @@ class ZSequence(MarginalFamily):
         elif kind == "inv_sqrt_log" and kappa > k0:
             n0 = self.seq.n0
             c = 2.0 * kappa * m
+            try:
+                constant = math.exp(-c * self.seq.a(0) ** 2) * math.log(n0) ** c
+            except OverflowError:
+                constant = None  # JSON has no infinity: reported as null
             return ("Conservative", kappa, {
                 "witness": "iterated-logarithm norm bound",
                 "minorant": f"C * sum (log(k+{n0}))^-{c:.6g}",
-                "constant": math.exp(-c * self.seq.a(0) ** 2) * math.log(n0) ** c,
+                "constant": constant,
                 "exponent": c,
             })
         return None
@@ -523,7 +523,11 @@ class FolnerInduced(MarginalFamily):
     finite = True
 
     def __post_init__(self):
-        coc = build_folner(self.phi, horizon=self.horizon, delta=float(self.delta_f))
+        try:
+            coc = build_folner(self.phi, horizon=self.horizon,
+                               delta=float(self.delta_f))
+        except ValueError as exc:  # SpecError included: keep its message
+            raise SpecError(str(exc)) from exc
         object.__setattr__(self, "cocycle", coc)
 
     def phi(self, k: int) -> float:
@@ -732,17 +736,16 @@ def check_nonsingular_hypotheses(spec: ActionSpec, probes, radius: int) -> dict:
     return report
 
 
-def _window_rng(seed: int, window) -> np.random.Generator:
-    digest = hashlib.sha256(
-        repr([format_element(i) for i in window]).encode()
-    ).digest()
+def substream_rng(seed: int, payload: str) -> np.random.Generator:
+    """Philox stream keyed by the seed and the sha256 digest of `payload`."""
+    digest = hashlib.sha256(payload.encode()).digest()
     key = int.from_bytes(digest[:8], "big")
     return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), key]))
 
 
 def sample_window(spec: ActionSpec, window, seed: int) -> dict:
     """One product-measure configuration over the window, keyed by index."""
-    rng = _window_rng(seed, window)
+    rng = substream_rng(seed, repr([format_element(i) for i in window]))
     out = {}
     for i in window:
         mu = base_measure(spec, i)
@@ -863,3 +866,7 @@ def spec_from_json(data) -> ActionSpec:
         )
     except KeyError as exc:
         raise SpecError(f"missing field {exc} in spec JSON") from exc
+    except SpecError:
+        raise
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SpecError(f"malformed spec JSON: {exc}") from exc

@@ -18,6 +18,7 @@ __all__ = [
     "TypeLabel",
     "StableParams",
     "ratio_group",
+    "krieger_type",
     "plain_type",
     "stable_params",
     "stable_type_set",
@@ -127,12 +128,16 @@ class RatioGroup:
             format_fraction(b) for b in self.basis
         )
 
+    @property
+    def generators(self) -> list:
+        """Canonical lattice basis, each element in (0, 1)."""
+        return [self.generator] if self.kind == "cyclic" else list(self.basis)
+
 
 def ratio_group(values) -> RatioGroup:
-    """Multiplicative subgroup of the positive rationals generated by values."""
+    """Multiplicative subgroup of the positive rationals generated by values
+    (trivial for none)."""
     values = [parse_fraction(v) for v in values]
-    if not values:
-        raise SpecError("need at least one value")
     for v in values:
         if v <= 0:
             raise SpecError(f"values must be positive, got {v}")
@@ -173,15 +178,24 @@ def _require_exact(mu0: BaseMeasure, mu1: BaseMeasure):
         raise SpecError("classification requires exact rational measures")
 
 
-def plain_type(mu0: BaseMeasure, mu1: BaseMeasure) -> TypeLabel:
-    """Trichotomy from the subgroup generated by the T-range."""
-    _require_exact(mu0, mu1)
-    rg = ratio_group(mu0.t_values(mu1))
+def krieger_type(rg: RatioGroup) -> TypeLabel:
+    """Type from the group generated by the ratio set: II_1 when trivial,
+    III_lambda when cyclic with generator lambda, III_1 when dense."""
     if rg.kind == "trivial":
         return TypeLabel("II1")
     if rg.kind == "cyclic":
         return TypeLabel("III_lambda", lam_base=rg.generator)
     return TypeLabel("III1")
+
+
+def _t_group(mu0: BaseMeasure, mu1: BaseMeasure) -> RatioGroup:
+    _require_exact(mu0, mu1)
+    return ratio_group(mu0.t_values(mu1))
+
+
+def plain_type(mu0: BaseMeasure, mu1: BaseMeasure) -> TypeLabel:
+    """Trichotomy from the subgroup generated by the T-range."""
+    return krieger_type(_t_group(mu0, mu1))
 
 
 @dataclass(frozen=True)
@@ -192,14 +206,6 @@ class StableParams:
     k1: Optional[int]  # None encodes infinite order
     t0: Optional[Fraction] = None
 
-    @property
-    def a_float(self):
-        return None if self.a is None else float(self.a)
-
-    @property
-    def b_float(self):
-        return None if self.b is None else float(self.b)
-
 
 def stable_params(mu0: BaseMeasure, mu1: BaseMeasure) -> StableParams:
     """L from pairwise T-ratios; when L = r^Z, the unique b in [0, a) with
@@ -207,8 +213,6 @@ def stable_params(mu0: BaseMeasure, mu1: BaseMeasure) -> StableParams:
     _require_exact(mu0, mu1)
     ts = mu0.t_values(mu1)
     ratios = [ts[i] / ts[j] for i in range(len(ts)) for j in range(len(ts)) if i != j]
-    if not ratios:
-        ratios = [Fraction(1)]
     L = ratio_group(ratios)
     if L.kind == "trivial":
         if any(t != 1 for t in ts):
@@ -275,10 +279,4 @@ def stable_type_set(params: StableParams, max_instances: int = 10) -> dict:
 
 def sd_generators(mu0: BaseMeasure, mu1: BaseMeasure) -> list:
     """Lattice basis of the multiplicative group generated by the T-range."""
-    _require_exact(mu0, mu1)
-    ts = [t for t in mu0.t_values(mu1) if t != 1]
-    if not ts:
-        return []
-    primes = _collect_primes(ts)
-    basis = _hnf([_exponent_vector(t, primes) for t in ts])
-    return [_canonical(_vec_to_rational(b, primes)) for b in basis]
+    return _t_group(mu0, mu1).generators

@@ -11,7 +11,13 @@ from bernlab.cli import (
     spec_digest,
     verify_bounds,
 )
-from bernlab.marginals import WSplit, ZSequence, SpecialCocycle, FolnerInduced
+from bernlab.marginals import (
+    FolnerInduced,
+    SpecialCocycle,
+    WSplit,
+    ZSequence,
+    spec_to_json,
+)
 
 
 def run(capsys, *argv):
@@ -178,10 +184,69 @@ class TestCommands:
         rep = json.loads(out, parse_constant=reject)
         assert rep["results"]["n_checked"] == 4
 
+    def test_high_power_products_overflow_to_null(self, capsys):
+        # at this power the omega^-2 integral leaves the float range
+        code, out, _ = run(capsys, "nonamenable", "--preset", "f2-wsplit",
+                           "--power", "10000")
+        assert code == 0
+        assert json.loads(out)["results"]["sum_lower"] > 0
+        code, out, _ = run(capsys, "verify", "--preset", "f2-wsplit",
+                           "--power", "10000", "--radius", "1")
+        rows = json.loads(out)["results"]["checks"]
+        assert [r["negsq_omega_integral"]["value"] for r in rows] == [None] * 4
+
     def test_nonamenable(self, capsys):
         code, out, _ = run(capsys, "nonamenable", "--preset", "f2-wsplit")
         assert code == 0
         assert json.loads(out)["results"]["nonamenable"]
+
+    def test_criterion_overflowed_constant_is_null(self, capsys):
+        # log(n0)^c overflows a float once the power multiplies c
+        code, out, _ = run(capsys, "criterion", "--preset", "explicit-z",
+                           "--power", "2")
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        rep = json.loads(out, parse_constant=reject)["results"]
+        assert rep["verdict"] == "Conservative"
+        assert rep["evidence"]["constant"] is None
+        assert rep["certificate_checks"]
+
+
+def _spec_json(name, **family):
+    data = spec_to_json(preset(name))
+    data["family"].update(family)
+    return data
+
+
+@pytest.mark.parametrize("spec", [
+    _spec_json("folner-z", horizon=0),
+    _spec_json("f2-wsplit", p_a="abc"),
+    _spec_json("f2-wsplit", p_a="1/0"),
+    _spec_json("f2-wsplit", p_a=float("inf")),
+    {**_spec_json("f2-wsplit"), "family": "wsplit"},
+    {**_spec_json("f2-wsplit"), "multiplicity": "two"},
+], ids=["folner-horizon-0", "p_a-abc", "p_a-1/0", "p_a-inf",
+        "family-string", "multiplicity-two"])
+def test_malformed_spec_exits_2(capsys, tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "spec", "validate", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("bernlab: error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["criterion", "--preset", "f2-wsplit", "--kappa", "abc"],
+    ["classify", "--mu0", "2/3,x", "--mu1", "1/3,2/3"],
+    ["criterion", "--preset", "explicit-z(1/0)"],
+], ids=["kappa-abc", "mu0-x", "preset-1/0"])
+def test_malformed_argument_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("bernlab: error:")
 
 
 class TestVerifyBounds:

@@ -9,6 +9,7 @@ from bernlab.cocycles import (
     norm_sq,
     norm_sq_bruteforce,
     support_elements,
+    value_pairs,
 )
 from bernlab.folner import build_folner, enum_z
 from bernlab.groups import FreeGroup, Integers, ball, inv, mul, parse_element
@@ -238,3 +239,22 @@ class TestSupport:
     def test_radius_too_small(self):
         with pytest.raises(SpecError):
             norm_sq_bruteforce(wsplit_spec(), w("a b a"), 2)
+
+    @pytest.mark.parametrize("make,elements,extent", [
+        (wsplit_spec, ["a", "b^-1", "a b^-1", "a^2 b", "b a^-1 b^2"], 0),
+        (lambda: ActionSpec(F2, SpecialCocycle(Fraction(1), Fraction(1, 2),
+                                               Fraction(1, 4)),
+                            delta=Fraction(1, 4)), ["a", "a b^-2"], 40),
+        (zseq_spec, [1, -3, 8], 50),
+    ])
+    def test_value_pairs_are_the_nonzero_coordinates(self, make, elements, extent):
+        spec = make()
+        for g in elements:
+            g = w(g) if isinstance(g, str) else g
+            triples = list(value_pairs(spec, g, extent))
+            assert triples and all(p != q for _, p, q in triples)
+            # the window of c_{g^-1} with the coordinates where omega(g, .) = 1
+            # taken out, in window order
+            window = support_elements(spec, inv(g), extent)
+            assert [h for h, _, _ in triples] == [
+                h for h in window if cocycle_coeff(spec, inv(g), h) != 0]

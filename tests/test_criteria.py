@@ -5,10 +5,12 @@ import pytest
 
 from bernlab.cli import preset
 from bernlab.criteria import (
+    CriterionVerdict,
     auto_kappa,
     classify_conservativity,
     criterion_partial_sums,
     hellinger_product,
+    integral_products,
     kappa0,
     kesten_norm,
     mc_omega,
@@ -18,7 +20,7 @@ from bernlab.criteria import (
     verify_certificate,
     witness_partial_sum,
 )
-from bernlab.cocycles import norm_sq
+from bernlab.cocycles import BoundedValue, affinity_pairs, norm_sq
 from bernlab.groups import parse_element
 from bernlab.marginals import SpecError
 
@@ -43,27 +45,31 @@ class TestThreshold:
 
 class TestVerdicts:
     def test_wsplit_m1_not_dissipative(self):
-        v = classify_conservativity(preset("f2-wsplit"))
+        spec = preset("f2-wsplit")
+        v = classify_conservativity(spec)
         assert v.verdict != "Dissipative"
-        assert verify_certificate(v)
+        assert verify_certificate(spec, v)
 
     def test_wsplit_m220_dissipative(self):
-        v = classify_conservativity(preset("f2-wsplit", power=220))
+        spec = preset("f2-wsplit", power=220)
+        v = classify_conservativity(spec)
         assert v.verdict == "Dissipative"
         assert v.evidence["rho"] == pytest.approx(3 * math.exp(-1.1))
-        assert verify_certificate(v)
+        assert verify_certificate(spec, v)
 
     def test_zseq_m1_conservative(self):
-        v = classify_conservativity(preset("explicit-z-sqrt6"))
+        spec = preset("explicit-z-sqrt6")
+        v = classify_conservativity(spec)
         assert v.verdict == "Conservative"
         assert v.evidence["exponent"] == pytest.approx(8 / 9)
-        assert verify_certificate(v)
+        assert verify_certificate(spec, v)
 
     def test_zseq_m73_dissipative(self):
-        v = classify_conservativity(preset("explicit-z-sqrt6", power=73))
+        spec = preset("explicit-z-sqrt6", power=73)
+        v = classify_conservativity(spec)
         assert v.verdict == "Dissipative"
         assert v.evidence["exponent"] == pytest.approx(73 / 72)
-        assert verify_certificate(v)
+        assert verify_certificate(spec, v)
 
     def test_special_d36_dissipative(self):
         v = classify_conservativity(preset("f2-dissipative(36)"))
@@ -89,6 +95,39 @@ class TestVerdicts:
         v = classify_conservativity(spec)
         assert v.verdict == "Conservative"
         assert v.evidence["witness"] == "identity-cocycle"
+
+
+class TestCertificateCheck:
+    def test_forged_evidence_rejected(self):
+        spec = preset("explicit-z-sqrt6")
+        v = classify_conservativity(spec)
+        forged = CriterionVerdict(v.verdict, v.kappa,
+                                  {"exponent": 5, "minorant": "log k"})
+        assert verify_certificate(spec, v)
+        assert not verify_certificate(spec, forged)
+
+    def test_changed_number_rejected(self):
+        spec = preset("f2-wsplit", power=220)
+        v = classify_conservativity(spec)
+        forged = CriterionVerdict(v.verdict, v.kappa,
+                                  {**v.evidence, "rho": v.evidence["rho"] / 2})
+        assert not verify_certificate(spec, forged)
+
+    def test_other_spec_rejected(self):
+        v = classify_conservativity(preset("f2-wsplit", power=220))
+        assert verify_certificate(preset("f2-wsplit", power=220), v)
+        assert not verify_certificate(preset("f2-wsplit", power=219), v)
+        assert not verify_certificate(preset("f2-wsplit-512", power=220), v)
+        assert not verify_certificate(preset("f2-dissipative"), v)
+
+    def test_uncertified_verdict_rejected(self):
+        spec = preset("explicit-z-sqrt6")
+        v = classify_conservativity(spec)
+        assert not verify_certificate(spec, CriterionVerdict("Dissipative", 0.5,
+                                                             v.evidence))
+        assert not verify_certificate(spec, CriterionVerdict("Inconclusive",
+                                                             v.kappa, {}))
+        assert not verify_certificate(spec, CriterionVerdict("Conservative"))
 
 
 class TestWitness:
@@ -127,6 +166,40 @@ class TestIntegralProducts:
             assert hv.upper >= math.exp(-0.6 * nv.upper) * (1 - 1e-12)
             assert hv.lower <= math.exp(-0.5 * nv.lower) * (1 + 1e-12)
             assert pv.lower <= math.exp(k0 * nv.upper) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("name,grid", [
+        ("f2-wsplit", ["a", "b^-1", "a b^-1", "a^2 b", "b a^-1 b"]),
+        ("explicit-z-sqrt6", [1, -2, 5]),
+        ("folner-z", [1, -3, 7]),
+    ])
+    def test_one_pass_matches_reference_loop(self, name, grid):
+        spec = preset(name, power=2)
+        k0 = float(kappa0(spec.delta))
+        for g in grid:
+            g = g_of(spec, g) if isinstance(g, str) else g
+            # the two products as separate loops over affinity_pairs
+            extent = 4096
+            while True:
+                pairs, tail = affinity_pairs(spec, g, extent)
+                if tail <= 1e-4 or extent >= 2**20:
+                    break
+                extent *= 4
+            hell = negsq = 1.0
+            for p, q in pairs:
+                assert p != q
+                hell *= math.sqrt(p * q) + math.sqrt((1.0 - p) * (1.0 - q))
+            for p, q in pairs:
+                negsq *= p**3 / q**2 + (1.0 - p) ** 3 / (1.0 - q) ** 2
+            hell, negsq = hell**2, negsq**2
+            lo, hi = hell * math.exp(-0.6 * tail), negsq * math.exp(k0 * tail)
+            hv, pv = integral_products(spec, g, tol=1e-4)
+            # bit for bit: dataclass equality compares the floats exactly
+            assert hv == BoundedValue.from_bracket(max(lo - 1e-12 * hell, 0.0),
+                                                   hell + 1e-12 * hell)
+            assert pv == BoundedValue.from_bracket(max(negsq - 1e-12 * hi, 0.0),
+                                                   hi + 1e-12 * hi)
+            assert hellinger_product(spec, g, 1e-4) == hv
+            assert negsq_product(spec, g, 1e-4) == pv
 
     def test_kesten(self):
         assert kesten_norm(2) == pytest.approx(2 * math.sqrt(3))

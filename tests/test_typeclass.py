@@ -1,10 +1,31 @@
+import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from bernlab.exact import LogValue
-from bernlab.marginals import SpecError, measures_from_ab, measures_from_lambda
+from bernlab.cli import main
+from bernlab.exact import LogValue, format_fraction
+from bernlab.groups import FreeGroup
+from bernlab.marginals import (
+    ActionSpec,
+    BaseMeasure,
+    FreeProductW,
+    SpecError,
+    measures_from_ab,
+    measures_from_lambda,
+    spec_to_json,
+)
 from bernlab.typeclass import (
+    RatioGroup,
+    _canonical,
+    _collect_primes,
+    _exponent_vector,
+    _hnf,
+    _vec_to_rational,
+    krieger_type,
     plain_type,
     ratio_group,
     sd_generators,
@@ -16,6 +37,7 @@ from bernlab.typeclass import (
 class TestRatioGroup:
     def test_trivial(self):
         assert ratio_group([1, 1]).kind == "trivial"
+        assert ratio_group([]) == RatioGroup("trivial")
 
     def test_cyclic(self):
         rg = ratio_group(["3/2", "9/4"])
@@ -122,3 +144,73 @@ class TestSdGenerators:
         mu = BaseMeasure((0.5, 0.5))
         with pytest.raises(SpecError):
             plain_type(mu, mu)
+
+
+def _reference_label(rg):
+    """The kind -> label mapping `classify --element` used to write inline."""
+    if rg.kind == "trivial":
+        return {"label": "II_1"}
+    if rg.kind == "cyclic":
+        return {"label": f"III_{format_fraction(rg.generator)}",
+                "lambda": float(rg.generator)}
+    return {"label": "III_1"}
+
+
+def _reference_sd(mu0, mu1):
+    """The HNF basis `sd_generators` used to compute on its own."""
+    ts = [t for t in mu0.t_values(mu1) if t != 1]
+    if not ts:
+        return []
+    primes = _collect_primes(ts)
+    basis = _hnf([_exponent_vector(t, primes) for t in ts])
+    return [_canonical(_vec_to_rational(b, primes)) for b in basis]
+
+
+def _measure(weights):
+    return BaseMeasure(tuple(Fraction(w, sum(weights)) for w in weights))
+
+
+weights = st.lists(st.integers(1, 60), min_size=2, max_size=2)
+
+
+class TestOneRatioGroup:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+        *[st.lists(st.integers(1, 60), min_size=n, max_size=n)] * 2)))
+    def test_plain_type_and_sd_basis(self, pair):
+        mu0, mu1 = map(_measure, pair)
+        rg = ratio_group(mu0.t_values(mu1))
+        t = plain_type(mu0, mu1)
+        assert t == krieger_type(rg)
+        label = {"label": repr(t), **({"lambda": t.lam} if t.lam else {})}
+        assert label == _reference_label(rg)
+        assert sd_generators(mu0, mu1) == _reference_sd(mu0, mu1) == rg.generators
+
+    @settings(max_examples=40, deadline=None)
+    @given(weights, weights)
+    @example([2, 1], [1, 2])  # cyclic, lambda = 1/4
+    @example([1, 3], [1, 3])  # trivial: omega(a, .) is 1 everywhere
+    def test_element_and_measure_commands_agree(self, w0, w1):
+        # omega(a, .) of the FreeProductW action takes the T-values of
+        # (mu0, mu1), so both classify paths see the same ratio group
+        mu0, mu1 = _measure(w0), _measure(w1)
+        delta = min(mu0.probs + mu1.probs)
+        spec = ActionSpec(FreeGroup(2), FreeProductW(mu0, mu1), delta=delta)
+        fmt = [",".join(map(format_fraction, mu.probs)) for mu in (mu0, mu1)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "spec.json")
+            with open(path, "w") as fh:
+                json.dump(spec_to_json(spec), fh)
+            reports = []
+            for argv in (["--spec", path, "--element", "a"],
+                         ["--mu0", fmt[0], "--mu1", fmt[1]]):
+                out = os.path.join(tmp, "report.json")
+                assert main(["classify", *argv, "--out", out]) == 0
+                with open(out) as fh:
+                    reports.append(json.load(fh)["results"])
+        by_element, by_measures = reports
+        rg = ratio_group(mu0.t_values(mu1))
+        assert by_element["type"] == by_measures["type"] == _reference_label(rg)
+        assert by_element["ratio_group"] == by_measures["L"] == repr(rg)
+        assert by_measures["sd_basis"] == [format_fraction(q)
+                                           for q in _reference_sd(mu0, mu1)]
