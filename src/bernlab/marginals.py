@@ -104,6 +104,24 @@ def _frac_str(q) -> str:
     return format_fraction(Fraction(q))
 
 
+_U = 2.0**-53  # unit roundoff of a float
+# deepest ZSequence truncation: the head then allocates two arrays of 400 MB
+_MAX_DEPTH = 5 * 10**7
+
+
+def _gamma(n: int) -> float:
+    """n u / (1 - n u): the relative error of a float sum or dot product of n
+    nonnegative terms, in any order (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3-4)."""
+    return n * _U / (1.0 - n * _U)
+
+
+def _float_up(q: Fraction) -> float:
+    """The least float >= q."""
+    x = float(q)
+    return math.nextafter(x, math.inf) if Fraction(x) < q else x
+
+
 @dataclass(frozen=True)
 class DecreasingSequence:
     """a_0 >= a_1 >= ... > 0 given by a closed form or an explicit list."""
@@ -140,6 +158,24 @@ class DecreasingSequence:
             x = j + self.n0
             return 1.0 / math.sqrt(x * math.log(x))
         return float(self.explicit[min(j, len(self.explicit) - 1)])
+
+    def step(self, j: int) -> float:
+        """a_j - a_{j+1} of a closed form, written without the cancellation of
+        a difference of two nearby floats: each operation adds a relative
+        error of at most about u, whatever j is."""
+        if self.kind == "inv_sqrt":
+            # c (1/sqrt(x) - 1/sqrt(y)) = c / (sqrt(x) sqrt(y) (sqrt(x) + sqrt(y))),
+            # since y - x = 1
+            rx, ry = math.sqrt(j + 1), math.sqrt(j + 2)
+            return float(self.scale) / (rx * ry * (rx + ry))
+        if self.kind == "inv_sqrt_log":
+            # with h(x) = x ln x and y = x + 1: h(x)^-1/2 - h(y)^-1/2 over the
+            # common denominator, and h(y) - h(x) = ln y + x log1p(1/x) > 0
+            x = j + self.n0
+            hx, hy = x * math.log(x), (x + 1) * math.log(x + 1)
+            rx, ry = math.sqrt(hx), math.sqrt(hy)
+            return (math.log(x + 1) + x * math.log1p(1.0 / x)) / (rx * ry * (rx + ry))
+        raise SpecError("step needs a closed-form sequence")
 
     def values(self, J: int) -> np.ndarray:
         j = np.arange(J, dtype=np.float64)
@@ -312,33 +348,80 @@ class ZSequence(MarginalFamily):
         yield from range(self.n0 - max(-k, 0), self.n0 + extent + max(k, 0))
 
     def tail(self, k, extent):
-        # telescoping: sum_{j>=J} (a_j - a_{j+k})^2 <= sum_{j=J}^{J+k-1} a_j^2
+        """Bound on sum_{j >= extent} (a_j - a_{j+k})^2, the mass of c_k
+        outside support(k, extent), from two values of the sequence.
+
+        An explicit sequence is constant from j = L-1 on: its tail is the
+        finite sum over extent <= j < L-1, exact and rounded up.
+
+        The closed forms are convex, decreasing and tend to 0. Convexity gives
+        a_j - a_{j+k} <= k (a_j - a_{j+1}), and the steps a_j - a_{j+1}
+        decrease and sum to a_J over j >= J, so
+            sum_{j>=J} (a_j - a_{j+k})^2 <= k^2 sum_{j>=J} (a_j - a_{j+1})^2
+                                         <= k^2 a_J (a_J - a_{J+1}).
+        inv_sqrt: c (x+1)^-1/2 is convex. inv_sqrt_log: g(x) = (x ln x)^-1/2
+        has g'' = (x ln x)^-5/2 [3/4 (ln x + 1)^2 - 1/2 ln x] > 0, because
+        3/4 L^2 + L + 3/4 has no real root. The float product carries fewer
+        than 20 roundings (a_J and `step` are free of cancellation), each of
+        relative size at most u, with libm's log within an ulp; the factor
+        1 + 2^-46 > 1 + 64u covers them.
+        """
         k = abs(k)
-        a = self.seq.values(extent + k)
-        return float(np.sum(a[extent:] ** 2))
+        if self.seq.kind == "explicit":
+            return _float_up(self._explicit_diffs(k, extent))
+        return k * k * self.seq.a(extent) * self.seq.step(extent) * (1.0 + 2.0**-46)
+
+    def _explicit_diffs(self, k, start) -> Fraction:
+        """sum_{start <= j < L-1} (a_j - a_{min(j+k, L-1)})^2 of an explicit
+        sequence: the differences vanish from j = L-1 on."""
+        a = self.seq.explicit
+        last = len(a) - 1
+        return sum(((a[j] - a[min(j + k, last)]) ** 2 for j in range(start, last)),
+                   Fraction(0))
 
     def ball_tail(self, k, radius):
         return self.tail(k, max(radius - self.n0, 0)) if k else None
 
+    def _depth(self, k, target):
+        """Smallest J <= _MAX_DEPTH with tail(k, J) <= target, by doubling
+        and then bisection: the closed-form tail is nonincreasing in J and
+        costs two evaluations of the sequence."""
+        lo, hi = 0, 1  # tail(k, lo) > target, or lo == 0
+        while self.tail(k, hi) > target:
+            if hi >= _MAX_DEPTH:
+                raise SpecError(f"tail bound fails to reach {target} by "
+                                f"J = {_MAX_DEPTH} (stuck at {self.tail(k, hi)})")
+            lo, hi = hi, min(2 * hi, _MAX_DEPTH)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self.tail(k, mid) > target:
+                lo = mid
+            else:
+                hi = mid
+        return hi
+
     def norm_sq(self, k, tol):
         k = abs(k)
         if self.seq.kind == "explicit":
-            # a_j is constant from j = L-1 on: finitely many nonzero differences
             a = self.seq.explicit
-            L = len(a)
-            head = sum(a[min(j, L - 1)] ** 2 for j in range(k))
-            diffs = sum((a[j] - a[min(j + k, L - 1)]) ** 2 for j in range(L - 1))
-            return BoundedValue.from_exact(head + diffs)
-        J = max(4 * k, 64)
-        while True:
-            tail = self.tail(k, J)
-            if tail <= tol or J > 5 * 10**7:
-                break
-            J *= 2
-        if tail > tol:
-            raise SpecError(f"tail bound fails to reach tol={tol} (stuck at {tail})")
+            head = sum(a[min(j, len(a) - 1)] ** 2 for j in range(k))
+            return BoundedValue.from_exact(head + self._explicit_diffs(k, 0))
+        # aim the tail at tol/4, not tol: J grows only like tail^-1/2, so a
+        # half-width near tol/8 costs twice the depth of one near tol/2
+        J = self._depth(k, tol / 4.0)
+        tail = self.tail(k, J)
         head = _kernels.zseq_norm_head(self.seq.values(J + k), k, J)
-        return BoundedValue.from_truncation(head, tail)
+        # Float error of head. values() gives each a_j within eta = 8u of the
+        # real one (at most three roundings, or numpy's log within a few ulps and three more). So
+        # the squares of the first k terms move by <= 3 eta k a_0^2, and each
+        # difference by <= 2 eta a_j, which moves the difference squares by
+        # <= 4 eta sum a_j (a_j - a_{j+k}) + 4 eta^2 sum a_j^2
+        # <= 4 eta k a_0^2 + 4 eta^2 J a_0^2. Summing the J + k squares, the
+        # subtraction and the final additions adds gamma_{J+k+8} (head + tail).
+        eta = 8.0 * _U
+        rounding = (_gamma(J + k + 8) * (head + tail)
+                    + 8.0 * eta * (k + eta * J) * self.seq.a(0) ** 2)
+        return BoundedValue(head + tail / 2.0, tail / 2.0 + rounding)
 
     def certificate(self, m, kappa, k0):
         kind = self.seq.kind

@@ -1,6 +1,8 @@
 import csv
+import gzip
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -213,6 +215,38 @@ class TestCommands:
         assert rep["verdict"] == "Conservative"
         assert rep["evidence"]["constant"] is None
         assert rep["certificate_checks"]
+
+    def test_criterion_inconclusive_partial_sums(self, capsys):
+        # below kappa0 there is no certificate, so the 121 norms of the
+        # partial sums to radius 60 are all computed, at tol 1e-4/220
+        code, out, _ = run(capsys, "criterion", "--preset", "explicit-z",
+                           "--power", "220", "--kappa", "16")
+        assert code == 0
+        rep = json.loads(out)["results"]
+        assert rep["verdict"] == "Inconclusive"
+        assert len(rep["evidence"]["partial_sums"]) == 61
+
+
+GOLDEN_Z = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "z-tails.json.gz"
+
+
+@pytest.mark.parametrize("name, radius", [("explicit-z-sqrt6", 80), ("explicit-z", 30)])
+def test_growth_no_wider_than_golden(capsys, tmp_path, name, radius):
+    # golden brackets were captured from the program before its tail bound
+    # was tightened; a tighter bound must only narrow them
+    entries = json.loads(gzip.decompress(GOLDEN_Z.read_bytes()))["entries"]
+    gold = entries[f"cocycle growth --preset {name} --radius {radius}"]["csv"]["brackets"]
+    target = tmp_path / "growth.csv"
+    code, _, _ = run(capsys, "cocycle", "growth", "--preset", name,
+                     "--radius", str(radius), "--out", str(target))
+    assert code == 0
+    with open(target, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == len(gold) == radius
+    for (_, _, lo, hi), (glo, ghi) in zip(rows, gold):
+        lo, hi = float(lo), float(hi)
+        assert lo <= ghi and glo <= hi
+        assert hi - lo <= ghi - glo
 
 
 def _spec_json(name, **family):

@@ -1,9 +1,15 @@
 import json
+import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bernlab.cli import preset
 from bernlab.cocycles import norm_sq, norm_sq_bruteforce
+from bernlab.criteria import integral_products
 from bernlab.exact import LogValue
 from bernlab.groups import FreeGroup, Integers, ball, parse_element
 from bernlab.marginals import (
@@ -201,6 +207,123 @@ def test_explicit_zsequence_exact_norm():
         assert nv.err == 0 and nv.exact == norm_sq(spec, -k).exact
         ov = norm_sq_bruteforce(spec, k, 64)
         assert ov.lower <= nv.value <= ov.upper
+
+
+EXPLICIT_3 = {"kind": "explicit", "values": ["1/5", "1/10", "1/20"]}
+
+
+def test_explicit_zsequence_exact_tail():
+    # F = 1/2 + a_n for n >= 0 with a = (1/5, 1/10, 1/20, 1/20, ...): the
+    # cocycle is finitely supported, so every bracket is as narrow as the
+    # float rounding of its products
+    spec = spec_from_json(zsequence_json(EXPLICIT_3, n0=0))
+    a = [Fraction(1, 5), Fraction(1, 10), Fraction(1, 20)]
+
+    def F(n):
+        return Fraction(1, 2) + (a[min(n, 2)] if n >= 0 else 0)
+
+    for g in (1, 2, -3):
+        assert spec.family.tail(g, 0) > 0 and spec.family.tail(g, 2) == 0
+        exact_norm = sum((F(h) - F(h - g)) ** 2 for h in range(-10, 10))
+        pairs = [(F(h), F(h + g)) for h in range(-10, 10) if F(h) != F(h + g)]
+        negsq = math.prod(p**3 / q**2 + (1 - p) ** 3 / (1 - q) ** 2 for p, q in pairs)
+        with localcontext() as ctx:
+            ctx.prec = 50
+
+            def dec(q):
+                return Decimal(q.numerator) / Decimal(q.denominator)
+
+            hell = math.prod((dec(p * q).sqrt() + dec((1 - p) * (1 - q)).sqrt()
+                              for p, q in pairs), start=Decimal(1))
+            hv, pv = integral_products(spec, g)
+            assert Decimal(hv.lower) <= hell <= Decimal(hv.upper)
+        ov = norm_sq_bruteforce(spec, g, 64)
+        assert Fraction(pv.lower) <= negsq <= Fraction(pv.upper)
+        assert Fraction(ov.lower) <= exact_norm <= Fraction(ov.upper)
+        for bracket in (hv, pv, ov):
+            assert bracket.upper - bracket.lower < 1e-9
+
+
+def _exact_step(seq, J):
+    """(a_J, a_J - a_{J+1}) in 50-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        if seq.kind == "inv_sqrt":
+            c = Decimal(seq.scale.numerator) / Decimal(seq.scale.denominator)
+            a = [c / Decimal(J + 1 + i).sqrt() for i in (0, 1)]
+        else:
+            a = [1 / (Decimal(x) * Decimal(x).ln()).sqrt()
+                 for x in (J + seq.n0, J + seq.n0 + 1)]
+        return a[0], a[0] - a[1]
+
+
+@pytest.mark.parametrize("seq", [DecreasingSequence("inv_sqrt", scale=Fraction(1, 6)),
+                                 DecreasingSequence("inv_sqrt", scale=Fraction(7, 3)),
+                                 DecreasingSequence("inv_sqrt_log", n0=2),
+                                 DecreasingSequence("inv_sqrt_log", n0=16)])
+def test_tail_bound_survives_rounding(seq):
+    # a_J - a_{J+1} taken as a difference of floats loses about log10(4 J)
+    # digits; `step` must keep the float tail above the real bound
+    # k^2 a_J (a_J - a_{J+1}) up to the deepest truncation
+    fam = ZSequence(Fraction(1, 2), 1, seq)
+    for J in (0, 1, 10**3, 10**6, 5 * 10**7):
+        a, step = _exact_step(seq, J)
+        assert abs(Decimal(seq.step(J)) / step - 1) < Decimal("1e-14")
+        for k in (1, 7, 200):
+            assert Decimal(fam.tail(k, J)) >= k * k * a * step
+
+
+N_TERMS = 10**5
+
+
+def _remainder_bound(seq, k, M):
+    """Upper bound on sum_{j >= M} (a_j - a_{j+k})^2 by the mean value
+    theorem, a_j - a_{j+k} <= k |g'(x_j)|, and an integral of g'^2."""
+    if seq.kind == "inv_sqrt":  # g(x) = c x^-1/2 at x_j = j + 1
+        return (k * float(seq.scale)) ** 2 / (8.0 * M * M)
+    # g(x) = (x ln x)^-1/2 at x_j = j + n0: g'^2 = (L+1)^2 / (4 L^3 x^3), L = ln x
+    X = M + seq.n0 - 1
+    L = math.log(X)
+    return k * k * (L + 1) ** 2 / (8.0 * L**3 * X * X)
+
+
+closed_forms = st.one_of(
+    st.builds(lambda p, q: DecreasingSequence("inv_sqrt", scale=Fraction(p, q)),
+              st.integers(1, 100), st.integers(1, 100)),
+    st.builds(lambda n0: DecreasingSequence("inv_sqrt_log", n0=n0),
+              st.integers(2, 10**4)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seq=closed_forms, k=st.integers(1, 200), J=st.integers(1, 10**5))
+def test_tail_bound_sound_and_tight(seq, k, J):
+    fam = ZSequence(Fraction(1, 2), 1, seq)
+    a = seq.values(J + k + N_TERMS)
+    d = a[J:J + N_TERMS] - a[J + k:]
+    partial = math.fsum(d * d)  # a lower bound on the true tail
+    bound = fam.tail(k, J)
+    assert bound >= partial
+    if J >= 10 * k:
+        assert bound <= 5.0 * (partial + _remainder_bound(seq, k, J + N_TERMS))
+
+
+@pytest.mark.parametrize("name", ["explicit-z-sqrt6", "explicit-z"])
+def test_norm_sq_work_is_linear_in_k(name, monkeypatch):
+    # counted work, not time: the items requested from the sequence
+    requested = []
+    values = DecreasingSequence.values
+
+    def counting(self, J):
+        requested.append(J)
+        return values(self, J)
+
+    monkeypatch.setattr(DecreasingSequence, "values", counting)
+    spec = preset(name)
+    for k in range(1, 81):
+        requested.clear()
+        norm_sq(spec, k, 1e-6)
+        assert 0 < sum(requested) <= 1000 * k
 
 
 def w(text):
