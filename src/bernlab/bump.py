@@ -48,20 +48,24 @@ class BumpCocycle:
     def n_bumps(self) -> int:
         return len(self._a)
 
+    def _cover(self, pos: int) -> None:
+        """Materialize bumps, doubling their number, until b[-1] > pos."""
+        while self._b[-1] <= pos:
+            self.ensure_bumps(2 * self.n_bumps)
+
     def h_exact(self, n: int) -> Fraction:
         if n <= 0:
             return Fraction(0)
-        while self._b[-1] <= n:
-            self.ensure_bumps(2 * self.n_bumps)
+        self._cover(n)
         i = int(np.searchsorted(self._b, n, side="right")) - 1
         a, off = int(self._a[i]), n - int(self._b[i])
         return Fraction(off, a) if off <= a else Fraction(2 * a - off, a)
 
     def h_float(self, m: np.ndarray) -> np.ndarray:
-        """Vectorized H; callers must ensure_bumps past max(m) first."""
+        """Vectorized H, materializing bumps past max(m) as needed."""
         m = np.asarray(m, dtype=np.int64)
-        if m.size and int(m.max()) >= int(self._b[-1]):
-            raise ValueError("evaluation point beyond materialized bumps")
+        if m.size:
+            self._cover(int(m.max()))
         i = np.searchsorted(self._b, m, side="right") - 1
         i = np.clip(i, 0, len(self._a) - 1)
         a = self._a[i].astype(np.float64)
@@ -73,8 +77,7 @@ class BumpCocycle:
 
     def bump_index_at(self, pos: int) -> int:
         """Index of the bump whose support contains the position pos >= 0."""
-        while self._b[-1] <= pos:
-            self.ensure_bumps(2 * self.n_bumps)
+        self._cover(pos)
         return max(int(np.searchsorted(self._b, pos, side="right")) - 1, 0)
 
     def tail_bound(self, k: int, M: int) -> float:

@@ -2,9 +2,12 @@
 
 norm_sq uses the family's closed form (exact rational where the cocycle is
 finitely supported, certified truncation otherwise); norm_sq_bruteforce is an
-independent pointwise oracle over explicit index windows.
+independent oracle that sums c_g over explicit index windows, point by point
+or, where the family has `window_values`, as float arrays.
 """
 from __future__ import annotations
+
+import numpy as np
 
 from .exact import BoundedValue
 from .groups import Element, inv, mul, word_length
@@ -49,8 +52,8 @@ def support_elements(spec: ActionSpec, g: Element, extent: int):
 
 
 def norm_sq_bruteforce(spec: ActionSpec, g: Element, radius: int) -> BoundedValue:
-    """Pointwise oracle: sums c_g(h)^2 over an explicit window and attaches
-    the family tail bound."""
+    """Oracle: sums c_g(h)^2 over an explicit window and attaches the family
+    tail bound."""
     if word_length(g) == 0:
         return BoundedValue.from_exact(0)
     if radius < word_length(g):
@@ -59,10 +62,15 @@ def norm_sq_bruteforce(spec: ActionSpec, g: Element, radius: int) -> BoundedValu
     fam = spec.family
     if fam.on_ball:
         return BoundedValue.from_exact(fam.ball_norm_sq(g, radius)).scaled(m)
-    total = 0.0
-    for h in support_elements(spec, g, radius):
-        d = float(cocycle_coeff(spec, g, h))
-        total += d * d
+    window = fam.window_values(g, radius)
+    if window is None:
+        total = 0.0
+        for h in support_elements(spec, g, radius):
+            d = float(cocycle_coeff(spec, g, h))
+            total += d * d
+    else:
+        d = window[0] - window[1]
+        total = float(np.sum(d * d))
     return BoundedValue.from_truncation(total, fam.tail(g, radius)).scaled(m)
 
 
@@ -82,7 +90,17 @@ def affinity_pairs(spec: ActionSpec, g: Element, extent: int = 4096):
     The pairs drive the per-coordinate Hellinger and negative-square products;
     the tail bound turns their truncation into a certificate.
     """
-    pairs = [(float(p), float(q)) for _, p, q in value_pairs(spec, g, extent)]
-    tail = spec.family.tail(inv(g), extent)
-    pairs.sort(key=lambda pq: abs(pq[0] - pq[1]), reverse=True)
+    gi = inv(g)
+    window = spec.family.window_values(gi, extent)
+    if window is None:
+        pairs = [(float(p), float(q)) for _, p, q in value_pairs(spec, g, extent)]
+        pairs.sort(key=lambda pq: abs(pq[0] - pq[1]), reverse=True)
+    else:
+        p, q = window
+        differ = p != q
+        p, q = p[differ], q[differ]
+        # the order of the sort above: |p - q| descending, ties in place
+        order = np.argsort(-np.abs(p - q), kind="stable")
+        pairs = list(zip(p[order].tolist(), q[order].tolist()))
+    tail = spec.family.tail(gi, extent)
     return pairs, tail * spec.multiplicity

@@ -260,6 +260,9 @@ def mc_omega(spec: ActionSpec, g, radius: int, samples: int, seed: int) -> dict:
     m = spec.multiplicity
     log_r0 = np.log(lr0)
     log_r1 = np.log(lr1)
+    # sum_i log r_i(u_i) = sum_i [u_i < p0_i] (log_r0 - log_r1)_i + sum_i log_r1_i
+    log_diff = log_r0 - log_r1
+    log_r1_sum = log_r1.sum()
     rng = substream_rng(seed, f"{format_element(g)}|{radius}")
     sums = np.zeros(3)
     sqsums = np.zeros(3)
@@ -270,7 +273,7 @@ def mc_omega(spec: ActionSpec, g, radius: int, samples: int, seed: int) -> dict:
         logw = np.zeros(n)
         for _ in range(m):
             u = rng.random((n, len(coords)))
-            logw += np.where(u < p0, log_r0, log_r1).sum(axis=1)
+            logw += (u < p0).astype(float) @ log_diff + log_r1_sum
         w = np.exp(logw)
         for idx, arr in enumerate((w, np.sqrt(w), w**-2)):
             sums[idx] += arr.sum()

@@ -264,6 +264,12 @@ class MarginalFamily:
         truncates infinite supports."""
         raise NotImplementedError
 
+    def window_values(self, g: Element, extent: int):
+        """(F(h), F(g^-1 h)) as float arrays over support(g, extent), each
+        point once in some order, or None where the family has no vectorized
+        window and callers evaluate it point by point."""
+        return None
+
     def norm_sq(self, g: Element, tol: float) -> BoundedValue:
         """||c_g||_2^2 of one copy, to within `tol` where it is truncated."""
         raise NotImplementedError
@@ -681,6 +687,17 @@ def make_folner_family(
                          parse_fraction(offset), parse_fraction(delta_f))
 
 
+def _merged(spans):
+    """The union of closed integer intervals as sorted disjoint intervals."""
+    out = []
+    for lo, hi in sorted(spans):
+        if out and lo <= out[-1][1] + 1:
+            out[-1][1] = max(out[-1][1], hi)
+        else:
+            out.append([lo, hi])
+    return out
+
+
 @dataclass(frozen=True)
 class SpecialCocycle(MarginalFamily):
     """F(g) = base +/- scale * H(pi(g)) via the bounded oscillating H."""
@@ -736,6 +753,50 @@ class SpecialCocycle(MarginalFamily):
                     if h not in seen:
                         seen.add(h)
                         yield h
+
+    def window_values(self, g, extent):
+        # F depends on the last syllable only, so every point of support(g,
+        # extent) is base x^m on the axis line (base, x) through a prefix of
+        # g, with base not ending in x. Syllable tuples stand for the words.
+        lines = {}
+        for j in range(len(g.syls) + 1):
+            p = g.syls[:j]
+            for x in (1, 2):
+                base, c = (p[:-1], p[-1][1]) if p and p[-1][0] == x else (p, 0)
+                lines.setdefault((base, x), []).append((c - extent, c + extent))
+        f_h, f_g = [], []
+        for (base, x), spans in lines.items():
+            m = np.concatenate([np.arange(lo, hi + 1) for lo, hi in _merged(spans)])
+            # m = 0 is base itself. The line of its last syllable (x_j, e_j)
+            # holds it at m = e_j, as the prefix base gave that line the span
+            # around e_j; the empty base is kept on the line of a.
+            if (base, x) != ((), 1):
+                m = m[m != 0]
+            # base is a prefix of g, so g^-1 base inverts the rest of g;
+            # g^-1 base x^m = rest x^(t + m) with rest not ending in x
+            r = tuple((gen, -e) for gen, e in reversed(g.syls[len(base):]))
+            t, rest = (r[-1][1], r[:-1]) if r and r[-1][0] == x else (0, r)
+            f_h.append(self._line_f(base, x, m))
+            f_g.append(self._line_f(rest, x, t + m))
+        return np.concatenate(f_h), np.concatenate(f_g)
+
+    def _axis_f(self, x, n):
+        """Float F at the words ending in the syllables (x, n), n != 0."""
+        c = float(self.scale) if x == 1 else -float(self.scale)
+        return float(self.base) + c * self.bc.h_float(n)
+
+    def _line_f(self, stem, x, n):
+        """Float F(stem x^n) over the integer array n; stem does not end in x.
+
+        The words come out of one formula, so equal exact values give equal
+        floats."""
+        f = self._axis_f(x, n)
+        at_stem = n == 0
+        if at_stem.any():
+            # H(0) = 0 gives F(e) = base
+            z, e = stem[-1] if stem else (1, 0)
+            f[at_stem] = self._axis_f(z, np.array([e]))[0]
+        return f
 
     def tail(self, g, extent):
         s2 = float(self.scale) ** 2

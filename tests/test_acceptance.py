@@ -227,6 +227,31 @@ def test_09_monte_carlo_consistency():
                "sqrt(omega) within 4 SE of the exact Hellinger product")
 
 
+def test_09b_monte_carlo_special_cocycle():
+    # D = 1/4 keeps the Hellinger products of these windows near 0.4-0.7. At
+    # the default D = 36 they fall to 1e-4..1e-9, where the sample mean of
+    # sqrt(omega) rests on rare draws and its standard error understates
+    # the error.
+    spec = preset("f2-dissipative(1/4)")
+    cases = [(parse_element(F2, text), window)
+             for text in ("a", "b^-1 a", "a^2 b^-1") for window in (64, 256)]
+    for i, (g, window) in enumerate(cases):
+        r = mc_omega(spec, g, radius=window, samples=10**5, seed=2000 + i)
+        assert abs(r["mean_omega"] - 1.0) <= 4 * r["se_omega"], (i, r)
+        # the vectorized affinity_pairs window against the exact value_pairs
+        # coordinates that mc_omega samples
+        pairs, _ = affinity_pairs(spec, g, extent=window)
+        assert len(pairs) == r["n_coordinates"]
+        head = 1.0
+        for p, q in pairs:
+            head *= math.sqrt(p * q) + math.sqrt((1 - p) * (1 - q))
+        assert abs(r["mean_sqrt_omega"] - head) <= 4 * r["se_sqrt_omega"], \
+            (i, r, head)
+    _report("9b", "6 SpecialCocycle cases at N=10^5: mean omega within 4 SE "
+                  "of 1, mean sqrt(omega) within 4 SE of the exact Hellinger "
+                  "product over affinity_pairs")
+
+
 def test_10_property_suites():
     spec = preset("f2-wsplit")
     fvals = {}

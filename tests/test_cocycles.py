@@ -1,10 +1,16 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bernlab import cocycles, marginals
 from bernlab.bump import BumpCocycle
+from bernlab.cli import preset
 from bernlab.cocycles import (
+    affinity_pairs,
     cocycle_coeff,
     norm_sq,
     norm_sq_bruteforce,
@@ -12,7 +18,16 @@ from bernlab.cocycles import (
     value_pairs,
 )
 from bernlab.folner import build_folner, enum_z
-from bernlab.groups import FreeGroup, Integers, ball, inv, mul, parse_element
+from bernlab.groups import (
+    FreeGroup,
+    Integers,
+    Word,
+    ball,
+    inv,
+    mul,
+    parse_element,
+    word_length,
+)
 from bernlab.marginals import (
     ActionSpec,
     DecreasingSequence,
@@ -190,6 +205,77 @@ class TestSpecialNorm:
             L = word_length(g)
             if L:
                 assert norm_sq(spec, g).lower >= (D / 16) * L * (1 - 1e-9)
+
+
+# rank-2 words of 1 to 4 syllables with exponents in [-6, 6]
+words = st.tuples(st.integers(1, 2), st.lists(
+    st.integers(-6, 6).filter(bool), min_size=1, max_size=4)).map(
+    lambda t: Word(2, tuple((1 + (t[0] + i) % 2, e) for i, e in enumerate(t[1]))))
+
+SPECIAL_SPECS = [ActionSpec(F2, SpecialCocycle(D, Fraction(1, 2), Fraction(1, 4)),
+                            delta=Fraction(1, 4)) for D in (Fraction(1), Fraction(36))]
+
+
+class TestSpecialWindow:
+    """SpecialCocycle.window_values against the exact (Fraction, Word) values."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(g=words, extent=st.integers(0, 64), which=st.integers(0, 1))
+    @example(g=w("a"), extent=0, which=0)
+    @example(g=w("a"), extent=3000, which=0)
+    @example(g=w("a b a^-1"), extent=5, which=1)
+    @example(g=w("b^2 a^-1 b^-2"), extent=1, which=0)
+    @example(g=w("b^2 a^-1 b^-2"), extent=64, which=1)
+    def test_exact_coordinates(self, g, extent, which):
+        spec = SPECIAL_SPECS[which]
+        fam = spec.family
+        gi = inv(g)
+        exact = [(fam.f(h), fam.f(mul(gi, h))) for h in fam.support(g, extent)]
+        fh, fg = fam.window_values(g, extent)
+        # the same multiset of points: a point counted twice or left out
+        # changes the length; the evaluator rounds H before scaling it, so
+        # the values agree with the exact ones to rounding
+        assert len(fh) == len(fg) == len(exact)
+        want = sorted((float(p), float(q)) for p, q in exact)
+        got = sorted(zip(fh.tolist(), fg.tolist()))
+        for (p, q), (a, b) in zip(want, got):
+            assert a == pytest.approx(p, rel=1e-15) and b == pytest.approx(q, rel=1e-15)
+        total = sum((p - q) ** 2 for p, q in exact)
+        assert float(((fh - fg) ** 2).sum()) == pytest.approx(float(total), rel=1e-12)
+        if extent >= word_length(g):
+            ov = norm_sq_bruteforce(spec, g, extent)
+            head = ov.value - fam.tail(g, extent) / 2
+            assert head == pytest.approx(float(total), rel=1e-12)
+
+    @pytest.mark.parametrize("text", ["a", "b^-1", "a b a^-1", "b^2 a^-1 b^-2"])
+    def test_work_does_not_grow_with_radius(self, text, monkeypatch):
+        # counted work, not time: group multiplications and Word constructions
+        counts = Counter()
+        real_mul = cocycles.mul
+
+        def counting_mul(g, h):
+            counts["mul"] += 1
+            return real_mul(g, h)
+
+        for mod in (cocycles, marginals):
+            monkeypatch.setattr(mod, "mul", counting_mul)
+        post_init = Word.__post_init__
+
+        def counting_post_init(self):
+            counts["word"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(Word, "__post_init__", counting_post_init)
+        spec = preset("f2-dissipative")
+        g = w(text)
+        seen = []
+        for radius in (64, 2048):
+            counts.clear()
+            norm_sq_bruteforce(spec, g, radius)
+            affinity_pairs(spec, g, radius)
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
+        assert sum(seen[0].values()) <= 4 * (len(g.syls) + 1)
 
 
 @pytest.fixture(scope="module")

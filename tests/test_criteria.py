@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bernlab.cli import preset
@@ -20,9 +21,9 @@ from bernlab.criteria import (
     verify_certificate,
     witness_partial_sum,
 )
-from bernlab.cocycles import BoundedValue, affinity_pairs, norm_sq
-from bernlab.groups import parse_element
-from bernlab.marginals import SpecError
+from bernlab.cocycles import BoundedValue, affinity_pairs, norm_sq, value_pairs
+from bernlab.groups import format_element, inv, parse_element
+from bernlab.marginals import SpecError, substream_rng
 
 
 def g_of(spec, text):
@@ -227,6 +228,32 @@ class TestMonteCarlo:
         spec = preset("f2-wsplit")
         r = mc_omega(spec, g_of(spec, "a"), radius=2, samples=20000, seed=3)
         assert abs(r["mean_omega"] - 1.0) <= 4 * r["se_omega"]
+
+    @pytest.mark.parametrize("name,text,window", [
+        ("f2-dissipative", "a b^-2", 256), ("f2-wsplit", "a b^-1 a", 4)])
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_matvec_matches_where_loop(self, name, text, window, power):
+        spec = preset(name, power=power)
+        g = g_of(spec, text)
+        samples, seed = 3000, 5
+        got = mc_omega(spec, g, radius=window, samples=samples, seed=seed)
+        # reference: pick log r0 or log r1 per coordinate and sum each row,
+        # from the same draws; both windows fit in one block of rows
+        pq = np.array([(float(p), float(q)) for _, p, q in value_pairs(spec, inv(g), window)])
+        p0, q = pq[:, 0], pq[:, 1]
+        assert samples <= 2 * 10**6 // len(p0)
+        log_r0, log_r1 = np.log(q / p0), np.log((1 - q) / (1 - p0))
+        rng = substream_rng(seed, f"{format_element(g)}|{window}")
+        logw = np.zeros(samples)
+        for _ in range(power):
+            u = rng.random((samples, len(p0)))
+            logw += np.where(u < p0, log_r0, log_r1).sum(axis=1)
+        w = np.exp(logw)
+        for key, arr in (("omega", w), ("sqrt_omega", np.sqrt(w)), ("negsq_omega", w**-2)):
+            mean = arr.sum() / samples
+            se = math.sqrt(max((arr * arr).sum() / samples - mean**2, 0.0) / samples)
+            assert got[f"mean_{key}"] == pytest.approx(mean, rel=1e-12)
+            assert got[f"se_{key}"] == pytest.approx(se, rel=1e-12)
 
     def test_window_too_small(self):
         spec = preset("f2-wsplit")
