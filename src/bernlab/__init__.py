@@ -20,7 +20,6 @@ from .criteria import (
     mc_omega,
     negsq_product,
     nonamenability_check,
-    rn_sample,
     verify_certificate,
 )
 from .exact import BoundedValue, LogValue, parse_fraction
@@ -48,13 +47,11 @@ from .marginals import (
     SpecialCocycle,
     WSplit,
     ZSequence,
-    check_nonsingular_hypotheses,
     f_value,
     make_folner_family,
     measures_from_ab,
     measures_from_atomic_eta,
     measures_from_lambda,
-    sample_window,
     spec_from_json,
     spec_to_json,
 )

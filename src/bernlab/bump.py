@@ -44,14 +44,10 @@ class BumpCocycle:
         b = np.concatenate([[0], np.cumsum(2 * a)])
         self._a, self._b = a, b
 
-    @property
-    def n_bumps(self) -> int:
-        return len(self._a)
-
     def _cover(self, pos: int) -> None:
         """Materialize bumps, doubling their number, until b[-1] > pos."""
         while self._b[-1] <= pos:
-            self.ensure_bumps(2 * self.n_bumps)
+            self.ensure_bumps(2 * len(self._a))
 
     def h_exact(self, n: int) -> Fraction:
         if n <= 0:
@@ -105,7 +101,7 @@ class BumpCocycle:
         n0 = math.isqrt(int(math.ceil(2 * k / self.delta))) + 1
         return max(64, 4 * n0)
 
-    def gamma_norm_sq_bounds(self, k: int, n_bumps: int | None = None):
+    def gamma_norm_sq_bounds(self, k: int):
         """Certified (lower, upper) bracket for sum_n (H(n) - H(n-k))^2.
 
         The lower bound is a plain partial sum (every term is nonnegative);
@@ -115,10 +111,10 @@ class BumpCocycle:
         k = abs(int(k))
         if k == 0:
             return 0.0, 0.0
-        N = n_bumps if n_bumps is not None else self.default_bumps(k)
-        cached = self._gamma_cache.get((k, N))
+        cached = self._gamma_cache.get(k)
         if cached is not None:
             return cached
+        N = self.default_bumps(k)
         self.ensure_bumps(N)
         b, a = self._b[: N + 1], self._a[:N]
         end = int(b[N])
@@ -140,5 +136,5 @@ class BumpCocycle:
         tail = self.tail_bound(k, N - 1)
         slack = 1e-9 * (1.0 + partial)
         out = (max(0.0, partial - slack), partial + tail + slack)
-        self._gamma_cache[(k, N)] = out
+        self._gamma_cache[k] = out
         return out

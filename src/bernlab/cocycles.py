@@ -2,8 +2,9 @@
 
 norm_sq uses the family's closed form (exact rational where the cocycle is
 finitely supported, certified truncation otherwise); norm_sq_bruteforce is an
-independent oracle that sums c_g over explicit index windows, point by point
-or, where the family has `window_values`, as float arrays.
+independent oracle that sums c_g over explicit index windows. It and
+affinity_pairs read a window as float arrays, from the family's
+`window_values` where it has one and from `value_pairs` otherwise.
 """
 from __future__ import annotations
 
@@ -62,15 +63,8 @@ def norm_sq_bruteforce(spec: ActionSpec, g: Element, radius: int) -> BoundedValu
     fam = spec.family
     if fam.on_ball:
         return BoundedValue.from_exact(fam.ball_norm_sq(g, radius)).scaled(m)
-    window = fam.window_values(g, radius)
-    if window is None:
-        total = 0.0
-        for h in support_elements(spec, g, radius):
-            d = float(cocycle_coeff(spec, g, h))
-            total += d * d
-    else:
-        d = window[0] - window[1]
-        total = float(np.sum(d * d))
+    p, q = _window(spec, g, radius)
+    total = float(np.sum((p - q) ** 2))
     return BoundedValue.from_truncation(total, fam.tail(g, radius)).scaled(m)
 
 
@@ -83,24 +77,28 @@ def value_pairs(spec: ActionSpec, g: Element, extent: int):
             yield h, p, q
 
 
-def affinity_pairs(spec: ActionSpec, g: Element, extent: int = 4096):
-    """Pairs (F(i), F(g i)) over the coordinates where they differ, plus a
-    bound on the cocycle mass left outside the window.
+def _window(spec: ActionSpec, g: Element, extent: int):
+    """Float arrays (F(h), F(g^-1 h)) over the h in support(g, extent) where
+    the two values differ, in window order."""
+    window = spec.family.window_values(g, extent)
+    if window is None:
+        pairs = [(float(p), float(q)) for _, p, q in value_pairs(spec, inv(g), extent)]
+        return np.array(pairs, dtype=float).reshape(-1, 2).T
+    p, q = window
+    differ = p != q
+    return p[differ], q[differ]
+
+
+def affinity_pairs(spec: ActionSpec, g: Element, extent: int):
+    """Pairs (F(i), F(g i)) over the coordinates where they differ, sorted by
+    |F(i) - F(g i)| descending (ties in window order), plus a bound on the
+    cocycle mass left outside the window.
 
     The pairs drive the per-coordinate Hellinger and negative-square products;
     the tail bound turns their truncation into a certificate.
     """
     gi = inv(g)
-    window = spec.family.window_values(gi, extent)
-    if window is None:
-        pairs = [(float(p), float(q)) for _, p, q in value_pairs(spec, g, extent)]
-        pairs.sort(key=lambda pq: abs(pq[0] - pq[1]), reverse=True)
-    else:
-        p, q = window
-        differ = p != q
-        p, q = p[differ], q[differ]
-        # the order of the sort above: |p - q| descending, ties in place
-        order = np.argsort(-np.abs(p - q), kind="stable")
-        pairs = list(zip(p[order].tolist(), q[order].tolist()))
-    tail = spec.family.tail(gi, extent)
-    return pairs, tail * spec.multiplicity
+    p, q = _window(spec, gi, extent)
+    order = np.argsort(-np.abs(p - q), kind="stable")
+    pairs = list(zip(p[order].tolist(), q[order].tolist()))
+    return pairs, spec.family.tail(gi, extent) * spec.multiplicity

@@ -4,6 +4,7 @@ Kesten norm, and Monte Carlo estimates of the Radon-Nikodym cocycle."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -14,11 +15,10 @@ from . import groups
 from .cocycles import BoundedValue, affinity_pairs, norm_sq, value_pairs
 from .exact import parse_fraction
 from .groups import FreeGroup, Word, format_element, inv, word_length
-from .marginals import ActionSpec, SpecError, sample_window, substream_rng
+from .marginals import ActionSpec, SpecError, substream_rng
 
 __all__ = [
     "CriterionVerdict",
-    "RNSample",
     "kappa0",
     "auto_kappa",
     "criterion_partial_sums",
@@ -146,16 +146,16 @@ def integral_products(spec: ActionSpec, g, tol: float = 1e-6) -> tuple:
     if word_length(g) == 0:
         one = BoundedValue.from_exact(1)
         return one, one
+    # the extent is fixed from the tail alone, so the window is built once
+    gi, m = inv(g), spec.multiplicity
     extent = 4096
-    pairs, tail = affinity_pairs(spec, g, extent)
-    while tail > tol and extent < 2**20:
+    while spec.family.tail(gi, extent) * m > tol and extent < 2**20:
         extent *= 4
-        pairs, tail = affinity_pairs(spec, g, extent)
+    pairs, tail = affinity_pairs(spec, g, extent)
     hell = negsq = 1.0
     for p, q in pairs:
         hell *= math.sqrt(p * q) + math.sqrt((1.0 - p) * (1.0 - q))
         negsq *= p**3 / q**2 + (1.0 - p) ** 3 / (1.0 - q) ** 2
-    m = spec.multiplicity
     hell = hell ** m
     lo = hell * math.exp(-HELLINGER_TAIL * tail)
     slack = 1e-12 * hell
@@ -165,6 +165,11 @@ def integral_products(spec: ActionSpec, g, tol: float = 1e-6) -> tuple:
         hi = negsq * math.exp(float(kappa0(spec.delta)) * tail)
     except OverflowError:
         negsq = hi = math.inf
+    if hi == math.inf:
+        # Each factor is >= 1 by Jensen's inequality, so a product that
+        # overflowed is at least the float maximum, up to rounding.
+        lo = min(negsq, sys.float_info.max) * (1.0 - 1e-12)
+        return sqrt_omega, BoundedValue.from_bracket(lo, math.inf)
     slack = 1e-12 * hi
     return sqrt_omega, BoundedValue.from_bracket(max(negsq - slack, 0.0), hi + slack)
 
@@ -218,27 +223,12 @@ def nonamenability_check(spec: ActionSpec, generators=None) -> dict:
 
 # --- Monte Carlo -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RNSample:
-    g: object
-    window: tuple
-    configuration: tuple
-    omega: float
-    truncation_note: str
-
-
 def _mc_coords(spec: ActionSpec, g, radius: int):
     if spec.family.on_ball and radius < word_length(g):
         raise SpecError("window too small to cover the cocycle support")
-    p0, r0, r1 = [], [], []
-    coords = []
-    for h, p, q in value_pairs(spec, inv(g), radius):
-        p, q = float(p), float(q)
-        coords.append(h)
-        p0.append(p)
-        r0.append(q / p)
-        r1.append((1.0 - q) / (1.0 - p))
-    return coords, np.array(p0), np.array(r0), np.array(r1)
+    pairs = [(float(p), float(q)) for _, p, q in value_pairs(spec, inv(g), radius)]
+    p, q = np.array(pairs, dtype=float).reshape(-1, 2).T
+    return p, q / p, (1.0 - q) / (1.0 - p)
 
 
 def mc_omega(spec: ActionSpec, g, radius: int, samples: int, seed: int) -> dict:
@@ -256,7 +246,7 @@ def mc_omega(spec: ActionSpec, g, radius: int, samples: int, seed: int) -> dict:
             "mean_negsq_omega": 1.0, "se_negsq_omega": 0.0,
             "n_coordinates": 0, "truncation_note": "identity element",
         }
-    coords, p0, lr0, lr1 = _mc_coords(spec, g, radius)
+    p0, lr0, lr1 = _mc_coords(spec, g, radius)
     m = spec.multiplicity
     log_r0 = np.log(lr0)
     log_r1 = np.log(lr1)
@@ -266,13 +256,13 @@ def mc_omega(spec: ActionSpec, g, radius: int, samples: int, seed: int) -> dict:
     rng = substream_rng(seed, f"{format_element(g)}|{radius}")
     sums = np.zeros(3)
     sqsums = np.zeros(3)
-    block = max(1, min(samples, 2 * 10**6 // max(len(coords), 1)))
+    block = max(1, min(samples, 2 * 10**6 // max(len(p0), 1)))
     done = 0
     while done < samples:
         n = min(block, samples - done)
         logw = np.zeros(n)
         for _ in range(m):
-            u = rng.random((n, len(coords)))
+            u = rng.random((n, len(p0)))
             logw += (u < p0).astype(float) @ log_diff + log_r1_sum
         w = np.exp(logw)
         for idx, arr in enumerate((w, np.sqrt(w), w**-2)):
@@ -283,27 +273,11 @@ def mc_omega(spec: ActionSpec, g, radius: int, samples: int, seed: int) -> dict:
     var = np.maximum(sqsums / samples - means**2, 0.0)
     ses = np.sqrt(var / samples)
     note = ("window covers support" if spec.family.finite
-            else f"product truncated to {len(coords)} coordinates")
+            else f"product truncated to {len(p0)} coordinates")
     return {
         "mean_omega": float(means[0]), "se_omega": float(ses[0]),
         "mean_sqrt_omega": float(means[1]), "se_sqrt_omega": float(ses[1]),
         "mean_negsq_omega": float(means[2]), "se_negsq_omega": float(ses[2]),
-        "n_coordinates": len(coords), "truncation_note": note,
+        "n_coordinates": len(p0), "truncation_note": note,
     }
 
-
-def rn_sample(spec: ActionSpec, g, radius: int, seed: int) -> RNSample:
-    """One configuration over the support window with its truncated omega."""
-    coords, p0, r0, r1 = _mc_coords(spec, g, radius)
-    config = sample_window(spec, coords, seed)
-    omega = 1.0
-    for h, ratio0, ratio1 in zip(coords, r0, r1):
-        omega *= ratio0 if config[h] == 0 else ratio1
-    omega = omega ** spec.multiplicity
-    return RNSample(
-        g=g,
-        window=tuple(coords),
-        configuration=tuple(config[h] for h in coords),
-        omega=omega,
-        truncation_note=f"truncated to {len(coords)} coordinates",
-    )

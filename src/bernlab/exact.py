@@ -8,7 +8,7 @@ travel as `BoundedValue`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -67,6 +67,9 @@ class BoundedValue:
     value: float
     err: float
     exact: Optional[Fraction] = None
+    # the lower end of a bracket [lo, inf], where value and err are inf and
+    # value - err would be nan
+    _lo: Optional[float] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.err < 0:
@@ -79,7 +82,10 @@ class BoundedValue:
 
     @classmethod
     def from_bracket(cls, lo: float, hi: float) -> "BoundedValue":
-        return cls((lo + hi) / 2.0, (hi - lo) / 2.0)
+        out = cls((lo + hi) / 2.0, (hi - lo) / 2.0)
+        if hi == math.inf:
+            object.__setattr__(out, "_lo", lo)
+        return out
 
     @classmethod
     def from_truncation(cls, head: float, tail: float) -> "BoundedValue":
@@ -88,7 +94,7 @@ class BoundedValue:
 
     @property
     def lower(self) -> float:
-        return self.value - self.err
+        return self.value - self.err if self._lo is None else self._lo
 
     @property
     def upper(self) -> float:

@@ -5,8 +5,7 @@ base measures indexed by the group, through a function F assigning the
 marginal mass of 0 to each index. Families are declarative and immutable, and
 each family class carries everything that depends on it: F, the support and
 norm of the cocycle c_g(h) = F(h) - F(g^{-1} h), its tail outside a window, a
-conservativity certificate and the JSON form. Samplers derive independent
-substreams from (seed, window digest).
+conservativity certificate and the JSON form.
 """
 from __future__ import annotations
 
@@ -32,12 +31,10 @@ from .groups import (
     ball,
     descending_sign_changes,
     e_class,
-    format_element,
     inv,
     mul,
     pi_a,
     pi_b,
-    sphere,
     w_class,
     w_last_positive,
     word_length,
@@ -55,9 +52,6 @@ __all__ = [
     "ActionSpec",
     "SpecError",
     "f_value",
-    "base_measure",
-    "check_nonsingular_hypotheses",
-    "sample_window",
     "measures_from_lambda",
     "measures_from_ab",
     "measures_from_atomic_eta",
@@ -233,8 +227,6 @@ class MarginalFamily:
     # F is rational and c_g vanishes off the ball of radius |g|, so the oracle
     # sums c_g exactly over a ball
     on_ball: ClassVar[bool] = False
-    # the limit of F at infinity, where the family has one
-    limit: ClassVar[Optional[float]] = None
 
     def to_json(self) -> dict:
         """The family's JSON object, with its `kind` first."""
@@ -254,11 +246,6 @@ class MarginalFamily:
         """F(g), the mass of 0 at index g."""
         raise NotImplementedError
 
-    def measure(self, g: Element) -> BaseMeasure:
-        """The base measure at index g."""
-        p = self.f(g)
-        return BaseMeasure((p, 1 - p))
-
     def support(self, g: Element, extent: int):
         """Yield, once each, the points where c_g can be nonzero; `extent`
         truncates infinite supports."""
@@ -266,8 +253,8 @@ class MarginalFamily:
 
     def window_values(self, g: Element, extent: int):
         """(F(h), F(g^-1 h)) as float arrays over support(g, extent), each
-        point once in some order, or None where the family has no vectorized
-        window and callers evaluate it point by point."""
+        point once in some order; None, the default, makes the cocycles
+        module read the window from `value_pairs`."""
         return None
 
     def norm_sq(self, g: Element, tol: float) -> BoundedValue:
@@ -279,10 +266,6 @@ class MarginalFamily:
         if self.finite:
             return 0.0
         raise NotImplementedError
-
-    def ball_tail(self, g: Element, radius: int):
-        """Bound on the mass of c_g outside the ball of `radius`, or None."""
-        return None
 
     def certificate(self, m: int, kappa: float, k0: float):
         """(verdict, kappa, evidence) of the m-fold power, where this family
@@ -309,9 +292,6 @@ class _BallFamily(MarginalFamily):
             total += d * d
         return total
 
-    def ball_tail(self, g, radius):
-        return 0.0 if radius >= word_length(g) else None
-
 
 @dataclass(frozen=True)
 class ZSequence(MarginalFamily):
@@ -322,10 +302,6 @@ class ZSequence(MarginalFamily):
     seq: DecreasingSequence
 
     kind = "zsequence"
-
-    @property
-    def limit(self):
-        return float(self.lam)
 
     def to_json(self):
         return {"kind": self.kind, "lambda": _frac_str(self.lam), "n0": self.n0,
@@ -384,9 +360,6 @@ class ZSequence(MarginalFamily):
         last = len(a) - 1
         return sum(((a[j] - a[min(j + k, last)]) ** 2 for j in range(start, last)),
                    Fraction(0))
-
-    def ball_tail(self, k, radius):
-        return self.tail(k, max(radius - self.n0, 0)) if k else None
 
     def _depth(self, k, target):
         """Smallest J <= _MAX_DEPTH with tail(k, J) <= target, by doubling
@@ -580,11 +553,9 @@ class FreeProductW(_BallFamily):
             raise SpecError("FreeProductW requires a free group")
         return [("base mass", p) for mu in (self.mu0, self.mu1) for p in mu.probs]
 
-    def measure(self, g):
-        return self.mu1 if w_last_positive(g, self.distinguished) else self.mu0
-
     def f(self, g):
-        return self.measure(g).probs[0]
+        mu = self.mu1 if w_last_positive(g, self.distinguished) else self.mu0
+        return mu.probs[0]
 
     def norm_sq(self, g, tol):
         return BoundedValue.from_exact(self.ball_norm_sq(g, word_length(g)))
@@ -625,10 +596,6 @@ class FolnerInduced(MarginalFamily):
         if self.phi_kind == "sqrt_log":
             return math.sqrt(float(self.phi_scale) * math.log(1.0 + k))
         raise SpecError(f"unknown phi kind {self.phi_kind!r}")
-
-    @property
-    def limit(self):
-        return float(self.offset)
 
     def to_json(self):
         return {"kind": self.kind,
@@ -855,54 +822,11 @@ def f_value(spec: ActionSpec, i):
     return spec.family.f(i)
 
 
-def base_measure(spec: ActionSpec, i) -> BaseMeasure:
-    return spec.family.measure(i)
-
-
-def check_nonsingular_hypotheses(spec: ActionSpec, probes, radius: int) -> dict:
-    """Report-only hypothesis check: square-summability of F(g.) - F(.) per
-    probe, plus the observed approach of F to its limit on the sphere."""
-    report = {"probes": [], "radius": radius}
-    for g in probes:
-        partial = 0.0
-        for h in ball(spec.group, radius):
-            d = float(f_value(spec, mul(g, h))) - float(f_value(spec, h))
-            partial += d * d
-        report["probes"].append({"g": format_element(g), "partial_sum": partial,
-                                 "tail_bound": spec.family.ball_tail(g, radius)})
-    lam = spec.family.limit
-    if lam is not None:
-        sup = 0.0
-        for h in sphere(spec.group, radius):
-            sup = max(sup, abs(float(f_value(spec, h)) - lam))
-        report["sup_deviation_on_sphere"] = sup
-        report["limit_value"] = lam
-    return report
-
-
 def substream_rng(seed: int, payload: str) -> np.random.Generator:
     """Philox stream keyed by the seed and the sha256 digest of `payload`."""
     digest = hashlib.sha256(payload.encode()).digest()
     key = int.from_bytes(digest[:8], "big")
     return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), key]))
-
-
-def sample_window(spec: ActionSpec, window, seed: int) -> dict:
-    """One product-measure configuration over the window, keyed by index."""
-    rng = substream_rng(seed, repr([format_element(i) for i in window]))
-    out = {}
-    for i in window:
-        mu = base_measure(spec, i)
-        probs = [float(p) for p in mu.probs]
-        u = rng.random()
-        acc, x = 0.0, len(probs) - 1
-        for j, p in enumerate(probs):
-            acc += p
-            if u < acc:
-                x = j
-                break
-        out[i] = x
-    return out
 
 
 # --- measure builders --------------------------------------------------------

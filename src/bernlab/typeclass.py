@@ -26,6 +26,8 @@ __all__ = [
 ]
 
 _TRIAL_LIMIT = 10**6
+# III_(r^(1/k0)) instances listed for k0 = 1.. when every k0 is achievable
+_STABLE_INSTANCES = 10
 
 
 def _factorize(n: int) -> dict:
@@ -257,7 +259,7 @@ def stable_params(mu0: BaseMeasure, mu1: BaseMeasure) -> StableParams:
     return StableParams(L, a, b, k1, t0=t0)
 
 
-def stable_type_set(params: StableParams, max_instances: int = 10) -> dict:
+def stable_type_set(params: StableParams) -> dict:
     """Achievable diagonal-product types; a closed rule plus listed instances."""
     L = params.L
     if L.kind == "trivial":
@@ -272,7 +274,7 @@ def stable_type_set(params: StableParams, max_instances: int = 10) -> dict:
         return {"rule": f"III_(r^(1/k0)) for k0 dividing {k1}", "types": types}
     types = [TypeLabel("III1")] + [
         TypeLabel("III_lambda", lam_base=r, root=d)
-        for d in range(1, max_instances + 1)
+        for d in range(1, _STABLE_INSTANCES + 1)
     ]
     return {"rule": "III_1 and III_(r^(1/k0)) for every k0 >= 1", "types": types}
 

@@ -196,6 +196,8 @@ class TestCommands:
                            "--power", "10000", "--radius", "1")
         rows = json.loads(out)["results"]["checks"]
         assert [r["negsq_omega_integral"]["value"] for r in rows] == [None] * 4
+        # the overflowed bracket starts at the float maximum, below e^{k0 ||c_g||^2}
+        assert code == 0 and all(r["pass"] for r in rows)
 
     def test_nonamenable(self, capsys):
         code, out, _ = run(capsys, "nonamenable", "--preset", "f2-wsplit")

@@ -17,6 +17,7 @@ from bernlab.cocycles import (
     support_elements,
     value_pairs,
 )
+from bernlab.exact import BoundedValue
 from bernlab.folner import build_folner, enum_z
 from bernlab.groups import (
     FreeGroup,
@@ -31,11 +32,13 @@ from bernlab.groups import (
 from bernlab.marginals import (
     ActionSpec,
     DecreasingSequence,
+    FreeProductW,
     SpecError,
     SpecialCocycle,
     WSplit,
     ZSequence,
     make_folner_family,
+    measures_from_lambda,
 )
 
 F2 = FreeGroup(2)
@@ -276,6 +279,54 @@ class TestSpecialWindow:
             seen.append(dict(counts))
         assert seen[0] == seen[1]
         assert sum(seen[0].values()) <= 4 * (len(g.syls) + 1)
+
+
+def fpw_spec():
+    mu0, mu1 = measures_from_lambda(Fraction(2, 5))
+    return ActionSpec(F2, FreeProductW(mu0, mu1), delta=Fraction(1, 5))
+
+
+Z_WINDOW = ([1, -3, 8, 40], [40, 64, 2000])
+F2_WINDOW = (["a", "b^-1", "a b^-1", "b^2 a^-1 b", "a^-1 b a^2"], [0, 6])
+
+
+class TestWindowFallback:
+    """Families without `window_values` read the window from `value_pairs`."""
+
+    @pytest.mark.parametrize("make,window", [
+        (lambda: preset("explicit-z-sqrt6"), Z_WINDOW),
+        (lambda: preset("explicit-z"), Z_WINDOW),
+        (lambda: preset("folner-z"), Z_WINDOW),
+        (lambda: preset("f2-wsplit"), F2_WINDOW),
+        (fpw_spec, F2_WINDOW),
+    ])
+    def test_affinity_pairs_match_sorted_value_pairs(self, make, window):
+        spec = make()
+        elements, extents = window
+        for g in elements:
+            g = w(g) if isinstance(g, str) else g
+            for extent in extents:
+                assert spec.family.window_values(inv(g), extent) is None
+                want = [(float(p), float(q)) for _, p, q in value_pairs(spec, g, extent)]
+                want.sort(key=lambda pq: abs(pq[0] - pq[1]), reverse=True)
+                pairs, _ = affinity_pairs(spec, g, extent)
+                assert pairs == want
+
+    @pytest.mark.parametrize("name", ["explicit-z-sqrt6", "explicit-z", "folner-z"])
+    def test_bruteforce_matches_sequential_sum(self, name):
+        spec = preset(name, power=2)
+        elements, radii = Z_WINDOW
+        for k in elements:
+            for radius in radii:
+                total = 0.0
+                for h in support_elements(spec, k, radius):
+                    d = float(cocycle_coeff(spec, k, h))
+                    total += d * d
+                want = BoundedValue.from_truncation(
+                    total, spec.family.tail(k, radius)).scaled(2)
+                got = norm_sq_bruteforce(spec, k, radius)
+                assert got.value == pytest.approx(want.value, rel=1e-14)
+                assert got.err == pytest.approx(want.err, rel=1e-14)
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,11 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from bernlab import criteria
 from bernlab.cli import preset
 from bernlab.criteria import (
     CriterionVerdict,
@@ -17,7 +19,6 @@ from bernlab.criteria import (
     mc_omega,
     negsq_product,
     nonamenability_check,
-    rn_sample,
     verify_certificate,
     witness_partial_sum,
 )
@@ -202,6 +203,38 @@ class TestIntegralProducts:
             assert hellinger_product(spec, g, 1e-4) == hv
             assert negsq_product(spec, g, 1e-4) == pv
 
+    @pytest.mark.parametrize("name,g,extent", [
+        ("f2-dissipative", "a", 2**20),
+        ("explicit-z-sqrt6", 5, 4096),
+        ("f2-wsplit", "a b^-1", 4096),
+    ])
+    def test_window_built_once(self, monkeypatch, name, g, extent):
+        # the extent comes from the family tail; the window is built only there
+        spec = preset(name)
+        g = g_of(spec, g) if isinstance(g, str) else g
+        seen = []
+
+        def counting(spec, g, extent):
+            seen.append(extent)
+            return affinity_pairs(spec, g, extent)
+
+        monkeypatch.setattr(criteria, "affinity_pairs", counting)
+        integral_products(spec, g, tol=1e-4)
+        assert seen == [extent]
+
+    @pytest.mark.parametrize("name,power,words,tol", [
+        ("f2-wsplit", 10000, ["a", "a^-1", "b", "b^-1"], 1e-6),
+        ("f2-dissipative", 1, ["a"], 1e-4),
+    ])
+    def test_overflowed_negsq_bracket(self, name, power, words, tol):
+        # every factor is >= 1, so the product is at least the float maximum
+        spec = preset(name, power=power)
+        for text in words:
+            hv, pv = integral_products(spec, g_of(spec, text), tol)
+            assert not any(map(math.isnan, (hv.lower, hv.upper, pv.lower, pv.upper)))
+            assert pv.lower == sys.float_info.max * (1 - 1e-12)
+            assert pv.upper == math.inf
+
     def test_kesten(self):
         assert kesten_norm(2) == pytest.approx(2 * math.sqrt(3))
         with pytest.raises(SpecError):
@@ -261,9 +294,3 @@ class TestMonteCarlo:
             mc_omega(spec, g_of(spec, "a b a"), radius=1, samples=1000, seed=0)
         with pytest.raises(SpecError):
             mc_omega(spec, g_of(spec, "a"), radius=2, samples=10, seed=0)
-
-    def test_rn_sample(self):
-        spec = preset("f2-wsplit")
-        s = rn_sample(spec, g_of(spec, "a"), radius=2, seed=9)
-        assert s.omega > 0
-        assert len(s.window) == len(s.configuration)

@@ -21,13 +21,11 @@ from bernlab.marginals import (
     SpecialCocycle,
     WSplit,
     ZSequence,
-    check_nonsingular_hypotheses,
     f_value,
     make_folner_family,
     measures_from_ab,
     measures_from_atomic_eta,
     measures_from_lambda,
-    sample_window,
     spec_from_json,
     spec_to_json,
 )
@@ -151,32 +149,6 @@ class TestSerialization:
     def test_missing_field(self):
         with pytest.raises(SpecError):
             spec_from_json('{"group": {"type": "integers"}}')
-
-
-class TestSampling:
-    def test_deterministic(self):
-        spec = wsplit_spec()
-        window = list(parse_element(F2, s) for s in ("e", "a", "b", "a b"))
-        s1 = sample_window(spec, window, seed=42)
-        s2 = sample_window(spec, window, seed=42)
-        assert s1 == s2
-        assert all(v in (0, 1) for v in s1.values())
-
-    def test_seed_sensitivity(self):
-        spec = wsplit_spec()
-        window = list(parse_element(F2, s) for s in ("e", "a", "b", "a b"))
-        draws = {tuple(sample_window(spec, window, seed=s).values())
-                 for s in range(64)}
-        assert len(draws) > 1
-
-
-def test_nonsingular_hypotheses_report():
-    spec = wsplit_spec()
-    g = parse_element(F2, "a")
-    rep = check_nonsingular_hypotheses(spec, [g], radius=3)
-    entry = rep["probes"][0]
-    assert entry["tail_bound"] == 0.0
-    assert entry["partial_sum"] == pytest.approx(1 / 100)
 
 
 def zsequence_json(sequence, n0=1):
