@@ -139,7 +139,8 @@ def make_report(command: str, spec, results: dict, seeds=None, started=None) -> 
 
 
 def _emit(report: dict, out: str | None):
-    text = json.dumps(report, indent=2, default=str)
+    # a non-finite float must fail here: JSON has no NaN or Infinity
+    text = json.dumps(report, indent=2, default=str, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -375,6 +376,9 @@ def cmd_simulate(args) -> int:
     g = _parse_g(spec, args.g)
     results = mc_omega(spec, g, radius=args.window, samples=args.samples,
                        seed=args.seed)
+    # the six estimates are the only floats; one that overflowed reads null
+    results = {k: _finite_or_none(v) if isinstance(v, float) else v
+               for k, v in results.items()}
     report = make_report("simulate", spec, results,
                          seeds=[args.seed], started=started)
     _emit(report, args.out)

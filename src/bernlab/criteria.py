@@ -4,6 +4,7 @@ Kesten norm, and Monte Carlo estimates of the Radon-Nikodym cocycle."""
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -231,11 +232,67 @@ def _mc_coords(spec: ActionSpec, g, radius: int):
     return p, q / p, (1.0 - q) / (1.0 - p)
 
 
+# Sample blocks run on at most this many threads. Two in-place buffers of one
+# block each take about the memory of the three temporaries a block used to
+# allocate (u, the bool mask and its float copy).
+_MC_THREADS = 2
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
+def _mc_blocks(state: dict, m: int, p0, log_diff, log_r1_sum: float,
+               block: int, samples: int, starts) -> list:
+    """For each block starting at a sample in `starts`: the sums of w, sqrt(w)
+    and w^-2 (row 0) and of their squares (row 1), as a (2, 3) array.
+
+    The block's uniforms come from a copy of the Philox `state` moved to its
+    first draw, uint64 number start·k·m, so they are the ones a single pass over
+    all the blocks would draw. Only numpy is called here, so that this can run
+    on a worker thread.
+    """
+    k = len(p0)
+    buf = np.empty((block, k))
+    out = []
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for start in starts:
+            n = min(block, samples - start)
+            offset = start * k * m
+            bitgen = np.random.Philox(0)
+            bitgen.state = state
+            bitgen.advance(offset // 4)  # one Philox counter step is 4 draws
+            bitgen.random_raw(offset % 4)
+            gen = np.random.Generator(bitgen)
+            u = buf[:n]
+            logw = np.zeros(n)
+            for _ in range(m):
+                gen.random(out=u)
+                # u becomes the 0.0/1.0 indicator of u < p0, in place
+                np.less(u, p0, out=u, casting="unsafe")
+                logw += u @ log_diff + log_r1_sum
+            w = np.exp(logw)
+            arrs = (w, np.sqrt(w), w**-2)
+            out.append(np.array([[a.sum() for a in arrs],
+                                 [(a * a).sum() for a in arrs]]))
+    return out
+
+
 def mc_omega(spec: ActionSpec, g, radius: int, samples: int, seed: int) -> dict:
     """Monte Carlo estimates of omega, sqrt(omega) and omega^-2 under mu.
 
     The product is truncated to the window; for finitely supported families
     the window must cover the support. Deterministic given the seed.
+
+    The samples are drawn in blocks of about 2·10^6 uniforms, each from its
+    own copy of the seed's Philox stream advanced to the block's first draw.
+    The blocks run on at most two threads (fewer when fewer CPUs are usable,
+    or when there is one block), and their sums are added in block order, so
+    the draws and the report are the same whatever the CPU count. An estimate
+    that overflows is returned as inf or nan.
     """
     if samples < 10**3:
         raise SpecError("need at least 1000 samples")
@@ -253,25 +310,33 @@ def mc_omega(spec: ActionSpec, g, radius: int, samples: int, seed: int) -> dict:
     # sum_i log r_i(u_i) = sum_i [u_i < p0_i] (log_r0 - log_r1)_i + sum_i log_r1_i
     log_diff = log_r0 - log_r1
     log_r1_sum = log_r1.sum()
-    rng = substream_rng(seed, f"{format_element(g)}|{radius}")
-    sums = np.zeros(3)
-    sqsums = np.zeros(3)
+    state = substream_rng(seed, f"{format_element(g)}|{radius}").bit_generator.state
     block = max(1, min(samples, 2 * 10**6 // max(len(p0), 1)))
-    done = 0
-    while done < samples:
-        n = min(block, samples - done)
-        logw = np.zeros(n)
-        for _ in range(m):
-            u = rng.random((n, len(p0)))
-            logw += (u < p0).astype(float) @ log_diff + log_r1_sum
-        w = np.exp(logw)
-        for idx, arr in enumerate((w, np.sqrt(w), w**-2)):
-            sums[idx] += arr.sum()
-            sqsums[idx] += (arr * arr).sum()
-        done += n
-    means = sums / samples
-    var = np.maximum(sqsums / samples - means**2, 0.0)
-    ses = np.sqrt(var / samples)
+    starts = range(0, samples, block)
+    workers = min(_MC_THREADS, _usable_cpus(), len(starts))
+
+    def run(part):
+        return _mc_blocks(state, m, p0, log_diff, log_r1_sum, block, samples, part)
+
+    if workers == 1:
+        per_block = run(starts)
+    else:
+        # imported here, not at the top: it would add about 8 ms to every
+        # CLI start, and only a sampler with two workers needs it
+        from concurrent.futures import ThreadPoolExecutor
+
+        # worker w takes blocks w, w + workers, ...
+        with ThreadPoolExecutor(workers) as pool:
+            parts = list(pool.map(run, [starts[w::workers] for w in range(workers)]))
+        per_block = [parts[b % workers][b // workers] for b in range(len(starts))]
+    totals = np.zeros((2, 3))
+    for sums in per_block:
+        totals += sums
+    sums, sqsums = totals
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = sums / samples
+        var = np.maximum(sqsums / samples - means**2, 0.0)
+        ses = np.sqrt(var / samples)
     note = ("window covers support" if spec.family.finite
             else f"product truncated to {len(p0)} coordinates")
     return {
@@ -280,4 +345,3 @@ def mc_omega(spec: ActionSpec, g, radius: int, samples: int, seed: int) -> dict:
         "mean_negsq_omega": float(means[2]), "se_negsq_omega": float(ses[2]),
         "n_coordinates": len(p0), "truncation_note": note,
     }
-

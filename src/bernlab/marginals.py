@@ -284,10 +284,11 @@ class _BallFamily(MarginalFamily):
         yield from ball(FreeGroup(g.rank), word_length(g))
 
     def ball_norm_sq(self, g, radius: int) -> Fraction:
-        """Exact sum of c_g(h)^2 over the ball of `radius`."""
+        """Exact sum of c_g(h)^2 over the ball of `radius`. Only the ball of
+        radius min(radius, |g|) is enumerated: c_g vanishes off it."""
         gi = inv(g)
         total = Fraction(0)
-        for h in ball(FreeGroup(g.rank), radius):
+        for h in ball(FreeGroup(g.rank), min(radius, word_length(g))):
             d = self.f(h) - self.f(mul(gi, h))
             total += d * d
         return total

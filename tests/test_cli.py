@@ -1,6 +1,7 @@
 import csv
 import gzip
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -78,6 +79,19 @@ class TestCommands:
         assert rep["results"]["exact"] == "1/20"
         assert rep["results"]["oracle_agrees"]
 
+    def test_oracle_radius_beyond_word_length(self, capsys):
+        # the ball oracle sums over the ball of radius |g| only; radius 64
+        # would be about 10^30 words
+        oracles = []
+        for radius in ("3", "64"):
+            start = time.monotonic()
+            code, out, _ = run(capsys, "cocycle", "norm", "--preset", "f2-wsplit",
+                               "-g", "a b^-1 a", "--oracle-radius", radius)
+            assert code == 0 and time.monotonic() - start < 2.0
+            oracle = json.loads(out)["results"]["oracle"]
+            oracles.append((oracle["value"], oracle["err"]))
+        assert oracles[0] == oracles[1]
+
     def test_cocycle_norm_identity(self, capsys):
         code, out, _ = run(capsys, "cocycle", "norm", "--preset", "f2-wsplit",
                            "-g", "e")
@@ -135,6 +149,20 @@ class TestCommands:
         rep = json.loads(out)
         assert rep["seeds"] == [5]
         assert "se_omega" in rep["results"]
+
+    @pytest.mark.parametrize("window,power", [("256", "4"), ("1024", "1")])
+    def test_simulate_overflow_is_null(self, capsys, window, power):
+        # sum(w^-4) overflows here, and inf - inf would make the se NaN
+        code, out, err = run(capsys, "simulate", "--preset", "f2-dissipative",
+                             "-g", "a b^-1", "--window", window, "--power", power,
+                             "--samples", "1000", "--seed", "1")
+        assert code == 0 and err == ""
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+        rep = json.loads(out, parse_constant=reject)["results"]
+        assert rep["se_negsq_omega"] is None
+        assert rep["mean_sqrt_omega"] > 0
 
     def test_build_and_validate(self, capsys, tmp_path):
         target = str(tmp_path / "spec.json")

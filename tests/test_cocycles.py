@@ -286,6 +286,19 @@ def fpw_spec():
     return ActionSpec(F2, FreeProductW(mu0, mu1), delta=Fraction(1, 5))
 
 
+class TestBallOracle:
+    @pytest.mark.parametrize("make", [wsplit_spec, fpw_spec])
+    def test_sum_beyond_word_length_adds_nothing(self, make):
+        # ball_norm_sq stops at |g|; summed out to |g| + 2 by hand, the
+        # coordinates outside the ball of radius |g| contribute 0
+        fam = make().family
+        for g in ball(F2, 3):
+            gi = inv(g)
+            wide = sum((fam.f(h) - fam.f(mul(gi, h))) ** 2
+                       for h in ball(F2, word_length(g) + 2))
+            assert fam.ball_norm_sq(g, word_length(g)) == wide
+
+
 Z_WINDOW = ([1, -3, 8, 40], [40, 64, 2000])
 F2_WINDOW = (["a", "b^-1", "a b^-1", "b^2 a^-1 b", "a^-1 b a^2"], [0, 6])
 

@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -287,6 +288,65 @@ class TestMonteCarlo:
             se = math.sqrt(max((arr * arr).sum() / samples - mean**2, 0.0) / samples)
             assert got[f"mean_{key}"] == pytest.approx(mean, rel=1e-12)
             assert got[f"se_{key}"] == pytest.approx(se, rel=1e-12)
+
+    @staticmethod
+    def serial_blocks(spec, g, window, samples, seed):
+        """The single-threaded block loop: one Philox stream read block after
+        block, each block drawing m (n x k) arrays of uniforms."""
+        pq = np.array([(float(p), float(q)) for _, p, q in value_pairs(spec, inv(g), window)])
+        p0, q = pq[:, 0], pq[:, 1]
+        log_r0, log_r1 = np.log(q / p0), np.log((1 - q) / (1 - p0))
+        log_diff, log_r1_sum = log_r0 - log_r1, log_r1.sum()
+        rng = substream_rng(seed, f"{format_element(g)}|{window}")
+        sums, sqsums = np.zeros(3), np.zeros(3)
+        block = max(1, min(samples, 2 * 10**6 // len(p0)))
+        done = 0
+        while done < samples:
+            n = min(block, samples - done)
+            logw = np.zeros(n)
+            for _ in range(spec.multiplicity):
+                u = rng.random((n, len(p0)))
+                logw += (u < p0).astype(float) @ log_diff + log_r1_sum
+            w = np.exp(logw)
+            for idx, arr in enumerate((w, np.sqrt(w), w**-2)):
+                sums[idx] += arr.sum()
+                sqsums[idx] += (arr * arr).sum()
+            done += n
+        means = sums / samples
+        ses = np.sqrt(np.maximum(sqsums / samples - means**2, 0.0) / samples)
+        return block, len(p0), {
+            f"{stat}_{key}": float(v[i])
+            for i, key in enumerate(("omega", "sqrt_omega", "negsq_omega"))
+            for stat, v in (("mean", means), ("se", ses))}
+
+    @staticmethod
+    def set_cpus(monkeypatch, n):
+        monkeypatch.setattr(criteria.os, "sched_getaffinity",
+                            lambda pid: set(range(n)), raising=False)
+        monkeypatch.setattr(criteria.os, "cpu_count", lambda: n)
+
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_threaded_blocks_match_serial_loop(self, monkeypatch, power):
+        spec = preset("f2-dissipative", power=power)
+        g = g_of(spec, "a")
+        samples, seed = 20000, 4
+        block, k, want = self.serial_blocks(spec, g, 256, samples, seed)
+        starts = range(0, samples, block)
+        # three blocks, the last one partial
+        assert len(starts) == 3 and samples % block
+        if power == 1:
+            # a block whose first draw is inside a Philox counter step
+            assert any(start * k * power % 4 for start in starts)
+
+        before = threading.active_count()
+        self.set_cpus(monkeypatch, 2)
+        got = mc_omega(spec, g, radius=256, samples=samples, seed=seed)
+        assert threading.active_count() == before
+        self.set_cpus(monkeypatch, 1)
+        inline = mc_omega(spec, g, radius=256, samples=samples, seed=seed)
+        assert inline == got
+        for key, value in want.items():
+            assert got[key].hex() == value.hex(), key
 
     def test_window_too_small(self):
         spec = preset("f2-wsplit")
