@@ -15,6 +15,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 
+import numpy as np
+
+from .exact import SpecError
+
 __all__ = ["FolnerCocycle", "build_folner", "enum_z"]
 
 
@@ -30,6 +34,22 @@ def enum_z(k: int) -> int:
 
 class FolnerCocycle:
     def __init__(self, phi, horizon: int, delta: float):
+        """Choose eps_n and the interval lengths L_n = |A_n| for n <= horizon.
+
+        The second condition asks, for every k <= n, that
+            L_n >= fl(fl(fl(2 |g_k| 2^n) * fl(eps_n^2 / eps_k^2)) * (1 + 1e-9))
+        rounded up, and at least 2; the float slack covers the rounding. The
+        bound peaks at k = n, so L_n is that one term, bit for bit:
+        - eps_n^2 is nonincreasing, since eps_n^2 = min(eps_{n-1}^2, ...);
+          so eps_n^2 / eps_k^2 <= 1 and fl(eps_n^2 / eps_k^2) <= 1.0, which is
+          fl(eps_n^2 / eps_n^2);
+        - |g_k| = ceil(k/2) is nondecreasing, so 2 |g_k| 2^n <= 2 |g_n| 2^n;
+        - int-to-float conversion, float multiplication of nonnegative
+          numbers and ceil are monotone;
+        and at k = n the factor fl(eps_n^2 / eps_n^2) is exactly 1.0, so the
+        bound is fl(fl(2 |g_n| 2^n) * (1 + 1e-9)).
+        conditions_report re-checks every pair (k, n) from the stored data.
+        """
         self.phi = phi
         self.horizon = horizon
         self.delta = delta
@@ -50,13 +70,12 @@ class FolnerCocycle:
 
         self.lengths = [0]  # index 0 unused
         for n in range(1, horizon + 1):
-            need = 2
-            for k in range(1, n + 1):
-                s = abs(enum_z(k))
-                # L_n >= 2^{n+1} |s_k| eps_n^2 / eps_k^2, with float slack
-                bound = 2 * s * (1 << n) * (eps_sq[n] / eps_sq[k]) * (1 + 1e-9)
-                need = max(need, int(math.ceil(bound)))
-            self.lengths.append(need)
+            try:
+                bound = float(2 * abs(enum_z(n)) << n) * (1 + 1e-9)
+                self.lengths.append(max(2, math.ceil(bound)))
+            except OverflowError:
+                raise SpecError(f"horizon {horizon} is too large: the length of "
+                                f"A_{n} overflows a float") from None
 
         self.starts = []
         pos = self.gap
@@ -68,6 +87,8 @@ class FolnerCocycle:
             math.sqrt(eps_sq[n]) / math.sqrt(float(self.lengths[n]))
             for n in range(1, horizon + 1)
         ]
+        self._lengths_f = np.array(self.lengths[1:], dtype=float)
+        self._eps_sq_f = np.array(eps_sq[1:], dtype=float)
 
     def f(self, k: int) -> float:
         """F(k) = eps_n / sqrt(|A_n|) on A_n, 0 off the intervals."""
@@ -77,15 +98,42 @@ class FolnerCocycle:
         n = i + 1
         return self.values[n] if k < self.starts[i] + self.lengths[n] else 0.0
 
+    def f_zones(self, zones) -> np.ndarray:
+        """F over the ranges lo <= m < hi of the sorted, disjoint `zones`,
+        concatenated in order: a float array equal to f point by point.
+
+        The positions pass 2^63, so the intervals are clipped to each zone in
+        Python ints, and the array is built from the run lengths of its
+        constant pieces."""
+        starts, lengths, values = self.starts, self.lengths, self.values
+        runs, run_values = [], []
+        for lo, hi in zones:
+            m = lo  # start of the part of the zone not yet covered
+            i = max(bisect_right(starts, lo) - 1, 0)
+            while i < self.horizon and starts[i] < hi:
+                a, b = max(starts[i], lo), min(starts[i] + lengths[i + 1], hi)
+                if a < b:
+                    runs += (a - m, b - a)
+                    run_values += (0.0, values[i + 1])
+                    m = b
+                i += 1
+            runs.append(hi - m)
+            run_values.append(0.0)
+        return np.repeat(np.array(run_values), np.array(runs, dtype=np.int64))
+
     def norm_sq_closed(self, s: int) -> float:
-        """||c_s||_2^2 via the interval boundary zones, exact for |s| <= gap."""
+        """||c_s||_2^2 via the interval boundary zones, exact for |s| <= gap.
+
+        Sums 2 min(s, L_n) eps_n^2 / L_n over n with the operations of the
+        sequential loop, in its order: np.cumsum adds left to right (np.sum
+        would add pairwise)."""
         s = abs(s)
         if s > self.gap:
-            raise ValueError(f"shift {s} exceeds the interval gap {self.gap}")
-        total = 0.0
-        for n in range(1, self.horizon + 1):
-            total += 2.0 * min(s, self.lengths[n]) * self.eps_sq[n] / self.lengths[n]
-        return total
+            raise SpecError(f"shift {s} exceeds the interval gap {self.gap}; "
+                            f"the closed form needs |g| <= {self.gap}")
+        L = self._lengths_f
+        terms = 2.0 * np.minimum(float(s), L) * self._eps_sq_f / L
+        return float(np.cumsum(terms)[-1])
 
     def support_zones(self, s: int):
         """Positions where F(m) - F(m - s) can be nonzero, as (lo, hi) pairs."""

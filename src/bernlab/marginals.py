@@ -629,6 +629,14 @@ class FolnerInduced(MarginalFamily):
         for lo, hi in self.cocycle.support_zones(k):
             yield from range(lo, hi)
 
+    def window_values(self, k, extent):
+        # support zone by zone; h - k runs over the zones shifted by -k
+        zones = list(self.cocycle.support_zones(k))
+        shifted = [(lo - k, hi - k) for lo, hi in zones]
+        offset = float(self.offset)
+        return (offset + self.cocycle.f_zones(zones),
+                offset + self.cocycle.f_zones(shifted))
+
     def norm_sq(self, k, tol):
         return BoundedValue.from_truncation(self.cocycle.norm_sq_closed(k), 0.0)
 

@@ -303,6 +303,25 @@ def test_malformed_spec_exits_2(capsys, tmp_path, spec):
 
 
 @pytest.mark.parametrize("argv", [
+    ["cocycle", "norm", "--preset", "folner-z", "-g", "2000"],
+    ["cocycle", "growth", "--preset", "folner-z", "--radius", "1100"],
+], ids=["norm", "growth"])
+def test_folner_shift_past_gap_exits_2(capsys, tmp_path, argv):
+    # folner-z has horizon 256, so its intervals are 4 * 256 + 4 apart
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 2 and out == ""
+    assert err.startswith("bernlab: error:") and "interval gap 1028" in err
+
+
+def test_folner_horizon_overflowing_float_exits_2(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_spec_json("folner-z", horizon=1100)))
+    code, out, err = run(capsys, "cocycle", "norm", "--spec", str(path), "-g", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("bernlab: error:") and "horizon 1100" in err
+
+
+@pytest.mark.parametrize("argv", [
     ["criterion", "--preset", "f2-wsplit", "--kappa", "abc"],
     ["classify", "--mu0", "2/3,x", "--mu1", "1/3,2/3"],
     ["criterion", "--preset", "explicit-z(1/0)"],

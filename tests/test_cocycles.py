@@ -2,11 +2,12 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bernlab import cocycles, marginals
+from bernlab import cocycles, folner, marginals
 from bernlab.bump import BumpCocycle
 from bernlab.cli import preset
 from bernlab.cocycles import (
@@ -37,6 +38,7 @@ from bernlab.marginals import (
     SpecialCocycle,
     WSplit,
     ZSequence,
+    f_value,
     make_folner_family,
     measures_from_lambda,
 )
@@ -309,7 +311,6 @@ class TestWindowFallback:
     @pytest.mark.parametrize("make,window", [
         (lambda: preset("explicit-z-sqrt6"), Z_WINDOW),
         (lambda: preset("explicit-z"), Z_WINDOW),
-        (lambda: preset("folner-z"), Z_WINDOW),
         (lambda: preset("f2-wsplit"), F2_WINDOW),
         (fpw_spec, F2_WINDOW),
     ])
@@ -342,9 +343,73 @@ class TestWindowFallback:
                 assert got.err == pytest.approx(want.err, rel=1e-14)
 
 
+class TestFolnerWindow:
+    """FolnerInduced reads its window zone by zone from `window_values`."""
+
+    @pytest.mark.parametrize("k", [*range(1, 10), *range(-9, 0),
+                                   40, 514, -515, 1028, -1028])
+    def test_window_values_match_f_value(self, k):
+        # 2|k| > gap = 1028 merges the zones of neighbouring intervals
+        spec = preset("folner-z")
+        fam = spec.family
+        points = None
+        for extent in (0, 4096):
+            support = list(fam.support(k, extent))
+            if points != support:
+                points = support
+                want_h = np.array([f_value(spec, h) for h in points])
+                want_g = np.array([f_value(spec, h - k) for h in points])
+            f_h, f_g = fam.window_values(k, extent)
+            assert len(f_h) == len(f_g) == len(points)
+            assert np.array_equal(f_h, want_h) and np.array_equal(f_g, want_g)
+
+    def test_affinity_pairs_match_sorted_value_pairs(self):
+        spec = preset("folner-z")
+        elements, extents = Z_WINDOW
+        for g in elements:
+            for extent in extents:
+                want = [(float(p), float(q)) for _, p, q in value_pairs(spec, g, extent)]
+                want.sort(key=lambda pq: abs(pq[0] - pq[1]), reverse=True)
+                pairs, _ = affinity_pairs(spec, g, extent)
+                assert pairs == want
+
+
 @pytest.fixture(scope="module")
 def fc():
     return build_folner(lambda k: math.log(1.0 + k), horizon=128, delta=0.5)
+
+
+def quadratic_folner(phi, horizon, delta):
+    """eps_sq, lengths, starts and values as the construction first wrote
+    them: L_n is the largest of the n bounds over k <= n."""
+    phi_sq = [0.0] + [phi(k) ** 2 for k in range(1, horizon + 1)]
+    cap = (0.999 * delta) ** 2
+    eps_sq = [0.0]
+    for n in range(1, horizon + 1):
+        prev = eps_sq[-1] if n > 1 else cap
+        eps_sq.append(min(prev, max((phi_sq[n] - phi_sq[n - 1]) / 2.0, 0.0), cap))
+    lengths = [0]
+    for n in range(1, horizon + 1):
+        need = 2
+        for k in range(1, n + 1):
+            s = abs(enum_z(k))
+            bound = 2 * s * (1 << n) * (eps_sq[n] / eps_sq[k]) * (1 + 1e-9)
+            need = max(need, int(math.ceil(bound)))
+        lengths.append(need)
+    gap = 4 * horizon + 4
+    starts, pos = [], gap
+    for n in range(1, horizon + 1):
+        starts.append(pos)
+        pos += lengths[n] + gap
+    values = [0.0] + [math.sqrt(eps_sq[n]) / math.sqrt(float(lengths[n]))
+                      for n in range(1, horizon + 1)]
+    return eps_sq, lengths, starts, values
+
+
+FOLNER_PHIS = {
+    "log": (lambda k: math.log(1.0 + k), 0.5),
+    "sqrt_log": (lambda k: math.sqrt(1 / 16 * math.log(1.0 + k)), 1 / 6),
+}
 
 
 class TestFolner:
@@ -360,6 +425,44 @@ class TestFolner:
         assert all(0 < v < 0.5 for v in fc.values[1:])
         assert fc.f(0) == 0.0
         assert fc.f(fc.starts[0]) == fc.values[1]
+
+    @pytest.mark.parametrize("kind", sorted(FOLNER_PHIS))
+    def test_linear_construction_equals_quadratic(self, kind):
+        phi, delta = FOLNER_PHIS[kind]
+        for horizon in (1, 2, 7, 64, 200, 256, 1000):
+            got = build_folner(phi, horizon=horizon, delta=delta)
+            eps_sq, lengths, starts, values = quadratic_folner(phi, horizon, delta)
+            assert got.eps_sq == eps_sq
+            assert got.lengths == lengths
+            assert got.starts == starts
+            assert got.values == values
+
+    def test_construction_is_linear(self, monkeypatch):
+        calls = Counter()
+
+        def counted(k):
+            calls["enum_z"] += 1
+            return enum_z(k)
+
+        monkeypatch.setattr(folner, "enum_z", counted)
+        build_folner(lambda k: math.log(1.0 + k), horizon=1000, delta=0.5)
+        assert 0 < calls["enum_z"] <= 1000 + 1
+
+    def test_closed_norm_equals_sequential_sum(self):
+        phi, delta = FOLNER_PHIS["sqrt_log"]
+        c = build_folner(phi, horizon=256, delta=delta)
+        for s in range(c.gap + 1):
+            total = 0.0
+            for n in range(1, c.horizon + 1):
+                total += 2.0 * min(s, c.lengths[n]) * c.eps_sq[n] / c.lengths[n]
+            assert c.norm_sq_closed(s) == total
+            assert c.norm_sq_closed(-s) == total
+
+    def test_largest_horizon(self):
+        # |A_n| is about n 2^n, which passes the largest float at n = 1015
+        assert make_folner_family(horizon=1014).cocycle.lengths[-1] < 2**1024
+        with pytest.raises(SpecError, match="horizon 1015"):
+            make_folner_family(horizon=1015)
 
     def test_closed_vs_oracle(self):
         fam = make_folner_family(phi_kind="sqrt_log", phi_scale=Fraction(1, 16),
