@@ -10,10 +10,12 @@ def zseq_norm_head(a: np.ndarray, k: int, J: int) -> float:
     """Head of a translate-difference square sum for a decreasing sequence.
 
     Returns sum_{j<k} a[j]^2 + sum_{j<J} (a[j] - a[j+k])^2; needs len(a) >= J+k.
+    The sums are numpy reductions, not BLAS dot products: with more than one
+    BLAS thread, `np.dot` at this size is sometimes milliseconds slower.
     """
-    head = float(np.dot(a[:k], a[:k]))
+    head = float(np.einsum("i,i->", a[:k], a[:k]))
     d = a[:J] - a[k : J + k]
-    return head + float(np.dot(d, d))
+    return head + float(np.einsum("i,i->", d, d))
 
 
 def segment_square_sum(u: np.ndarray, s: np.ndarray, L: np.ndarray) -> float:

@@ -232,10 +232,23 @@ def _mc_coords(spec: ActionSpec, g, radius: int):
     return p, q / p, (1.0 - q) / (1.0 - p)
 
 
-# Sample blocks run on at most this many threads. Two in-place buffers of one
-# block each take about the memory of the three temporaries a block used to
-# allocate (u, the bool mask and its float copy).
+# Sample blocks run on at most this many threads. Each worker holds one chunk
+# of working memory (see `_MC_CHUNK_DOUBLES`), so the sampler's memory does not
+# grow with the block or with the number of samples.
 _MC_THREADS = 2
+
+# A block is the stream layout: it fixes which uniform goes to which sample,
+# copy and coordinate. A chunk is the working set: each worker computes a block
+# in chunks of rows whose uniforms plus per-sample vectors take about this many
+# doubles (2 MiB), whatever the block size.
+_MC_CHUNK_DOUBLES = 2**18
+
+
+def _mc_chunk_rows(k: int) -> int:
+    """Rows of a chunk of samples with k coordinates each. Each row holds k
+    uniforms and allows 8 doubles for the per-sample vectors (logw, w,
+    sqrt(w), w^-2 and the temporaries of their sums)."""
+    return max(1, _MC_CHUNK_DOUBLES // (k + 8))
 
 
 def _usable_cpus() -> int:
@@ -250,34 +263,42 @@ def _mc_blocks(state: dict, m: int, p0, log_diff, log_r1_sum: float,
     """For each block starting at a sample in `starts`: the sums of w, sqrt(w)
     and w^-2 (row 0) and of their squares (row 1), as a (2, 3) array.
 
-    The block's uniforms come from a copy of the Philox `state` moved to its
-    first draw, uint64 number start·k·m, so they are the ones a single pass over
-    all the blocks would draw. Only numpy is called here, so that this can run
-    on a worker thread.
+    The block of n samples draws its m copies one after the other, each an
+    (n x k) array of uniforms read row by row, starting at uniform number
+    start·k·m of the Philox `state`; these are the uniforms a single pass over
+    all the blocks would draw. The block is computed in chunks of
+    `_mc_chunk_rows(k)` rows: before each chunk and copy, one reused Philox is
+    moved to the chunk's first uniform of that copy, and the chunk's sums are
+    added into the block's in chunk order. Only numpy is called here, so that
+    this can run on a worker thread.
     """
     k = len(p0)
-    buf = np.empty((block, k))
+    rows = min(block, _mc_chunk_rows(k))
+    buf = np.empty((rows, k))
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
     out = []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for start in starts:
             n = min(block, samples - start)
-            offset = start * k * m
-            bitgen = np.random.Philox(0)
-            bitgen.state = state
-            bitgen.advance(offset // 4)  # one Philox counter step is 4 draws
-            bitgen.random_raw(offset % 4)
-            gen = np.random.Generator(bitgen)
-            u = buf[:n]
-            logw = np.zeros(n)
-            for _ in range(m):
-                gen.random(out=u)
-                # u becomes the 0.0/1.0 indicator of u < p0, in place
-                np.less(u, p0, out=u, casting="unsafe")
-                logw += u @ log_diff + log_r1_sum
-            w = np.exp(logw)
-            arrs = (w, np.sqrt(w), w**-2)
-            out.append(np.array([[a.sum() for a in arrs],
-                                 [(a * a).sum() for a in arrs]]))
+            sums = np.zeros((2, 3))
+            for lo in range(0, n, rows):
+                u = buf[:min(rows, n - lo)]
+                logw = np.zeros(len(u))
+                for copy in range(m):
+                    offset = (start * m + copy * n + lo) * k
+                    bitgen.state = state
+                    bitgen.advance(offset // 4)  # one Philox counter step is 4 draws
+                    bitgen.random_raw(offset % 4)
+                    gen.random(out=u)
+                    # u becomes the 0.0/1.0 indicator of u < p0, in place
+                    np.less(u, p0, out=u, casting="unsafe")
+                    logw += u @ log_diff + log_r1_sum
+                w = np.exp(logw)
+                for i, a in enumerate((w, np.sqrt(w), w**-2)):
+                    sums[0, i] += a.sum()
+                    sums[1, i] += (a * a).sum()
+            out.append(sums)
     return out
 
 
@@ -287,12 +308,14 @@ def mc_omega(spec: ActionSpec, g, radius: int, samples: int, seed: int) -> dict:
     The product is truncated to the window; for finitely supported families
     the window must cover the support. Deterministic given the seed.
 
-    The samples are drawn in blocks of about 2·10^6 uniforms, each from its
-    own copy of the seed's Philox stream advanced to the block's first draw.
-    The blocks run on at most two threads (fewer when fewer CPUs are usable,
-    or when there is one block), and their sums are added in block order, so
-    the draws and the report are the same whatever the CPU count. An estimate
-    that overflows is returned as inf or nan.
+    The seed's Philox stream is laid out in blocks of n = 2·10^6 // k
+    samples, each m copies of an (n x k) array of uniforms; this fixes the
+    draw each sample, copy and coordinate gets. The blocks run on at most two
+    threads (fewer when fewer CPUs are usable, or when there is one block),
+    each in chunks of about 2^18 doubles of working memory, and their sums
+    are added in block order, so the draws and the report are the same
+    whatever the CPU count. An estimate that overflows is returned as inf or
+    nan.
     """
     if samples < 10**3:
         raise SpecError("need at least 1000 samples")

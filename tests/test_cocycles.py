@@ -25,6 +25,7 @@ from bernlab.groups import (
     Integers,
     Word,
     ball,
+    format_element,
     inv,
     mul,
     parse_element,
@@ -299,6 +300,26 @@ class TestBallOracle:
             wide = sum((fam.f(h) - fam.f(mul(gi, h))) ** 2
                        for h in ball(F2, word_length(g) + 2))
             assert fam.ball_norm_sq(g, word_length(g)) == wide
+
+    @pytest.mark.parametrize("make", [wsplit_spec, fpw_spec])
+    def test_nonzero_only_at_prefixes_in_ball_order(self, make):
+        # the fact a prefix support would rest on: on the ball of radius |g|,
+        # c_g(h) != 0 only where h is a prefix of g, and `support` meets
+        # those prefixes in ball order, shortest first
+        spec = make()
+        longest = 0
+        for g in ball(F2, 4):
+            prefixes = [w("")]
+            for gen, exp in g.syls:
+                letter = Word(2, ((gen, 1 if exp > 0 else -1),))
+                for _ in range(abs(exp)):
+                    prefixes.append(mul(prefixes[-1], letter))
+            nonzero = [h for h in support_elements(spec, g, word_length(g))
+                       if cocycle_coeff(spec, g, h) != 0]
+            assert set(nonzero) <= set(prefixes), format_element(g)
+            assert nonzero == [h for h in prefixes if h in nonzero], format_element(g)
+            longest = max(longest, len(nonzero))
+        assert longest >= 3  # the order is checked on more than one prefix
 
 
 Z_WINDOW = ([1, -3, 8, 40], [40, 64, 2000])

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -290,31 +291,43 @@ class TestMonteCarlo:
             assert got[f"se_{key}"] == pytest.approx(se, rel=1e-12)
 
     @staticmethod
-    def serial_blocks(spec, g, window, samples, seed):
-        """The single-threaded block loop: one Philox stream read block after
-        block, each block drawing m (n x k) arrays of uniforms."""
+    def serial_chunks(spec, g, window, samples, seed):
+        """The single-threaded chunk loop. The stream is laid out in blocks of
+        n samples, each drawing m (n x k) arrays of uniforms one after the
+        other; a block is computed in chunks of rows, each read from its own
+        copy of the seed's stream moved to the chunk's first uniform."""
         pq = np.array([(float(p), float(q)) for _, p, q in value_pairs(spec, inv(g), window)])
         p0, q = pq[:, 0], pq[:, 1]
+        k, m = len(p0), spec.multiplicity
         log_r0, log_r1 = np.log(q / p0), np.log((1 - q) / (1 - p0))
         log_diff, log_r1_sum = log_r0 - log_r1, log_r1.sum()
-        rng = substream_rng(seed, f"{format_element(g)}|{window}")
+        block = max(1, min(samples, 2 * 10**6 // k))
+        rows = criteria._mc_chunk_rows(k)
         sums, sqsums = np.zeros(3), np.zeros(3)
-        block = max(1, min(samples, 2 * 10**6 // len(p0)))
-        done = 0
-        while done < samples:
-            n = min(block, samples - done)
-            logw = np.zeros(n)
-            for _ in range(spec.multiplicity):
-                u = rng.random((n, len(p0)))
-                logw += (u < p0).astype(float) @ log_diff + log_r1_sum
-            w = np.exp(logw)
-            for idx, arr in enumerate((w, np.sqrt(w), w**-2)):
-                sums[idx] += arr.sum()
-                sqsums[idx] += (arr * arr).sum()
-            done += n
+        offsets = []
+        for start in range(0, samples, block):
+            n = min(block, samples - start)
+            bsums, bsqsums = np.zeros(3), np.zeros(3)
+            for lo in range(0, n, rows):
+                r = min(rows, n - lo)
+                logw = np.zeros(r)
+                for copy in range(m):
+                    offset = start * k * m + copy * n * k + lo * k
+                    offsets.append(offset)
+                    rng = substream_rng(seed, f"{format_element(g)}|{window}")
+                    rng.bit_generator.advance(offset // 4)
+                    rng.bit_generator.random_raw(offset % 4)
+                    u = rng.random((r, k))
+                    logw += (u < p0).astype(float) @ log_diff + log_r1_sum
+                w = np.exp(logw)
+                for idx, arr in enumerate((w, np.sqrt(w), w**-2)):
+                    bsums[idx] += arr.sum()
+                    bsqsums[idx] += (arr * arr).sum()
+            sums += bsums
+            sqsums += bsqsums
         means = sums / samples
         ses = np.sqrt(np.maximum(sqsums / samples - means**2, 0.0) / samples)
-        return block, len(p0), {
+        return block, rows, offsets, {
             f"{stat}_{key}": float(v[i])
             for i, key in enumerate(("omega", "sqrt_omega", "negsq_omega"))
             for stat, v in (("mean", means), ("se", ses))}
@@ -330,13 +343,14 @@ class TestMonteCarlo:
         spec = preset("f2-dissipative", power=power)
         g = g_of(spec, "a")
         samples, seed = 20000, 4
-        block, k, want = self.serial_blocks(spec, g, 256, samples, seed)
+        block, rows, offsets, want = self.serial_chunks(spec, g, 256, samples, seed)
         starts = range(0, samples, block)
-        # three blocks, the last one partial
+        # three blocks, the last one partial, each of several chunks, the
+        # last one partial
         assert len(starts) == 3 and samples % block
-        if power == 1:
-            # a block whose first draw is inside a Philox counter step
-            assert any(start * k * power % 4 for start in starts)
+        assert block > 2 * rows and block % rows and (samples % block) % rows
+        # chunks whose first draw is inside a Philox counter step
+        assert any(offset % 4 for offset in offsets)
 
         before = threading.active_count()
         self.set_cpus(monkeypatch, 2)
@@ -347,6 +361,25 @@ class TestMonteCarlo:
         assert inline == got
         for key, value in want.items():
             assert got[key].hex() == value.hex(), key
+
+    @pytest.mark.parametrize("name,text,window", [
+        ("f2-dissipative", "a b^-2", 256), ("f2-wsplit", "a^3", 4)])
+    def test_working_memory_is_bounded(self, monkeypatch, name, text, window):
+        # each of the two workers holds one chunk of about 2^18 doubles
+        # (2 MiB), whatever the block size; with a block-sized buffer per
+        # worker the first case peaked at 31.3 MiB
+        spec = preset(name)
+        g = g_of(spec, text)
+        self.set_cpus(monkeypatch, 2)
+        # the first call imports the thread pool and fills the window caches
+        mc_omega(spec, g, radius=window, samples=10**5, seed=1)
+        tracemalloc.start()
+        try:
+            mc_omega(spec, g, radius=window, samples=10**5, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
     def test_window_too_small(self):
         spec = preset("f2-wsplit")

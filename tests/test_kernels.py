@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,18 @@ def test_zseq_head_against_direct_loop(rng):
         direct = sum(a[j] ** 2 for j in range(k)) + sum(
             (a[j] - a[j + k]) ** 2 for j in range(J))
         assert _kernels.zseq_norm_head(a, k, J) == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("k,J", [(1, 1), (7, 300), (80, 47000)])
+def test_zseq_head_within_gamma_of_fsum(k, J):
+    # marginals' ZSequence.norm_sq charges the head gamma_{J+k+8} relative
+    # rounding, whatever the summation order
+    a = 1.0 / np.sqrt(np.arange(1.0, J + k + 1.0))
+    exact = math.fsum([x * x for x in a[:k].tolist()]
+                      + [(x - y) ** 2 for x, y in zip(a[:J].tolist(), a[k : J + k].tolist())])
+    n = J + k + 8
+    gamma = n * 2.0**-53 / (1.0 - n * 2.0**-53)
+    assert abs(_kernels.zseq_norm_head(a, k, J) - exact) <= gamma * exact
 
 
 def test_segment_sum_random_against_direct_loop(rng):
