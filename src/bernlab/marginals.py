@@ -832,10 +832,16 @@ def f_value(spec: ActionSpec, i):
 
 
 def substream_rng(seed: int, payload: str) -> np.random.Generator:
-    """Philox stream keyed by the seed and the sha256 digest of `payload`."""
+    """PCG64 stream seeded by [seed, first 8 bytes of sha256(payload)].
+
+    The seed is any nonnegative int; it enters the SeedSequence whole, not
+    reduced mod 2^64, so seeds 0 and 2^64 draw different streams. PCG64
+    draws one double per 64-bit step, so `bit_generator.advance(n)` skips n
+    doubles.
+    """
     digest = hashlib.sha256(payload.encode()).digest()
     key = int.from_bytes(digest[:8], "big")
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), key]))
+    return np.random.Generator(np.random.PCG64([seed, key]))
 
 
 # --- measure builders --------------------------------------------------------

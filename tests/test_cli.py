@@ -150,6 +150,15 @@ class TestCommands:
         assert rep["seeds"] == [5]
         assert "se_omega" in rep["results"]
 
+    @pytest.mark.parametrize("g", ["a", ""])
+    def test_simulate_negative_seed_exits_2(self, capsys, g):
+        # seeds are not reduced mod 2^64, so -1 is not another name for
+        # 2^64 - 1; it is refused, for the identity element too
+        code, out, err = run(capsys, "simulate", "--preset", "f2-wsplit",
+                             "-g", g, "--samples", "1000", "--seed", "-1",
+                             "--window", "2")
+        assert code == 2 and out == "" and "seed" in err
+
     @pytest.mark.parametrize("window,power", [("256", "4"), ("1024", "1")])
     def test_simulate_overflow_is_null(self, capsys, window, power):
         # sum(w^-4) overflows here, and inf - inf would make the se NaN

@@ -25,8 +25,14 @@ from bernlab.criteria import (
     witness_partial_sum,
 )
 from bernlab.cocycles import BoundedValue, affinity_pairs, norm_sq, value_pairs
-from bernlab.groups import format_element, inv, parse_element
-from bernlab.marginals import SpecError, substream_rng
+from bernlab.groups import FreeGroup, format_element, inv, parse_element
+from bernlab.marginals import (
+    ActionSpec,
+    FreeProductW,
+    SpecError,
+    measures_from_lambda,
+    substream_rng,
+)
 
 
 def g_of(spec, text):
@@ -315,8 +321,7 @@ class TestMonteCarlo:
                     offset = start * k * m + copy * n * k + lo * k
                     offsets.append(offset)
                     rng = substream_rng(seed, f"{format_element(g)}|{window}")
-                    rng.bit_generator.advance(offset // 4)
-                    rng.bit_generator.random_raw(offset % 4)
+                    rng.bit_generator.advance(offset)
                     u = rng.random((r, k))
                     logw += (u < p0).astype(float) @ log_diff + log_r1_sum
                 w = np.exp(logw)
@@ -349,8 +354,9 @@ class TestMonteCarlo:
         # last one partial
         assert len(starts) == 3 and samples % block
         assert block > 2 * rows and block % rows and (samples % block) % rows
-        # chunks whose first draw is inside a Philox counter step
-        assert any(offset % 4 for offset in offsets)
+        # chunks that start at an odd uniform, so an advance that rounded
+        # its argument would read other draws
+        assert any(offset % 2 for offset in offsets)
 
         before = threading.active_count()
         self.set_cpus(monkeypatch, 2)
@@ -387,3 +393,49 @@ class TestMonteCarlo:
             mc_omega(spec, g_of(spec, "a b a"), radius=1, samples=1000, seed=0)
         with pytest.raises(SpecError):
             mc_omega(spec, g_of(spec, "a"), radius=2, samples=10, seed=0)
+
+    def test_stream_is_pinned(self):
+        # the six estimates of one seeded call, recorded: a change of draws
+        # (generator, seeding or stream layout) has to change these values
+        spec = preset("f2-wsplit")
+        got = mc_omega(spec, g_of(spec, "a^3"), radius=4, samples=3000, seed=7)
+        want = {
+            "mean_omega": "0x1.0335ba781948bp+0",
+            "se_omega": "0x1.b06efec7a78d9p-8",
+            "mean_sqrt_omega": "0x1.fb95434d3a046p-1",
+            "se_sqrt_omega": "0x1.9c8840eed3c71p-9",
+            "mean_negsq_omega": "0x1.5ca16ba00c247p+0",
+            "se_negsq_omega": "0x1.069add3e824ebp-6",
+        }
+        assert {k: got[k].hex() for k in want} == want
+
+    def test_seeds_are_not_reduced_mod_2_64(self):
+        spec = preset("f2-wsplit")
+        draws = [substream_rng(seed, "a|2").random(4) for seed in (0, 2**64)]
+        assert not np.array_equal(*draws)
+        g = g_of(spec, "a b")
+        assert (mc_omega(spec, g, radius=4, samples=1000, seed=0)
+                != mc_omega(spec, g, radius=4, samples=1000, seed=2**64))
+
+    @pytest.mark.parametrize("spec,words,window", [
+        (preset("f2-wsplit"), ("a", "a b^-1 a", "b a^-1", "a^3"), 4),
+        (preset("f2-dissipative"), ("a", "a b^-2", "b a^-1", "b^-1 a"), 256),
+        (preset("f2-dissipative(12)"), ("a", "b a^-1"), 64),
+        (preset("explicit-z"), ("1", "3", "-2"), 200),
+        (preset("explicit-z-sqrt6"), ("1", "5"), 100),
+        (preset("folner-z"), ("1", "-3"), 300),
+        (ActionSpec(FreeGroup(2), FreeProductW(*measures_from_lambda(Fraction(2, 5))),
+                    delta=Fraction(1, 5)), ("a", "a b^-1", "b a^2"), 4),
+    ], ids=["f2-wsplit", "f2-dissipative", "f2-dissipative(12)", "explicit-z",
+            "explicit-z-sqrt6", "folner-z", "fpw"])
+    def test_coords_match_exact_value_pairs(self, spec, words, window):
+        # the sampled coordinates come from the array window; they must be
+        # the exact per-point (F(h), F(g^-1 h)) up to order and rounding
+        for text in words:
+            g = g_of(spec, text)
+            p0, q = criteria._mc_coords(spec, g, window)
+            want = np.array([(float(a), float(b)) for _, a, b
+                             in value_pairs(spec, inv(g), window)]).reshape(-1, 2).T
+            assert len(p0) == want.shape[1] > 0, text
+            np.testing.assert_allclose(np.sort(p0), np.sort(want[0]), rtol=1e-15, atol=0)
+            np.testing.assert_allclose(np.sort(q), np.sort(want[1]), rtol=1e-15, atol=0)
