@@ -159,6 +159,15 @@ class TestCommands:
                              "--window", "2")
         assert code == 2 and out == "" and "seed" in err
 
+    @pytest.mark.parametrize("name", ["explicit-z", "folner-z"])
+    def test_simulate_negative_window_exits_2(self, capsys, name):
+        # explicit-z sampled no coordinates and reported omega = 1 +- 0;
+        # folner-z ignored the sign and sampled the 540 coordinates of
+        # --window 5
+        code, out, err = run(capsys, "simulate", "--preset", name, "-g", "3",
+                             "--samples", "1000", "--seed", "1", "--window", "-5")
+        assert code == 2 and out == "" and "window" in err
+
     @pytest.mark.parametrize("window,power", [("256", "4"), ("1024", "1")])
     def test_simulate_overflow_is_null(self, capsys, window, power):
         # sum(w^-4) overflows here, and inf - inf would make the se NaN

@@ -270,6 +270,24 @@ class TestMonteCarlo:
         r = mc_omega(spec, g_of(spec, "a"), radius=2, samples=20000, seed=3)
         assert abs(r["mean_omega"] - 1.0) <= 4 * r["se_omega"]
 
+    @staticmethod
+    def layout(spec, g, window):
+        """The window split as the sampler draws it: the coordinates whose
+        float pair (p, q) occurs fewer than `_MC_RUN_MIN` times, in window
+        order, as (p, log r0, log r1) arrays, and the other pairs as runs,
+        in increasing order of (p, q), as (p, n, log r0, log r1) tuples."""
+        p0, q = criteria._mc_coords(spec, g, window)
+        log_r0, log_r1 = np.log(q / p0), np.log((1 - q) / (1 - p0))
+        where = {}
+        for i, pair in enumerate(zip(p0.tolist(), q.tolist())):
+            where.setdefault(pair, []).append(i)
+        long = {pair: idx for pair, idx in where.items()
+                if len(idx) >= criteria._MC_RUN_MIN}
+        single = [i for i in range(len(p0)) if (p0[i], q[i]) not in long]
+        runs = [(p, len(idx), log_r0[idx[0]], log_r1[idx[0]])
+                for (p, _), idx in sorted(long.items())]
+        return (p0[single], log_r0[single], log_r1[single]), runs
+
     @pytest.mark.parametrize("name,text,window", [
         ("f2-dissipative", "a b^-2", 256), ("f2-wsplit", "a b^-1 a", 4)])
     @pytest.mark.parametrize("power", [1, 2])
@@ -278,17 +296,22 @@ class TestMonteCarlo:
         g = g_of(spec, text)
         samples, seed = 3000, 5
         got = mc_omega(spec, g, radius=window, samples=samples, seed=seed)
-        # reference: pick log r0 or log r1 per coordinate and sum each row,
-        # from the same draws; both windows fit in one block of rows
-        pq = np.array([(float(p), float(q)) for _, p, q in value_pairs(spec, inv(g), window)])
-        p0, q = pq[:, 0], pq[:, 1]
-        assert samples <= 2 * 10**6 // len(p0)
-        log_r0, log_r1 = np.log(q / p0), np.log((1 - q) / (1 - p0))
+        # reference: pick log r0 or log r1 per single coordinate and count the
+        # entries of each run's CDF at or below its uniform, from one
+        # contiguous pass over the stream; both windows fit in one block
+        (p0, log_r0, log_r1), runs = self.layout(spec, g, window)
+        k, m, n_runs = len(p0), spec.multiplicity, len(runs)
+        assert (k, n_runs) == ((1, 2) if name == "f2-dissipative" else (2, 0))
+        assert samples <= 2 * 10**6 // (k + sum(n for _, n, _, _ in runs))
         rng = substream_rng(seed, f"{format_element(g)}|{window}")
         logw = np.zeros(samples)
-        for _ in range(power):
-            u = rng.random((samples, len(p0)))
+        for _ in range(m):
+            u = rng.random((samples, k))
             logw += np.where(u < p0, log_r0, log_r1).sum(axis=1)
+        u = rng.random((samples, n_runs))
+        for j, (p, n, r0, r1) in enumerate(runs):
+            count = (u[:, j, None] >= criteria._binomial_cdf(m * n, p)).sum(axis=1)
+            logw += count * r0 + (m * n - count) * r1
         w = np.exp(logw)
         for key, arr in (("omega", w), ("sqrt_omega", np.sqrt(w)), ("negsq_omega", w**-2)):
             mean = arr.sum() / samples
@@ -296,34 +319,45 @@ class TestMonteCarlo:
             assert got[f"mean_{key}"] == pytest.approx(mean, rel=1e-12)
             assert got[f"se_{key}"] == pytest.approx(se, rel=1e-12)
 
-    @staticmethod
-    def serial_chunks(spec, g, window, samples, seed):
-        """The single-threaded chunk loop. The stream is laid out in blocks of
-        n samples, each drawing m (n x k) arrays of uniforms one after the
-        other; a block is computed in chunks of rows, each read from its own
-        copy of the seed's stream moved to the chunk's first uniform."""
-        pq = np.array([(float(p), float(q)) for _, p, q in value_pairs(spec, inv(g), window)])
-        p0, q = pq[:, 0], pq[:, 1]
-        k, m = len(p0), spec.multiplicity
-        log_r0, log_r1 = np.log(q / p0), np.log((1 - q) / (1 - p0))
+    @classmethod
+    def serial_chunks(cls, spec, g, window, samples, seed):
+        """The single-threaded chunk loop. A sample draws m·k uniforms for
+        the k single coordinates and one per run. The stream is laid out in
+        blocks of n samples, each drawing m (n x k) arrays of uniforms one
+        after the other and then an (n x runs) array; a block is computed in
+        chunks of rows, each read from its own copy of the seed's stream
+        moved to the chunk's first uniform."""
+        (p0, log_r0, log_r1), runs = cls.layout(spec, g, window)
+        k, m, n_runs = len(p0), spec.multiplicity, len(runs)
         log_diff, log_r1_sum = log_r0 - log_r1, log_r1.sum()
-        block = max(1, min(samples, 2 * 10**6 // k))
-        rows = criteria._mc_chunk_rows(k)
+        run_const = sum(m * n * r1 for _, n, _, r1 in runs)
+        block = max(1, min(samples, 2 * 10**6 // (k + sum(n for _, n, _, _ in runs))))
+        rows = criteria._mc_chunk_rows(max(k, n_runs))
         sums, sqsums = np.zeros(3), np.zeros(3)
         offsets = []
+
+        def draw(offset, shape):
+            offsets.append(offset)
+            rng = substream_rng(seed, f"{format_element(g)}|{window}")
+            rng.bit_generator.advance(offset)
+            return rng.random(shape)
+
         for start in range(0, samples, block):
             n = min(block, samples - start)
+            first = start * (m * k + n_runs)
             bsums, bsqsums = np.zeros(3), np.zeros(3)
             for lo in range(0, n, rows):
                 r = min(rows, n - lo)
                 logw = np.zeros(r)
                 for copy in range(m):
-                    offset = start * k * m + copy * n * k + lo * k
-                    offsets.append(offset)
-                    rng = substream_rng(seed, f"{format_element(g)}|{window}")
-                    rng.bit_generator.advance(offset)
-                    u = rng.random((r, k))
+                    u = draw(first + copy * n * k + lo * k, (r, k))
                     logw += (u < p0).astype(float) @ log_diff + log_r1_sum
+                if runs:
+                    u = draw(first + m * n * k + lo * n_runs, (r, n_runs))
+                    logw += run_const
+                    for j, (p, n_j, r0, r1) in enumerate(runs):
+                        cdf = criteria._binomial_cdf(m * n_j, p)
+                        logw += (u[:, j, None] >= cdf).sum(axis=1) * (r0 - r1)
                 w = np.exp(logw)
                 for idx, arr in enumerate((w, np.sqrt(w), w**-2)):
                     bsums[idx] += arr.sum()
@@ -345,28 +379,32 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("power", [1, 2])
     def test_threaded_blocks_match_serial_loop(self, monkeypatch, power):
+        # one single coordinate and runs of 128 and 129
         spec = preset("f2-dissipative", power=power)
-        g = g_of(spec, "a")
+        g = g_of(spec, "a b^-2")
         samples, seed = 20000, 4
-        block, rows, offsets, want = self.serial_chunks(spec, g, 256, samples, seed)
-        starts = range(0, samples, block)
-        # three blocks, the last one partial, each of several chunks, the
-        # last one partial
-        assert len(starts) == 3 and samples % block
-        assert block > 2 * rows and block % rows and (samples % block) % rows
-        # chunks that start at an odd uniform, so an advance that rounded
-        # its argument would read other draws
-        assert any(offset % 2 for offset in offsets)
+        for chunk_doubles in (criteria._MC_CHUNK_DOUBLES, 2**13):
+            monkeypatch.setattr(criteria, "_MC_CHUNK_DOUBLES", chunk_doubles)
+            block, rows, offsets, want = self.serial_chunks(spec, g, 256, samples, seed)
+            starts = range(0, samples, block)
+            # three blocks, the last one partial
+            assert len(starts) == 3 and samples % block
+            if chunk_doubles == 2**13:
+                # each block of several chunks, the last one partial
+                assert block > 2 * rows and block % rows and (samples % block) % rows
+                # chunks that start at an odd uniform, so an advance that
+                # rounded its argument would read other draws
+                assert any(offset % 2 for offset in offsets)
 
-        before = threading.active_count()
-        self.set_cpus(monkeypatch, 2)
-        got = mc_omega(spec, g, radius=256, samples=samples, seed=seed)
-        assert threading.active_count() == before
-        self.set_cpus(monkeypatch, 1)
-        inline = mc_omega(spec, g, radius=256, samples=samples, seed=seed)
-        assert inline == got
-        for key, value in want.items():
-            assert got[key].hex() == value.hex(), key
+            before = threading.active_count()
+            self.set_cpus(monkeypatch, 2)
+            got = mc_omega(spec, g, radius=256, samples=samples, seed=seed)
+            assert threading.active_count() == before
+            self.set_cpus(monkeypatch, 1)
+            inline = mc_omega(spec, g, radius=256, samples=samples, seed=seed)
+            assert inline == got
+            for key, value in want.items():
+                assert got[key].hex() == value.hex(), (chunk_doubles, key)
 
     @pytest.mark.parametrize("name,text,window", [
         ("f2-dissipative", "a b^-2", 256), ("f2-wsplit", "a^3", 4)])
@@ -408,6 +446,88 @@ class TestMonteCarlo:
             "se_negsq_omega": "0x1.069add3e824ebp-6",
         }
         assert {k: got[k].hex() for k in want} == want
+
+    def test_long_run_stream_is_pinned(self):
+        # as above, on a window drawn mostly as binomial counts: one single
+        # coordinate and runs of 128 and 129
+        spec = preset("f2-dissipative")
+        got = mc_omega(spec, g_of(spec, "a b^-2"), radius=256, samples=3000, seed=7)
+        want = {
+            "mean_omega": "0x1.7c8cce45bce7cp-21",
+            "se_omega": "0x1.046e4f9f3ee88p-21",
+            "mean_sqrt_omega": "0x1.5aa4cd1d7d565p-15",
+            "se_sqrt_omega": "0x1.01939e17e2b94p-16",
+            "mean_negsq_omega": "0x1.29123d175a00dp+167",
+            "se_negsq_omega": "0x1.6481d37c01703p+166",
+        }
+        assert {k: got[k].hex() for k in want} == want
+
+    @pytest.mark.parametrize("n", [2, 8, 128, 866])
+    @pytest.mark.parametrize("p", [Fraction(1, 4), Fraction(1, 2), Fraction(1 / 3)],
+                             ids=["1/4", "1/2", "float(1/3)"])
+    def test_binomial_cdf_matches_exact(self, n, p):
+        cdf = criteria._binomial_cdf(n, float(p))
+        a, d = p.numerator, p.denominator
+        total, exact = 0, []
+        for j in range(n + 1):
+            total += math.comb(n, j) * a**j * (d - a) ** (n - j)
+            exact.append(total / d**n)  # int / int rounds correctly
+        assert len(cdf) == n + 1 and cdf[-1] == 1.0
+        assert np.all(np.diff(cdf) >= 0)
+        np.testing.assert_allclose(cdf, exact, rtol=0, atol=1e-12)
+
+    def test_binomial_counts_fit(self):
+        # inverse-CDF counts against the exact Bin(128, 1/4) law
+        n, p, draws = 128, Fraction(1, 4), 10**5
+        u = np.random.default_rng(2024).random(draws)
+        counts = np.searchsorted(criteria._binomial_cdf(n, float(p)), u, side="right")
+        seen = np.bincount(counts, minlength=n + 1)
+        checked = 0
+        for j in range(n + 1):
+            pmf = float(math.comb(n, j) * p**j * (1 - p) ** (n - j))
+            expect = draws * pmf
+            if expect >= 50:
+                checked += 1
+                assert abs(seen[j] - expect) <= 5 * math.sqrt(expect * (1 - pmf)), j
+        assert checked >= 20
+
+    @pytest.mark.parametrize("run_min", [criteria._MC_RUN_MIN, 2],
+                             ids=["default", "runs>=2"])
+    @pytest.mark.parametrize("power", [1, 2])
+    @pytest.mark.parametrize("name,text,window", [
+        ("f2-wsplit", "a^3", 4), ("f2-dissipative(1/4)", "a", 64),
+        ("f2-dissipative(1/4)", "a", 256), ("f2-dissipative", "a", 16),
+        ("f2-dissipative", "a", 32)])
+    def test_mean_matches_exact_product(self, monkeypatch, name, text, window,
+                                        power, run_min):
+        # E[omega^s] over the window is the exact product over its distinct
+        # pairs of (p r0^s + (1-p) r1^s)^(m n); where the sample is large
+        # enough for a 10% relative SE (samples >= 100 relvar), the estimate
+        # lies within 5 of its reported SEs of it. f2-dissipative's window 32
+        # is two runs (16 and 17), drawn as binomial counts by default; the
+        # other windows have runs of at most 9 coordinates, drawn one by one
+        # by default and as a mix of single coordinates and runs at run_min 2.
+        monkeypatch.setattr(criteria, "_MC_RUN_MIN", run_min)
+        spec = preset(name, power=power)
+        g = g_of(spec, text)
+        samples, m = 10**5, spec.multiplicity
+        got = mc_omega(spec, g, radius=window, samples=samples, seed=3)
+        runs = {}
+        for _, p, q in value_pairs(spec, inv(g), window):
+            pair = (float(p), float(q))
+            runs[pair] = runs.get(pair, 0) + 1
+        resolved = 0
+        for key, s in (("omega", 1), ("sqrt_omega", 0.5), ("negsq_omega", -2)):
+            log_mean = log_second = 0.0
+            for (p, q), n in runs.items():
+                r0, r1 = q / p, (1 - q) / (1 - p)
+                log_mean += m * n * math.log(p * r0**s + (1 - p) * r1**s)
+                log_second += m * n * math.log(p * r0**(2 * s) + (1 - p) * r1**(2 * s))
+            exact, relvar = math.exp(log_mean), math.expm1(log_second - 2 * log_mean)
+            if samples >= 100 * relvar:
+                resolved += 1
+                assert abs(got[f"mean_{key}"] - exact) <= 5 * got[f"se_{key}"], key
+        assert resolved >= 1
 
     def test_seeds_are_not_reduced_mod_2_64(self):
         spec = preset("f2-wsplit")
