@@ -31,6 +31,7 @@ class BumpCocycle:
         self._a = np.array([1], dtype=np.int64)
         self._b = np.array([0, 2], dtype=np.int64)
         self._gamma_cache: dict = {}
+        self._h_cache: dict = {}
 
     def ensure_bumps(self, N: int) -> None:
         """Materialize a_n and b_n for all n < N (b has N+1 entries)."""
@@ -50,12 +51,18 @@ class BumpCocycle:
             self.ensure_bumps(2 * len(self._a))
 
     def h_exact(self, n: int) -> Fraction:
-        if n <= 0:
-            return Fraction(0)
-        self._cover(n)
-        i = int(np.searchsorted(self._b, n, side="right")) - 1
-        a, off = int(self._a[i]), n - int(self._b[i])
-        return Fraction(off, a) if off <= a else Fraction(2 * a - off, a)
+        """Exact H(n), memoized per instance."""
+        h = self._h_cache.get(n)
+        if h is None:
+            if n <= 0:
+                h = Fraction(0)
+            else:
+                self._cover(n)
+                i = int(np.searchsorted(self._b, n, side="right")) - 1
+                a, off = int(self._a[i]), n - int(self._b[i])
+                h = Fraction(off, a) if off <= a else Fraction(2 * a - off, a)
+            self._h_cache[n] = h
+        return h
 
     def h_float(self, m: np.ndarray) -> np.ndarray:
         """Vectorized H, materializing bumps past max(m) as needed."""
@@ -63,13 +70,16 @@ class BumpCocycle:
         if m.size:
             self._cover(int(m.max()))
         i = np.searchsorted(self._b, m, side="right") - 1
-        i = np.clip(i, 0, len(self._a) - 1)
+        return self._h_in(m, np.clip(i, 0, len(self._a) - 1))
+
+    def _h_in(self, m: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """Float H(m) given the index i of a bump whose span [b_i, b_{i+1})
+        holds m, or i = 0 where m <= 0."""
         a = self._a[i].astype(np.float64)
         off = (m - self._b[i]).astype(np.float64)
-        up = off / a
-        down = (2.0 * a - off) / a
-        h = np.where(off <= a, up, down)
-        return np.where((m <= 0) | (off < 0), 0.0, h)
+        # off/a rising, (2a - off)/a falling; both numerators are exact
+        h = np.minimum(off, 2.0 * a - off) / a
+        return np.where(m <= 0, 0.0, h)
 
     def bump_index_at(self, pos: int) -> int:
         """Index of the bump whose support contains the position pos >= 0."""
@@ -104,9 +114,15 @@ class BumpCocycle:
     def gamma_norm_sq_bounds(self, k: int):
         """Certified (lower, upper) bracket for sum_n (H(n) - H(n-k))^2.
 
-        The lower bound is a plain partial sum (every term is nonnegative);
-        the upper bound adds a slope-based tail over the discarded bumps and
-        is deliberately loose.
+        The lower bound is a plain partial sum over the first
+        `default_bumps(k)` bumps (every term is nonnegative); the upper bound
+        adds a slope-based tail over the discarded bumps and is deliberately
+        loose. The partial sum is closed-form per linear piece: the
+        breakpoints of H(m) (bump starts and peaks) and of H(m - k) are two
+        sorted runs, merged in linear time with no np.unique, and between
+        merged points the difference is linear. The merge also counts the
+        breakpoints below each point, which gives its bump and that of the
+        point minus k without a search. Memoized per instance by |k|.
         """
         k = abs(int(k))
         if k == 0:
@@ -118,19 +134,33 @@ class BumpCocycle:
         self.ensure_bumps(N)
         b, a = self._b[: N + 1], self._a[:N]
         end = int(b[N])
-        # merged breakpoints of H(m) and H(m-k); d is linear between them
-        pts = np.concatenate([b, b[:-1] + a, b + k, b[:-1] + a + k])
-        pts = np.unique(np.clip(pts, 1, end))
-        if pts[0] != 1:
-            pts = np.concatenate([[1], pts])
-        if pts[-1] != end:
-            pts = np.concatenate([pts, [end]])
+        # breakpoints of H, strictly increasing: P'_0 = b_0 = 0, b_0 + a_0 = 1,
+        # b_1, b_1 + a_1, ..., b_N = end; P'_p starts or peaks bump p // 2
+        P = np.empty(2 * N + 1, dtype=np.int64)
+        P[0::2] = b
+        P[1::2] = b[:-1] + a
+        # H(m - k) breaks at Q_q = P'_q + k. A stable argsort of the sorted
+        # runs P'[1:] and Q is one linear merge (timsort); d = H(m) - H(m - k)
+        # is linear between the merged points, which run from 1 to end.
+        Q = P[: np.searchsorted(P, end - k, side="right")] + k
+        both = np.concatenate([P[1:], Q])
+        order = np.argsort(both, kind="stable")
+        pts = both[order]
+        # at sorted position t, c points of P'[1:] and t + 1 - c of Q are
+        # <= pts[t]; the last copy of each point counts its duplicates too
+        t = np.arange(len(pts))
+        c = np.where(order < 2 * N, order + 1, t + 2 * N - order)
+        last = np.append(pts[1:] != pts[:-1], True)
+        pts, c, t = pts[last], c[last], t[last]
         X = pts[:-1]
-        L = (pts[1:] - X).astype(np.int64)
-        d0 = self.h_float(X) - self.h_float(X - k)
-        d1 = self.h_float(np.minimum(X + 1, end - 1)) - self.h_float(
-            np.minimum(X + 1, end - 1) - k
-        )
+        L = pts[1:] - X
+        # so P'_c is the last breakpoint <= X, and Q_(t-c) the last <= X, or
+        # none where t - c = -1 (then X < k); X and X + 1 lie in one bump span
+        # wherever L > 1, as do X - k and X + 1 - k
+        i = c[:-1] // 2
+        j = np.maximum((t - c)[:-1] // 2, 0)
+        d0 = self._h_in(X, i) - self._h_in(X - k, j)
+        d1 = self._h_in(X + 1, i) - self._h_in(X + 1 - k, j)
         s = np.where(L > 1, d1 - d0, 0.0)
         partial = _kernels.segment_square_sum(d0, s, L)
         tail = self.tail_bound(k, N - 1)

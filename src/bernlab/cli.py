@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -156,7 +157,7 @@ def _write_csv(path: str, rows):
 
 
 def _load_spec(args) -> ActionSpec:
-    power = getattr(args, "power", None) or 1
+    power = args.power
     if getattr(args, "preset", None):
         return preset(args.preset, power=power)
     if getattr(args, "spec", None):
@@ -164,6 +165,11 @@ def _load_spec(args) -> ActionSpec:
             spec = spec_from_json(fh.read())
         return _spec_with_power(spec, power) if power != 1 else spec
     raise CliError("one of --spec FILE or --preset NAME is required")
+
+
+def _check_radius(radius: int) -> None:
+    if radius < 0:
+        raise CliError(f"radius must be nonnegative, got {radius}")
 
 
 def _parse_g(spec: ActionSpec, text: str):
@@ -293,6 +299,7 @@ def cmd_cocycle(args) -> int:
         if nv.exact is not None:
             results["exact"] = format_fraction(nv.exact)
         if args.oracle_radius is not None:
+            _check_radius(args.oracle_radius)
             ov = norm_sq_bruteforce(spec, g, args.oracle_radius)
             results["oracle"] = {"value": ov.value, "err": ov.err,
                                  "radius": args.oracle_radius}
@@ -302,6 +309,7 @@ def cmd_cocycle(args) -> int:
         _emit(make_report("cocycle norm", spec, results, started=started), args.out)
         return 0
     if args.action == "growth":
+        _check_radius(args.radius)
         rows = []
         if isinstance(spec.group, Integers):
             for k in range(1, args.radius + 1):
@@ -388,6 +396,7 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     started = time.monotonic()
     spec = _load_spec(args)
+    _check_radius(args.radius)
     if isinstance(spec.group, FreeGroup):
         grid = [g for g in groups.ball(spec.group, args.radius)
                 if word_length(g) > 0]
@@ -399,7 +408,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_build(args) -> int:
-    spec = preset(args.preset, power=args.power or 1)
+    spec = preset(args.preset, power=args.power)
     payload = spec_to_json(spec)
     text = json.dumps(payload, indent=2)
     if args.out:
@@ -426,7 +435,7 @@ def _add_spec_flags(p, power=True):
     p.add_argument("--spec", help="ActionSpec JSON file")
     p.add_argument("--preset", help="named preset, e.g. f2-wsplit")
     if power:
-        p.add_argument("--power", type=int, default=None,
+        p.add_argument("--power", type=int, default=1,
                        help="diagonal power multiplicity")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
 
@@ -444,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["validate"])
     p.add_argument("file")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_spec)
 
     p = sub.add_parser("cocycle", help="cocycle norms and growth series")
     p.add_argument("action", choices=["norm", "growth"])
@@ -453,14 +461,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--oracle-radius", type=int, default=None)
     p.add_argument("--radius", type=int, default=4)
-    p.set_defaults(func=cmd_cocycle)
 
     p = sub.add_parser("criterion", help="conservative/dissipative verdict")
     _add_spec_flags(p)
     p.add_argument("--kappa", default="auto")
     p.add_argument("--csv", help="dump partial-sum trajectories here")
     p.add_argument("--require-certificate", action="store_true")
-    p.set_defaults(func=cmd_criterion)
 
     p = sub.add_parser("classify", help="Krieger type and stable type")
     _add_spec_flags(p)
@@ -468,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu1")
     p.add_argument("--stable", action="store_true")
     p.add_argument("--element", help="classify via omega(g, .) values")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("simulate", help="Monte Carlo omega estimates")
     _add_spec_flags(p)
@@ -476,32 +481,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=10**5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--window", type=int, default=64)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the inequality suite")
     _add_spec_flags(p)
     p.add_argument("--radius", type=int, default=4)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("build", help="write a preset spec to JSON")
     p.add_argument("--preset", required=True)
-    p.add_argument("--power", type=int, default=None)
+    p.add_argument("--power", type=int, default=1)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("nonamenable", help="Hellinger sum vs the Kesten norm")
     _add_spec_flags(p)
-    p.set_defaults(func=cmd_nonamenable)
 
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state between calls
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        # looked up at call time, so a rebound cmd_<name> is the one called
+        return globals()[f"cmd_{args.cmd}"](args)
     except (CliError, SpecError, groups.GroupError, FileNotFoundError,
             json.JSONDecodeError) as exc:
         print(f"bernlab: error: {exc}", file=sys.stderr)

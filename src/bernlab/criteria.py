@@ -96,6 +96,8 @@ def classify_conservativity(spec: ActionSpec, kappa=None) -> CriterionVerdict:
     """
     k0 = float(kappa0(spec.delta))
     kap = float(kappa) if kappa is not None else float(auto_kappa(spec.delta))
+    if not kap > 0:
+        raise SpecError(f"kappa must be positive, got {kap}")
     found = spec.family.certificate(spec.multiplicity, kap, k0)
     if found is None:
         return _inconclusive(spec, kap)

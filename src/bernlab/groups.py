@@ -80,6 +80,15 @@ class Word:
     def __str__(self):
         return format_element(self)
 
+    @classmethod
+    def _trusted(cls, rank: int, syls: tuple) -> "Word":
+        """A Word from syllables already known to satisfy the invariants,
+        built without checking them again."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "rank", rank)
+        object.__setattr__(w, "syls", syls)
+        return w
+
 
 Element = Union[int, Word]
 
@@ -167,7 +176,9 @@ def sphere(group: Group, n: int) -> Iterator[Element]:
     """All elements of word length exactly n, each exactly once.
 
     Deterministic DFS over non-backtracking extensions, lexicographic in the
-    letter order (1,+1), (1,-1), (2,+1), (2,-1), ...
+    letter order (1,+1), (1,-1), (2,+1), (2,-1), ... The DFS carries the
+    reduced syllable tuple: a letter either grows the last syllable or
+    starts a new one, so every leaf is already reduced.
     """
     if n < 0:
         raise GroupError("sphere radius must be >= 0")
@@ -184,19 +195,21 @@ def sphere(group: Group, n: int) -> Iterator[Element]:
         return
     alphabet = _letters(rank)
 
-    def extend(prefix: list, depth: int):
-        last = prefix[-1] if prefix else None
+    def extend(syls: tuple, depth: int):
+        last_gen, last_exp = syls[-1] if syls else (0, 0)
         for gen, sign in alphabet:
-            if last is not None and last[0] == gen and last[1] == -sign:
-                continue
-            prefix.append((gen, sign))
-            if depth == n:
-                yield reduce_letters(prefix, rank)
+            if gen == last_gen:
+                if (last_exp > 0) != (sign > 0):
+                    continue  # the inverse of the last letter
+                ext = syls[:-1] + ((gen, last_exp + sign),)
             else:
-                yield from extend(prefix, depth + 1)
-            prefix.pop()
+                ext = syls + ((gen, sign),)
+            if depth == n:
+                yield Word._trusted(rank, ext)
+            else:
+                yield from extend(ext, depth + 1)
 
-    yield from extend([], 1)
+    yield from extend((), 1)
 
 
 def ball(group: Group, n: int) -> Iterator[Element]:

@@ -682,6 +682,11 @@ class SpecialCocycle(MarginalFamily):
     base: Fraction
     scale: Fraction
     bc: BumpCocycle = field(init=False, compare=False, repr=False)
+    # per-instance memos of norm_sq: s^2, the gamma_e bracket of each
+    # exponent e and the exact cross term of each descending pair (e1, e2)
+    _s2: float = field(init=False, compare=False, repr=False)
+    _syl: dict = field(init=False, compare=False, repr=False, default_factory=dict)
+    _cross: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     kind = "special"
 
@@ -689,6 +694,7 @@ class SpecialCocycle(MarginalFamily):
         if self.D <= 0:
             raise SpecError(f"D must be positive, got {self.D}")
         object.__setattr__(self, "bc", BumpCocycle(self.D))
+        object.__setattr__(self, "_s2", float(self.scale) ** 2)
 
     def to_json(self):
         return {"kind": self.kind, "D": _frac_str(self.D),
@@ -775,31 +781,37 @@ class SpecialCocycle(MarginalFamily):
         return f
 
     def tail(self, g, extent):
-        s2 = float(self.scale) ** 2
         M = self.bc.bump_index_at(max(extent - word_length(g), 1))
         tail = 0.0
         for _, e in g.syls:
-            tail += s2 * self.bc.tail_bound(e, M)
+            tail += self._s2 * self.bc.tail_bound(e, M)
         return tail
 
     def norm_sq(self, g, tol):
-        bc = self.bc
-        s2 = float(self.scale) ** 2
+        syl, cross_of = self._syl, self._cross
         lo = hi = 0.0
         for _, e in g.syls:
-            glo, ghi = bc.gamma_norm_sq_bounds(e)
-            lo += glo
-            hi += ghi
-        cross = Fraction(0)
+            bounds = syl.get(e)
+            if bounds is None:
+                bounds = syl[e] = self.bc.gamma_norm_sq_bounds(e)
+            lo += bounds[0]
+            hi += bounds[1]
+        # the cross terms are summed exactly and rounded once
+        cross = None
         for (_, e1), (_, e2) in zip(g.syls, g.syls[1:]):
             if e1 >= 1 and e2 <= -1:
-                cross += bc.h_exact(e1) * bc.h_exact(-e2)
-        lo = s2 * (lo + 2 * float(cross))
-        hi = s2 * (hi + 2 * float(cross))
-        return BoundedValue.from_bracket(lo, hi)
+                term = cross_of.get((e1, e2))
+                if term is None:
+                    term = cross_of[e1, e2] = self.bc.h_exact(e1) * self.bc.h_exact(-e2)
+                cross = term if cross is None else cross + term
+        if cross is not None:
+            cross = 2 * float(cross)
+            lo += cross
+            hi += cross
+        return BoundedValue.from_bracket(self._s2 * lo, self._s2 * hi)
 
     def certificate(self, m, kappa, k0):
-        return _geometric(float(self.scale) ** 2 * float(self.D), m)
+        return _geometric(self._s2 * float(self.D), m)
 
 
 _FAMILIES = {cls.kind: cls for cls in

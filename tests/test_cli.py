@@ -339,6 +339,49 @@ def test_folner_horizon_overflowing_float_exits_2(capsys, tmp_path):
     assert err.startswith("bernlab: error:") and "horizon 1100" in err
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["criterion", "--preset", "f2-dissipative(12)", "--kappa", "-1"], "kappa"),
+    (["criterion", "--preset", "f2-dissipative(12)", "--kappa", "0"], "kappa"),
+    (["cocycle", "norm", "--preset", "f2-wsplit", "-g", "a", "--power", "0"],
+     "multiplicity"),
+    (["cocycle", "norm", "--preset", "explicit-z", "-g", "1", "--power", "0"],
+     "multiplicity"),
+    (["build", "--preset", "f2-wsplit", "--power", "0"], "multiplicity"),
+    (["verify", "--preset", "f2-wsplit", "--radius", "-1"], "radius"),
+    (["verify", "--preset", "explicit-z-sqrt6", "--radius", "-1"], "radius"),
+    (["cocycle", "growth", "--preset", "f2-wsplit", "--radius", "-1"], "radius"),
+    (["cocycle", "growth", "--preset", "explicit-z-sqrt6", "--radius", "-1"],
+     "radius"),
+    (["cocycle", "norm", "--preset", "f2-wsplit", "--oracle-radius", "-1"],
+     "radius"),
+], ids=["kappa-negative", "kappa-zero", "power-0", "power-0-z", "build-power-0",
+        "verify-radius", "verify-radius-z", "growth-radius", "growth-radius-z",
+        "oracle-radius-identity"])
+def test_out_of_range_argument_exits_2(capsys, tmp_path, argv, needle):
+    # each of these exited 0 before: with power 1, an empty criterion
+    # series, no verify checks, an empty growth series or an oracle at
+    # radius -1
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 2 and out == ""
+    assert err.startswith("bernlab: error:") and needle in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_calls_share_no_parsed_state(capsys, tmp_path):
+    # the parser is built once per process; flags of one call must not
+    # leak into the next
+    csv_path = tmp_path / "sums.csv"
+    code, out, _ = run(capsys, "criterion", "--preset", "f2-dissipative(12)",
+                       "--kappa", "7", "--csv", str(csv_path))
+    assert code == 0 and csv_path.exists()
+    first = json.loads(out)["results"]
+    code, out, _ = run(capsys, "criterion", "--preset", "f2-dissipative(12)")
+    assert code == 0
+    second = json.loads(out)["results"]
+    assert first["kappa"] == 7.0 and "csv" in first
+    assert second["kappa"] != 7.0 and "csv" not in second
+
+
 @pytest.mark.parametrize("argv", [
     ["criterion", "--preset", "f2-wsplit", "--kappa", "abc"],
     ["classify", "--mu0", "2/3,x", "--mu1", "1/3,2/3"],

@@ -188,6 +188,36 @@ class TestBumpCocycle:
             assert lo <= brute * (1 + 1e-9) + 1e-12
             assert brute <= hi
 
+    # brackets of the program before its breakpoints were merged without
+    # np.unique; the merge must leave every bit unchanged
+    PINNED_GAMMA = {
+        12: [(486.555621638887, 537.7697646863767),
+             (627.9155400766322, 772.4120818842507),
+             (1373.0855093783377, 1639.1809017029996),
+             (1595.2433592870743, 2004.4485761870349),
+             (2538.5521386793066, 3110.559207591848),
+             (2965.566182536518, 3718.213288951748)],
+        36: [(1456.5239569621313, 1610.1663860943145),
+             (1882.4642370698753, 2316.4604836958197),
+             (4118.495280728185, 4916.019476203611),
+             (4777.587452498904, 6006.218526702329),
+             (7615.7469694392885, 9331.768176173095),
+             (8892.551247046636, 11148.968111174487)],
+    }
+
+    @pytest.mark.parametrize("D", [12, 36])
+    def test_gamma_pointwise_oracle_pinned(self, D):
+        bc = BumpCocycle(D)
+        for k, pinned in enumerate(self.PINNED_GAMMA[D], start=1):
+            lo, hi = bc.gamma_norm_sq_bounds(k)
+            assert (lo, hi) == pinned
+            n_bumps = bc.default_bumps(k)
+            bc.ensure_bumps(n_bumps)
+            n = np.arange(1, int(bc._b[n_bumps]))
+            brute = math.fsum((bc.h_float(n) - bc.h_float(n - k)) ** 2)
+            assert lo <= brute * (1 + 1e-9) + 1e-12
+            assert brute <= hi
+
 
 @pytest.fixture(scope="module")
 def spec():

@@ -76,6 +76,26 @@ class TestEnumeration:
             assert len(set(elems)) == len(elems)
             assert all(word_length(g) == n for g in elems)
 
+    @pytest.mark.parametrize("rank, radius", [(2, 7), (3, 4)])
+    def test_sphere_matches_letter_dfs(self, rank, radius):
+        # reference: the letter DFS with every leaf reduced from its letters
+        letters = [(gen, sign) for gen in range(1, rank + 1) for sign in (1, -1)]
+
+        def reference(prefix, n):
+            if len(prefix) == n:
+                yield reduce_letters(prefix, rank)
+                return
+            for gen, sign in letters:
+                if prefix and prefix[-1] == (gen, -sign):
+                    continue
+                yield from reference(prefix + [(gen, sign)], n)
+
+        for n in range(radius + 1):
+            got = list(sphere(FreeGroup(rank), n))
+            assert got == list(reference([], n))
+            for g in got:
+                assert g == Word(rank, g.syls)  # the invariants hold
+
     def test_ball_count(self):
         assert len(list(ball(F2, 5))) == 1 + sum(4 * 3 ** (n - 1)
                                                  for n in range(1, 6))
