@@ -30,7 +30,7 @@ from .criteria import (
     verify_certificate,
 )
 from .exact import LogValue, format_fraction, parse_fraction
-from .groups import FreeGroup, Integers, format_element, parse_element, word_length
+from .groups import FreeGroup, Integers, format_element, is_identity, parse_element
 from .marginals import (
     ActionSpec,
     BaseMeasure,
@@ -317,7 +317,7 @@ def cmd_cocycle(args) -> int:
                 rows.append([k, nv.value, nv.lower, nv.upper])
         else:
             for g in groups.ball(spec.group, args.radius):
-                if word_length(g) == 0:
+                if is_identity(g):
                     continue
                 nv = norm_sq(spec, g, tol=args.tol)
                 rows.append([format_element(g), nv.value, nv.lower, nv.upper])
@@ -333,7 +333,7 @@ def cmd_cocycle(args) -> int:
 def cmd_criterion(args) -> int:
     started = time.monotonic()
     spec = _load_spec(args)
-    kappa = None if args.kappa == "auto" else float(parse_fraction(args.kappa))
+    kappa = None if args.kappa == "auto" else parse_fraction(args.kappa)
     verdict = classify_conservativity(spec, kappa=kappa)
     results = {
         "verdict": verdict.verdict,
@@ -399,7 +399,7 @@ def cmd_verify(args) -> int:
     _check_radius(args.radius)
     if isinstance(spec.group, FreeGroup):
         grid = [g for g in groups.ball(spec.group, args.radius)
-                if word_length(g) > 0]
+                if not is_identity(g)]
     else:
         grid = [k for k in range(-args.radius, args.radius + 1) if k != 0]
     results = verify_bounds(spec, grid, tol=args.tol)

@@ -8,10 +8,12 @@ affinity_pairs read a window as float arrays, from the family's
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .exact import BoundedValue
-from .groups import Element, inv, mul, word_length
+from .groups import Element, inv, is_identity, mul, word_length
 from .marginals import ActionSpec, SpecError, f_value
 
 __all__ = [
@@ -34,9 +36,9 @@ def cocycle_coeff(spec: ActionSpec, g: Element, h: Element):
 
 def norm_sq(spec: ActionSpec, g: Element, tol: float = 1e-6) -> BoundedValue:
     """||c_g||_2^2, multiplied by the diagonal-power multiplicity."""
-    if tol <= 0:
-        raise SpecError("tol must be positive")
-    if word_length(g) == 0:
+    if not 0 < tol < math.inf:
+        raise SpecError(f"tol must be positive and finite, got {tol}")
+    if is_identity(g):
         return BoundedValue.from_exact(0)
     m = spec.multiplicity
     return spec.family.norm_sq(g, tol / max(m, 1)).scaled(m)
@@ -47,7 +49,7 @@ def support_elements(spec: ActionSpec, g: Element, extent: int):
 
     extent controls the truncation depth for infinitely supported families.
     """
-    if word_length(g) == 0:
+    if is_identity(g):
         return
     yield from spec.family.support(g, extent)
 
@@ -55,7 +57,7 @@ def support_elements(spec: ActionSpec, g: Element, extent: int):
 def norm_sq_bruteforce(spec: ActionSpec, g: Element, radius: int) -> BoundedValue:
     """Oracle: sums c_g(h)^2 over an explicit window and attaches the family
     tail bound."""
-    if word_length(g) == 0:
+    if is_identity(g):
         return BoundedValue.from_exact(0)
     if radius < word_length(g):
         raise SpecError("radius must cover the word length")

@@ -4,7 +4,6 @@ Kesten norm, and Monte Carlo estimates of the Radon-Nikodym cocycle."""
 from __future__ import annotations
 
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -15,7 +14,7 @@ import numpy as np
 from . import groups
 from .cocycles import BoundedValue, _window, affinity_pairs, norm_sq
 from .exact import parse_fraction
-from .groups import FreeGroup, Word, format_element, inv, word_length
+from .groups import FreeGroup, Word, format_element, inv, is_identity, word_length
 from .marginals import ActionSpec, SpecError, substream_rng
 
 __all__ = [
@@ -95,9 +94,12 @@ def classify_conservativity(spec: ActionSpec, kappa=None) -> CriterionVerdict:
     exp(-kappa ||c||^2) for some kappa above the threshold kappa0(delta).
     """
     k0 = float(kappa0(spec.delta))
-    kap = float(kappa) if kappa is not None else float(auto_kappa(spec.delta))
-    if not kap > 0:
-        raise SpecError(f"kappa must be positive, got {kap}")
+    try:
+        kap = float(kappa if kappa is not None else auto_kappa(spec.delta))
+    except OverflowError:
+        kap = math.inf
+    if not 0 < kap < math.inf:
+        raise SpecError(f"kappa must be positive and finite, got {kap}")
     found = spec.family.certificate(spec.multiplicity, kap, k0)
     if found is None:
         return _inconclusive(spec, kap)
@@ -146,7 +148,7 @@ def integral_products(spec: ActionSpec, g, tol: float = 1e-6) -> tuple:
     [exp(-HELLINGER_TAIL tau), 1] and [1, exp(kappa0 tau)]; the window's
     extent grows until tau <= tol or it reaches 2^20.
     """
-    if word_length(g) == 0:
+    if is_identity(g):
         one = BoundedValue.from_exact(1)
         return one, one
     # the extent is fixed from the tail alone, so the window is built once
@@ -232,33 +234,18 @@ def _mc_coords(spec: ActionSpec, g, radius: int):
     return _window(spec, g, radius)
 
 
-# Sample blocks run on at most this many threads. Each worker holds one chunk
-# of working memory (see `_MC_CHUNK_DOUBLES`), so the sampler's memory does not
-# grow with the block or with the number of samples.
-_MC_THREADS = 2
-
-# A block is the stream layout: it fixes which uniform goes to which sample,
-# copy, coordinate and run. A chunk is the working set: each worker computes a
-# block in chunks of rows whose uniforms plus per-sample vectors take about
-# this many doubles (2 MiB), whatever the block size.
-_MC_CHUNK_DOUBLES = 2**18
+# The samples are drawn in chunks of rows whose uniforms plus per-sample
+# vectors take about this many doubles (0.5 MiB), so the sampler's memory
+# does not grow with the number of samples.
+_MC_CHUNK_DOUBLES = 2**16
 
 # Coordinates with the same float pair (p, q) that occur at least this many
 # times in the window (a run) are drawn together, as one binomial count per
 # sample. Measured on a 2-core host: an inverse-CDF count costs 25 to 50 ns per
-# run and sample, a per-coordinate draw 3.5 to 5 ns, and each chunk pays one
-# more stream seek (about 10 us) when it has runs. Beside 500 single
+# run and sample, a per-coordinate draw 3.5 to 5 ns. Beside 500 single
 # coordinates, grouping runs of 8 or 12 took -2% to +4% of the time and runs
 # of 16 or 24 -2% to -9%; folner-z's window 4096 (two runs of 12) took +5%.
 _MC_RUN_MIN = 16
-
-
-def _mc_chunk_rows(width: int) -> int:
-    """Rows of a chunk whose widest array of uniforms (k for a copy, R for
-    the runs) has `width` columns. Each row holds those uniforms and allows 8
-    doubles for the per-sample vectors (logw, w, sqrt(w), w^-2, a run's
-    counts and the temporaries of their sums)."""
-    return max(1, _MC_CHUNK_DOUBLES // (width + 8))
 
 
 def _binomial_cdf(n: int, p: float) -> np.ndarray:
@@ -282,72 +269,47 @@ def _binomial_cdf(n: int, p: float) -> np.ndarray:
     return cdf
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on Linux
-        return os.cpu_count() or 1
+def _mc_sums(gen, m: int, p_single, diff_single, log_r1_sum: float, runs: list,
+             n: int) -> np.ndarray:
+    """The sums of w, sqrt(w) and w^-2 (row 0) and of their squares (row 1)
+    over n samples of omega, as a (2, 3) array, read from `gen` in order.
 
+    `p_single`, `diff_single` (log r0 - log r1) and `log_r1_sum` belong to the
+    k coordinates drawn one by one; `runs` holds a (cdf, log r0 - log r1,
+    m·n·log r1) triple for each run of n coordinates, drawn as one
+    Binomial(m·n, p) count per sample.
 
-def _mc_blocks(state: dict, m: int, p0, log_diff, log_r1_sum: float, runs: list,
-               block: int, samples: int, starts) -> list:
-    """For each block starting at a sample in `starts`: the sums of w, sqrt(w)
-    and w^-2 (row 0) and of their squares (row 1), as a (2, 3) array.
-
-    `p0`, `log_diff` and `log_r1_sum` belong to the k coordinates drawn one
-    by one; `runs` holds a (cdf, log r0 - log r1, m·n·log r1) triple for each
-    run of n coordinates, drawn as one Binomial(m·n, p) count per sample.
-
-    A sample takes m·k + R uniforms (R = len(runs)). The block of n samples
-    starts at uniform number start·(m·k + R) of the PCG64 `state`. It draws its
-    m copies one after the other, each an (n x k) array of uniforms read row
-    by row, and then an (n x R) array with one uniform per run; these are the
-    uniforms a single pass over all the blocks would draw. A coordinate with
-    uniform u takes log r0 if u < p and log r1 otherwise; a run takes the
-    count searchsorted(cdf, u, "right"). The block is computed in chunks of
-    `_mc_chunk_rows(max(k, R))` rows: before each chunk and copy, and before
-    each chunk's runs, one reused PCG64 is reset to `state` and advanced to
-    the first uniform it reads (one step per uniform), and the chunk's sums
-    are added into the block's in chunk order. Only numpy is called here, so
-    that this can run on a worker thread.
+    The samples go in chunks of r rows. A chunk draws one (r x m·k) array of
+    uniforms, a row per sample holding its m copies of the k coordinates,
+    and then one (r x R) array with a uniform per run (R = len(runs)). A
+    coordinate with uniform u takes log r0 if u < p and log r1 otherwise; a
+    run takes the count searchsorted(cdf, u, "right"). Only numpy is called
+    here, so that this can run on a worker thread.
     """
-    k, n_runs = len(log_diff), len(runs)
-    run_const = sum(const for _, _, const in runs)
-    rows = min(block, _mc_chunk_rows(max(k, n_runs)))
-    buf = np.empty(rows * max(k, n_runs))
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    out = []
+    cols, n_runs = m * len(diff_single), len(runs)
+    p_all, diff_all = np.tile(p_single, m), np.tile(diff_single, m)
+    base = m * log_r1_sum + sum(const for _, _, const in runs)
+    rows = max(1, _MC_CHUNK_DOUBLES // (max(cols, n_runs) + 8))
+    buf = np.empty(min(rows, n) * max(cols, n_runs))
+    sums = np.zeros((2, 3))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for start in starts:
-            n = min(block, samples - start)
-            first = start * (m * k + n_runs)
-            sums = np.zeros((2, 3))
-            for lo in range(0, n, rows):
-                r = min(rows, n - lo)
-                logw = np.zeros(r)
-                u = buf[:r * k].reshape(r, k)
-                for copy in range(m):
-                    bitgen.state = state
-                    bitgen.advance(first + (copy * n + lo) * k)
-                    gen.random(out=u)
-                    # u becomes the 0.0/1.0 indicator of u < p, in place
-                    np.less(u, p0, out=u, casting="unsafe")
-                    logw += u @ log_diff + log_r1_sum
-                if n_runs:
-                    u = buf[:r * n_runs].reshape(r, n_runs)
-                    bitgen.state = state
-                    bitgen.advance(first + m * n * k + lo * n_runs)
-                    gen.random(out=u)
-                    logw += run_const
-                    for j, (cdf, diff, _) in enumerate(runs):
-                        logw += np.searchsorted(cdf, u[:, j], side="right") * diff
-                w = np.exp(logw)
-                for i, a in enumerate((w, np.sqrt(w), w**-2)):
-                    sums[0, i] += a.sum()
-                    sums[1, i] += (a * a).sum()
-            out.append(sums)
-    return out
+        for lo in range(0, n, rows):
+            r = min(rows, n - lo)
+            u = buf[:r * cols].reshape(r, cols)
+            gen.random(out=u)
+            # u becomes the 0.0/1.0 indicator of u < p, in place
+            np.less(u, p_all, out=u, casting="unsafe")
+            logw = u @ diff_all + base
+            if n_runs:
+                u = buf[:r * n_runs].reshape(r, n_runs)
+                gen.random(out=u)
+                for j, (cdf, diff, _) in enumerate(runs):
+                    logw += np.searchsorted(cdf, u[:, j], side="right") * diff
+            w = np.exp(logw)
+            for i, a in enumerate((w, np.sqrt(w), w**-2)):
+                sums[0, i] += a.sum()
+                sums[1, i] += (a * a).sum()
+    return sums
 
 
 def mc_omega(spec: ActionSpec, g, radius: int, samples: int, seed: int) -> dict:
@@ -366,15 +328,12 @@ def mc_omega(spec: ActionSpec, g, radius: int, samples: int, seed: int) -> dict:
     Bernoulli draws, at one draw per sample whatever n. The other k
     coordinates are drawn one uniform each, in window order.
 
-    The seed's PCG64 stream (`substream_rng`) is laid out in blocks of
-    n = 2·10^6 // (number of coordinates) samples, each m copies of an
-    (n x k) array of uniforms followed by one uniform per run and sample
-    (see `_mc_blocks`); this fixes the draw each sample, copy, coordinate and
-    run gets. The blocks run on at most two threads (fewer when fewer CPUs
-    are usable, or when there is one block), each in chunks of about 2^18
-    doubles of working memory, and their sums are added in block order, so
-    the draws and the report are the same whatever the CPU count. An
-    estimate that overflows is returned as inf or nan.
+    The samples are split into two fixed halves, the first taking the odd
+    one. Half i reads its own PCG64 stream, `substream_rng(seed,
+    f"{g}|{radius}|{i}")`, in order (see `_mc_sums`); a worker thread draws
+    half 1 while the calling thread draws half 0, and their sums are added
+    half 0 first, so the report depends only on the seed. An estimate that
+    overflows is returned as inf or nan.
     """
     if samples < 10**3:
         raise SpecError("need at least 1000 samples")
@@ -382,7 +341,7 @@ def mc_omega(spec: ActionSpec, g, radius: int, samples: int, seed: int) -> dict:
         raise SpecError(f"seed must be nonnegative, got {seed}")
     if radius < 0:
         raise SpecError(f"window must be nonnegative, got {radius}")
-    if word_length(g) == 0:
+    if is_identity(g):
         return {
             "mean_omega": 1.0, "se_omega": 0.0,
             "mean_sqrt_omega": 1.0, "se_sqrt_omega": 0.0,
@@ -406,30 +365,17 @@ def mc_omega(spec: ActionSpec, g, radius: int, samples: int, seed: int) -> dict:
     single = ~grouped[inverse.reshape(-1)]
     p_single, diff_single = p0[single], log_diff[single]
     log_r1_sum = log_r1[single].sum()
-    state = substream_rng(seed, f"{format_element(g)}|{radius}").bit_generator.state
-    block = max(1, min(samples, 2 * 10**6 // max(len(p0), 1)))
-    starts = range(0, samples, block)
-    workers = min(_MC_THREADS, _usable_cpus(), len(starts))
+    gens = [substream_rng(seed, f"{format_element(g)}|{radius}|{i}") for i in (0, 1)]
+    # imported here, not at the top: it would add about 5 ms to every CLI
+    # start, and only the sampler needs it
+    from concurrent.futures import ThreadPoolExecutor
 
-    def run(part):
-        return _mc_blocks(state, m, p_single, diff_single, log_r1_sum, runs,
-                          block, samples, part)
-
-    if workers == 1:
-        per_block = run(starts)
-    else:
-        # imported here, not at the top: it would add about 8 ms to every
-        # CLI start, and only a sampler with two workers needs it
-        from concurrent.futures import ThreadPoolExecutor
-
-        # worker w takes blocks w, w + workers, ...
-        with ThreadPoolExecutor(workers) as pool:
-            parts = list(pool.map(run, [starts[w::workers] for w in range(workers)]))
-        per_block = [parts[b % workers][b // workers] for b in range(len(starts))]
-    totals = np.zeros((2, 3))
-    for sums in per_block:
-        totals += sums
-    sums, sqsums = totals
+    with ThreadPoolExecutor(1) as pool:
+        half1 = pool.submit(_mc_sums, gens[1], m, p_single, diff_single, log_r1_sum,
+                            runs, samples // 2)
+        half0 = _mc_sums(gens[0], m, p_single, diff_single, log_r1_sum, runs,
+                         samples - samples // 2)
+        sums, sqsums = half0 + half1.result()
     with np.errstate(over="ignore", invalid="ignore"):
         means = sums / samples
         var = np.maximum(sqsums / samples - means**2, 0.0)

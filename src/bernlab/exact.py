@@ -116,5 +116,7 @@ class BoundedValue:
         return self.value + self.err
 
     def scaled(self, m) -> "BoundedValue":
+        if m == 1:
+            return self
         exact = None if self.exact is None else self.exact * m
         return BoundedValue(self.value * float(m), self.err * float(m), exact)

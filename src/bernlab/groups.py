@@ -20,6 +20,7 @@ __all__ = [
     "mul",
     "inv",
     "word_length",
+    "is_identity",
     "descending_sign_changes",
     "sphere",
     "ball",
@@ -146,6 +147,10 @@ def word_length(g: Element) -> int:
     if isinstance(g, int):
         return abs(g)
     return sum(abs(exp) for _, exp in g.syls)
+
+
+def is_identity(g: Element) -> bool:
+    return g == 0 if isinstance(g, int) else not g.syls
 
 
 def descending_sign_changes(g: Word) -> int:

@@ -497,7 +497,10 @@ class WSplit(_BallFamily):
         else:
             s = x * (1.0 - x**n_terms) / (1.0 - x)
         q = math.exp(-kappa * m * (2.0 * a2 + 2.0 * ab)) * s * s
-        const = math.exp(2.0 * kappa * m * ab)
+        # q * exp(2 kappa m ab) = exp(-2 kappa m a2) s^2: where the exponential
+        # overflows (kappa m ab > 354), q underflows to 0, and const is taken
+        # as 0 like every term const * q^k
+        const = math.exp(2.0 * kappa * m * ab) if q > 0.0 else 0.0
         return q, const
 
     def certificate(self, m, kappa, k0):
@@ -847,9 +850,7 @@ def substream_rng(seed: int, payload: str) -> np.random.Generator:
     """PCG64 stream seeded by [seed, first 8 bytes of sha256(payload)].
 
     The seed is any nonnegative int; it enters the SeedSequence whole, not
-    reduced mod 2^64, so seeds 0 and 2^64 draw different streams. PCG64
-    draws one double per 64-bit step, so `bit_generator.advance(n)` skips n
-    doubles.
+    reduced mod 2^64, so seeds 0 and 2^64 draw different streams.
     """
     digest = hashlib.sha256(payload.encode()).digest()
     key = int.from_bytes(digest[:8], "big")

@@ -1,12 +1,16 @@
 import csv
 import gzip
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import bernlab
 from bernlab.cli import (
     CliError,
     main,
@@ -274,6 +278,20 @@ class TestCommands:
         assert rep["verdict"] == "Inconclusive"
         assert len(rep["evidence"]["partial_sums"]) == 61
 
+    @pytest.mark.parametrize("name", ["f2-wsplit", "f2-wsplit-512"])
+    def test_criterion_large_kappa_is_strict_json(self, capsys, name):
+        # the witness constant exp(2 kappa m ab) overflows a float here; it is
+        # needed only where the witness ratio q reaches 1
+        code, out, err = run(capsys, "criterion", "--preset", name,
+                             "--kappa", "100000")
+        assert code == 0 and err == ""
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        rep = json.loads(out, parse_constant=reject)["results"]
+        assert rep["verdict"] == "Inconclusive" and rep["kappa"] == 100000.0
+
 
 GOLDEN_Z = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "z-tails.json.gz"
 
@@ -354,17 +372,37 @@ def test_folner_horizon_overflowing_float_exits_2(capsys, tmp_path):
      "radius"),
     (["cocycle", "norm", "--preset", "f2-wsplit", "--oracle-radius", "-1"],
      "radius"),
+    (["cocycle", "norm", "--preset", "f2-wsplit", "-g", "a", "--tol", "nan"], "tol"),
+    (["cocycle", "norm", "--preset", "explicit-z", "-g", "1", "--tol", "inf"], "tol"),
+    (["cocycle", "growth", "--preset", "f2-wsplit", "--radius", "1", "--tol", "inf"],
+     "tol"),
+    (["verify", "--preset", "f2-wsplit", "--radius", "1", "--tol", "nan"], "tol"),
+    (["criterion", "--preset", "f2-wsplit", "--kappa", "1e400"], "kappa"),
 ], ids=["kappa-negative", "kappa-zero", "power-0", "power-0-z", "build-power-0",
         "verify-radius", "verify-radius-z", "growth-radius", "growth-radius-z",
-        "oracle-radius-identity"])
+        "oracle-radius-identity", "norm-tol-nan", "norm-tol-inf-z", "growth-tol-inf",
+        "verify-tol-nan", "kappa-beyond-float"])
 def test_out_of_range_argument_exits_2(capsys, tmp_path, argv, needle):
-    # each of these exited 0 before: with power 1, an empty criterion
-    # series, no verify checks, an empty growth series or an oracle at
-    # radius -1
+    # each of these exited 0 before (with power 1, an empty criterion
+    # series, no verify checks, an empty growth series, an oracle at radius
+    # -1 or a tol that is not finite), except a kappa beyond the float
+    # range, which raised OverflowError
     code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
     assert code == 2 and out == ""
     assert err.startswith("bernlab: error:") and needle in err
     assert not (tmp_path / "out").exists()
+
+
+def test_import_leaves_thread_pool_unloaded():
+    # concurrent.futures costs about 5 ms to import; only the Monte Carlo
+    # sampler needs it, so it is imported there
+    src = Path(bernlab.__file__).resolve().parents[1]
+    code = "import sys, bernlab.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_main_calls_share_no_parsed_state(capsys, tmp_path):

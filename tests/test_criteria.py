@@ -288,6 +288,13 @@ class TestMonteCarlo:
                 for (p, _), idx in sorted(long.items())]
         return (p0[single], log_r0[single], log_r1[single]), runs
 
+    @staticmethod
+    def halves(g, window, samples, seed):
+        """The two half streams and sizes of a sampler call."""
+        payload = f"{format_element(g)}|{window}"
+        return [(substream_rng(seed, f"{payload}|{i}"), n)
+                for i, n in enumerate((samples - samples // 2, samples // 2))]
+
     @pytest.mark.parametrize("name,text,window", [
         ("f2-dissipative", "a b^-2", 256), ("f2-wsplit", "a b^-1 a", 4)])
     @pytest.mark.parametrize("power", [1, 2])
@@ -297,22 +304,24 @@ class TestMonteCarlo:
         samples, seed = 3000, 5
         got = mc_omega(spec, g, radius=window, samples=samples, seed=seed)
         # reference: pick log r0 or log r1 per single coordinate and count the
-        # entries of each run's CDF at or below its uniform, from one
-        # contiguous pass over the stream; both windows fit in one block
+        # entries of each run's CDF at or below its uniform; each half fits in
+        # one chunk, so it reads (n x m·k) and then (n x runs) uniforms
         (p0, log_r0, log_r1), runs = self.layout(spec, g, window)
         k, m, n_runs = len(p0), spec.multiplicity, len(runs)
         assert (k, n_runs) == ((1, 2) if name == "f2-dissipative" else (2, 0))
-        assert samples <= 2 * 10**6 // (k + sum(n for _, n, _, _ in runs))
-        rng = substream_rng(seed, f"{format_element(g)}|{window}")
-        logw = np.zeros(samples)
-        for _ in range(m):
-            u = rng.random((samples, k))
-            logw += np.where(u < p0, log_r0, log_r1).sum(axis=1)
-        u = rng.random((samples, n_runs))
-        for j, (p, n, r0, r1) in enumerate(runs):
-            count = (u[:, j, None] >= criteria._binomial_cdf(m * n, p)).sum(axis=1)
-            logw += count * r0 + (m * n - count) * r1
-        w = np.exp(logw)
+        rows = criteria._MC_CHUNK_DOUBLES // (max(m * k, n_runs) + 8)
+        assert samples - samples // 2 <= rows
+        logw = []
+        for rng, n in self.halves(g, window, samples, seed):
+            u = rng.random((n, m * k))
+            half = np.where(u < np.tile(p0, m), np.tile(log_r0, m),
+                            np.tile(log_r1, m)).sum(axis=1)
+            u = rng.random((n, n_runs))
+            for j, (p, n_j, r0, r1) in enumerate(runs):
+                count = (u[:, j, None] >= criteria._binomial_cdf(m * n_j, p)).sum(axis=1)
+                half += count * r0 + (m * n_j - count) * r1
+            logw.append(half)
+        w = np.exp(np.concatenate(logw))
         for key, arr in (("omega", w), ("sqrt_omega", np.sqrt(w)), ("negsq_omega", w**-2)):
             mean = arr.sum() / samples
             se = math.sqrt(max((arr * arr).sum() / samples - mean**2, 0.0) / samples)
@@ -321,109 +330,75 @@ class TestMonteCarlo:
 
     @classmethod
     def serial_chunks(cls, spec, g, window, samples, seed):
-        """The single-threaded chunk loop. A sample draws m·k uniforms for
-        the k single coordinates and one per run. The stream is laid out in
-        blocks of n samples, each drawing m (n x k) arrays of uniforms one
-        after the other and then an (n x runs) array; a block is computed in
-        chunks of rows, each read from its own copy of the seed's stream
-        moved to the chunk's first uniform."""
+        """The sampler as one sequential loop: each half reads its own
+        stream in chunks of rows, one (rows x m·k) array of uniforms for the
+        single coordinates and then one (rows x runs) array, and the sums of
+        half 0 come first."""
         (p0, log_r0, log_r1), runs = cls.layout(spec, g, window)
         k, m, n_runs = len(p0), spec.multiplicity, len(runs)
-        log_diff, log_r1_sum = log_r0 - log_r1, log_r1.sum()
-        run_const = sum(m * n * r1 for _, n, _, r1 in runs)
-        block = max(1, min(samples, 2 * 10**6 // (k + sum(n for _, n, _, _ in runs))))
-        rows = criteria._mc_chunk_rows(max(k, n_runs))
-        sums, sqsums = np.zeros(3), np.zeros(3)
-        offsets = []
-
-        def draw(offset, shape):
-            offsets.append(offset)
-            rng = substream_rng(seed, f"{format_element(g)}|{window}")
-            rng.bit_generator.advance(offset)
-            return rng.random(shape)
-
-        for start in range(0, samples, block):
-            n = min(block, samples - start)
-            first = start * (m * k + n_runs)
-            bsums, bsqsums = np.zeros(3), np.zeros(3)
+        p_all, diff_all = np.tile(p0, m), np.tile(log_r0 - log_r1, m)
+        base = m * log_r1.sum() + sum(m * n * r1 for _, n, _, r1 in runs)
+        rows = criteria._MC_CHUNK_DOUBLES // (max(m * k, n_runs) + 8)
+        chunks = []
+        total = np.zeros((2, 3))
+        for rng, n in cls.halves(g, window, samples, seed):
+            sums = np.zeros((2, 3))
             for lo in range(0, n, rows):
                 r = min(rows, n - lo)
-                logw = np.zeros(r)
-                for copy in range(m):
-                    u = draw(first + copy * n * k + lo * k, (r, k))
-                    logw += (u < p0).astype(float) @ log_diff + log_r1_sum
-                if runs:
-                    u = draw(first + m * n * k + lo * n_runs, (r, n_runs))
-                    logw += run_const
-                    for j, (p, n_j, r0, r1) in enumerate(runs):
-                        cdf = criteria._binomial_cdf(m * n_j, p)
-                        logw += (u[:, j, None] >= cdf).sum(axis=1) * (r0 - r1)
+                chunks.append(r)
+                logw = (rng.random((r, m * k)) < p_all).astype(float) @ diff_all + base
+                u = rng.random((r, n_runs))
+                for j, (p, n_j, r0, r1) in enumerate(runs):
+                    cdf = criteria._binomial_cdf(m * n_j, p)
+                    logw += (u[:, j, None] >= cdf).sum(axis=1) * (r0 - r1)
                 w = np.exp(logw)
                 for idx, arr in enumerate((w, np.sqrt(w), w**-2)):
-                    bsums[idx] += arr.sum()
-                    bsqsums[idx] += (arr * arr).sum()
-            sums += bsums
-            sqsums += bsqsums
-        means = sums / samples
-        ses = np.sqrt(np.maximum(sqsums / samples - means**2, 0.0) / samples)
-        return block, rows, offsets, {
+                    sums[0, idx] += arr.sum()
+                    sums[1, idx] += (arr * arr).sum()
+            total = total + sums
+        means = total[0] / samples
+        ses = np.sqrt(np.maximum(total[1] / samples - means**2, 0.0) / samples)
+        return rows, chunks, {
             f"{stat}_{key}": float(v[i])
             for i, key in enumerate(("omega", "sqrt_omega", "negsq_omega"))
             for stat, v in (("mean", means), ("se", ses))}
 
-    @staticmethod
-    def set_cpus(monkeypatch, n):
-        monkeypatch.setattr(criteria.os, "sched_getaffinity",
-                            lambda pid: set(range(n)), raising=False)
-        monkeypatch.setattr(criteria.os, "cpu_count", lambda: n)
-
     @pytest.mark.parametrize("power", [1, 2])
-    def test_threaded_blocks_match_serial_loop(self, monkeypatch, power):
+    def test_threaded_halves_match_serial_loop(self, monkeypatch, power):
         # one single coordinate and runs of 128 and 129
         spec = preset("f2-dissipative", power=power)
         g = g_of(spec, "a b^-2")
-        samples, seed = 20000, 4
-        for chunk_doubles in (criteria._MC_CHUNK_DOUBLES, 2**13):
+        samples, seed = 20001, 4
+        for chunk_doubles in (criteria._MC_CHUNK_DOUBLES, 2**10):
             monkeypatch.setattr(criteria, "_MC_CHUNK_DOUBLES", chunk_doubles)
-            block, rows, offsets, want = self.serial_chunks(spec, g, 256, samples, seed)
-            starts = range(0, samples, block)
-            # three blocks, the last one partial
-            assert len(starts) == 3 and samples % block
-            if chunk_doubles == 2**13:
-                # each block of several chunks, the last one partial
-                assert block > 2 * rows and block % rows and (samples % block) % rows
-                # chunks that start at an odd uniform, so an advance that
-                # rounded its argument would read other draws
-                assert any(offset % 2 for offset in offsets)
-
+            rows, chunks, want = self.serial_chunks(spec, g, 256, samples, seed)
+            # halves of 10001 and 10000 samples, each of several chunks, the
+            # last one partial
+            assert sum(chunks) == samples and len(chunks) >= 4
+            assert (samples - samples // 2) % rows and (samples // 2) % rows
             before = threading.active_count()
-            self.set_cpus(monkeypatch, 2)
             got = mc_omega(spec, g, radius=256, samples=samples, seed=seed)
             assert threading.active_count() == before
-            self.set_cpus(monkeypatch, 1)
-            inline = mc_omega(spec, g, radius=256, samples=samples, seed=seed)
-            assert inline == got
             for key, value in want.items():
                 assert got[key].hex() == value.hex(), (chunk_doubles, key)
 
     @pytest.mark.parametrize("name,text,window", [
         ("f2-dissipative", "a b^-2", 256), ("f2-wsplit", "a^3", 4)])
-    def test_working_memory_is_bounded(self, monkeypatch, name, text, window):
-        # each of the two workers holds one chunk of about 2^18 doubles
-        # (2 MiB), whatever the block size; with a block-sized buffer per
-        # worker the first case peaked at 31.3 MiB
+    def test_working_memory_is_bounded(self, name, text, window):
+        # each of the two threads holds one chunk of about 2^16 doubles
+        # (0.5 MiB), whatever the number of samples; per-sample arrays of 10^6
+        # samples would take 8 MB each
         spec = preset(name)
         g = g_of(spec, text)
-        self.set_cpus(monkeypatch, 2)
         # the first call imports the thread pool and fills the window caches
         mc_omega(spec, g, radius=window, samples=10**5, seed=1)
         tracemalloc.start()
         try:
-            mc_omega(spec, g, radius=window, samples=10**5, seed=2)
+            mc_omega(spec, g, radius=window, samples=10**6, seed=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 2**20
+        assert peak < 2 * 2**20
 
     def test_window_too_small(self):
         spec = preset("f2-wsplit")
@@ -438,12 +413,12 @@ class TestMonteCarlo:
         spec = preset("f2-wsplit")
         got = mc_omega(spec, g_of(spec, "a^3"), radius=4, samples=3000, seed=7)
         want = {
-            "mean_omega": "0x1.0335ba781948bp+0",
-            "se_omega": "0x1.b06efec7a78d9p-8",
-            "mean_sqrt_omega": "0x1.fb95434d3a046p-1",
-            "se_sqrt_omega": "0x1.9c8840eed3c71p-9",
-            "mean_negsq_omega": "0x1.5ca16ba00c247p+0",
-            "se_negsq_omega": "0x1.069add3e824ebp-6",
+            "mean_omega": "0x1.ff25ed097b426p-1",
+            "se_omega": "0x1.a9f0ddb2998cep-8",
+            "mean_sqrt_omega": "0x1.f7fe854954886p-1",
+            "se_sqrt_omega": "0x1.9a1234380318dp-9",
+            "mean_negsq_omega": "0x1.673910df67f6ap+0",
+            "se_negsq_omega": "0x1.0dcd50cf69935p-6",
         }
         assert {k: got[k].hex() for k in want} == want
 
@@ -453,12 +428,12 @@ class TestMonteCarlo:
         spec = preset("f2-dissipative")
         got = mc_omega(spec, g_of(spec, "a b^-2"), radius=256, samples=3000, seed=7)
         want = {
-            "mean_omega": "0x1.7c8cce45bce7cp-21",
-            "se_omega": "0x1.046e4f9f3ee88p-21",
-            "mean_sqrt_omega": "0x1.5aa4cd1d7d565p-15",
-            "se_sqrt_omega": "0x1.01939e17e2b94p-16",
-            "mean_negsq_omega": "0x1.29123d175a00dp+167",
-            "se_negsq_omega": "0x1.6481d37c01703p+166",
+            "mean_omega": "0x1.36d97b1008096p-15",
+            "se_omega": "0x1.36a329a299412p-15",
+            "mean_sqrt_omega": "0x1.026a3d3e29a77p-13",
+            "se_sqrt_omega": "0x1.d20efa9e17b5ep-14",
+            "mean_negsq_omega": "0x1.35eee6527b814p+166",
+            "se_negsq_omega": "0x1.f9ca9206b133ap+165",
         }
         assert {k: got[k].hex() for k in want} == want
 
