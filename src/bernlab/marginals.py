@@ -219,6 +219,14 @@ class MarginalFamily:
     A family is registered under its JSON `kind` in `_FAMILIES`. Norms and
     tails are for one copy; the callers in `cocycles` scale them by the
     multiplicity of the diagonal power.
+
+    Every family's norm is additive over blocks: split a reduced word into
+    its descending adjacent pairs x^e y^f (e >= 1, f <= -1) and its other
+    syllables, one block each; then ||c_g||^2 is the sum of the blocks'
+    ||c_b||^2. WSplit and SpecialCocycle have one cross term per descending
+    pair, inside that pair's block; FreeProductW has none; on the integers
+    every k != 0 is one syllable. `criteria.criterion_partial_sums` rests
+    on this: it evaluates `norm_sq` on blocks only.
     """
 
     kind: ClassVar[str]
@@ -428,6 +436,9 @@ class ZSequence(MarginalFamily):
         elif kind == "inv_sqrt_log" and kappa > k0:
             n0 = self.seq.n0
             c = 2.0 * kappa * m
+            if c == math.inf:
+                # the constant would be 0 * inf: no certificate at this kappa
+                return None
             try:
                 constant = math.exp(-c * self.seq.a(0) ** 2) * math.log(n0) ** c
             except OverflowError:
@@ -485,21 +496,20 @@ class WSplit(_BallFamily):
 
         Words (a^-1 b^{n_1} a b^{m_1}) ... (a^-1 b^{n_k} a b^{m_k}) have
         2k a-letters, sum(n_i + m_i) b-letters and k-1 descending pairs; summing
-        the geometric series over the inner exponents leaves a pure power q^k.
+        the geometric series over the inner exponents leaves a pure power
+            q = exp(-2 kappa m (alpha^2 + alpha beta + beta^2)) (1 - x^N)^2 / (1 - x)^2,
+        with x = exp(-kappa m beta^2) and N = n_terms (x^N = 0 when None).
+        The quadratic form is positive unless alpha = beta = 0, so the
+        exponential cannot overflow; beta must be nonzero.
         """
         alpha, beta = self.rates
-        a2 = float(alpha * alpha)
-        b2 = float(beta * beta)
+        quad = float(alpha * alpha + alpha * beta + beta * beta)
         ab = float(alpha * beta)
-        x = math.exp(-kappa * m * b2)
-        if n_terms is None:
-            s = x / (1.0 - x)
-        else:
-            s = x * (1.0 - x**n_terms) / (1.0 - x)
-        q = math.exp(-kappa * m * (2.0 * a2 + 2.0 * ab)) * s * s
-        # q * exp(2 kappa m ab) = exp(-2 kappa m a2) s^2: where the exponential
-        # overflows (kappa m ab > 354), q underflows to 0, and const is taken
-        # as 0 like every term const * q^k
+        x = math.exp(-kappa * m * float(beta * beta))
+        head = 1.0 if n_terms is None else 1.0 - x**n_terms
+        q = math.exp(-2.0 * kappa * m * quad) * (head / (1.0 - x)) ** 2
+        # the terms are const * q^k: where q underflows to 0, so do they, and
+        # const (which may overflow there) is taken as 0
         const = math.exp(2.0 * kappa * m * ab) if q > 0.0 else 0.0
         return q, const
 
@@ -509,6 +519,14 @@ class WSplit(_BallFamily):
             return ("Conservative", kappa, {
                 "witness": "identity-cocycle",
                 "minorant": "every term equals 1; the sum over balls diverges",
+            })
+        if alpha == 0 or beta == 0:
+            # ||c_{x^n}||^2 = 0 for the generator x whose letters cost nothing
+            return ("Conservative", kappa, {
+                "witness": "zero-rate cyclic subgroup",
+                "generator": "a" if alpha == 0 else "b",
+                "minorant": "every power of the generator has ||c||^2 = 0; "
+                            "the sum diverges at every kappa",
             })
         if alpha >= 0 and beta >= 0:
             rate = float(min(alpha * alpha, beta * beta))
@@ -562,7 +580,26 @@ class FreeProductW(_BallFamily):
         return mu.probs[0]
 
     def norm_sq(self, g, tol):
-        return BoundedValue.from_exact(self.ball_norm_sq(g, word_length(g)))
+        """(p1 - p0)^2 n_d exactly, where p_i is the mass of 0 under mu_i and
+        n_d the total |exponent| of the distinguished generator d in g.
+
+        Proof. Let W be the words ending in a positive power of d, so that
+        F = p0 + (p1 - p0) 1_W and c_g = (p1 - p0) b(g) with
+        b(g) = 1_W - 1_{gW}. Then b(gh) = b(g) + g.b(h), where
+        (g.f)(x) = f(g^-1 x). A generator x != d maps W onto itself (x w and
+        x^-1 w keep the last syllable of w), so b(x^+-1) = 0. d W is W
+        without the word d, so b(d) = delta_d and, translating by d^-1,
+        b(d^-1) = -delta_e. For a reduced word g = s_1 ... s_n with prefixes
+        p_i = s_1 ... s_i, summing over the letters gives
+            b(g) = sum_{s_i = d} delta_{p_i} - sum_{s_i = d^-1} delta_{p_(i-1)}.
+        The prefixes are distinct, and p_i = p_(j-1) with s_i = d, s_j = d^-1
+        would need j = i + 1, a cancelling pair; so b(g) is +-1 at n_d
+        distinct points and 0 elsewhere. For rank 2 this is WSplit with
+        beta = 0; `ball_norm_sq` stays the exact oracle.
+        """
+        d = self.mu1.probs[0] - self.mu0.probs[0]
+        n_d = sum(abs(e) for gen, e in g.syls if gen == self.distinguished)
+        return BoundedValue.from_exact(d * d * n_d)
 
     def certificate(self, m, kappa, k0):
         if self.mu0 == self.mu1:

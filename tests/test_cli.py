@@ -293,6 +293,36 @@ class TestCommands:
         assert rep["verdict"] == "Inconclusive" and rep["kappa"] == 100000.0
 
 
+    @pytest.mark.parametrize("family, argv, verdict", [
+        # beta = 0: the inner geometric series of the witness divided by 1 - x = 0
+        ({"p_a": "3/5", "p_b": "1/2", "p_w": "1/2"}, [], "Conservative"),
+        # alpha beta < 0: exp(-2 kappa m (alpha^2 + alpha beta)) overflowed
+        ({"p_a": "9/20", "p_b": "2/5", "p_w": "1/2"}, ["--kappa", "1e300"],
+         "Inconclusive"),
+        # 2 kappa m overflows: the iterated-logarithm constant was 0 * inf
+        (None, ["--preset", "explicit-z", "--kappa", "1e308"], "Inconclusive"),
+    ], ids=["wsplit-beta-zero", "wsplit-huge-kappa", "explicit-z-huge-kappa"])
+    def test_criterion_edge_cases_are_strict_json(self, capsys, tmp_path, family,
+                                                  argv, verdict):
+        if family is not None:
+            path = tmp_path / "wsplit.json"
+            path.write_text(json.dumps({"group": {"type": "free", "rank": 2},
+                                        "family": {"kind": "wsplit", **family}}))
+            argv = ["--spec", str(path), *argv]
+        code, out, err = run(capsys, "criterion", *argv)
+        assert code == 0 and err == ""
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        rep = json.loads(out, parse_constant=reject)["results"]
+        assert rep["verdict"] == verdict
+        assert rep["certificate_checks"] == (verdict != "Inconclusive")
+        if verdict == "Inconclusive":
+            sums = rep["evidence"]["partial_sums"]
+            assert sums and all(r["lower"] == r["upper"] == 1.0 for r in sums)
+
+
 GOLDEN_Z = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "z-tails.json.gz"
 
 

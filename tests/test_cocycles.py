@@ -352,6 +352,73 @@ class TestBallOracle:
         assert longest >= 3  # the order is checked on more than one prefix
 
 
+class TestFreeProductWNorm:
+    @pytest.mark.parametrize("rank, radius", [(2, 4), (3, 3)])
+    def test_closed_form_equals_ball_sum(self, rank, radius):
+        mu0, mu1 = measures_from_lambda(Fraction(2, 5))
+        for d in range(1, rank + 1):
+            spec = ActionSpec(FreeGroup(rank), FreeProductW(mu0, mu1, d),
+                              delta=Fraction(1, 5))
+            for g in ball(FreeGroup(rank), radius):
+                want = spec.family.ball_norm_sq(g, word_length(g))
+                assert norm_sq(spec, g).exact == want, (d, format_element(g))
+
+    def test_is_wsplit_with_beta_zero(self):
+        spec = ActionSpec(F2, WSplit(Fraction(3, 5), Fraction(1, 2), Fraction(1, 2)),
+                          delta=Fraction(1, 3))
+        fpw = ActionSpec(F2, FreeProductW(marginals.BaseMeasure((Fraction(1, 2),) * 2),
+                                          marginals.BaseMeasure((Fraction(3, 5),
+                                                                 Fraction(2, 5)))),
+                         delta=Fraction(1, 3))
+        for g in ball(F2, 4):
+            assert norm_sq(fpw, g).exact == norm_sq(spec, g).exact
+
+
+def blocks(g):
+    """A reduced word's blocks: its descending pairs x^e y^f (e >= 1,
+    f <= -1) and its other syllables, left to right."""
+    syls, out, i = g.syls, [], 0
+    while i < len(syls):
+        step = 2 if i + 1 < len(syls) and syls[i][1] >= 1 and syls[i + 1][1] <= -1 else 1
+        out.append(Word(g.rank, syls[i:i + step]))
+        i += step
+    return out
+
+
+BLOCK_SPECS = {
+    "f2-wsplit": lambda: wsplit_spec(),
+    "f2-wsplit-512": lambda: wsplit_spec(p_b="5/12"),
+    "wsplit-negative-cross": lambda: wsplit_spec(p_a="9/20"),
+    "f2-dissipative": lambda: preset("f2-dissipative"),
+    "f2-dissipative(3)": lambda: preset("f2-dissipative(3)", power=2),
+    "fpw-F2": fpw_spec,
+    "fpw-F3-c": lambda: ActionSpec(FreeGroup(3), FreeProductW(
+        *measures_from_lambda(Fraction(2, 5)), 3), delta=Fraction(1, 5)),
+}
+
+
+@pytest.mark.parametrize("name", list(BLOCK_SPECS))
+@settings(max_examples=60, deadline=None)
+@given(syls=st.lists(st.tuples(st.integers(1, 3), st.integers(-5, 5).filter(bool)),
+                     max_size=7))
+def test_norm_is_additive_over_blocks(name, syls):
+    spec = BLOCK_SPECS[name]()
+    rank = spec.group.rank
+    g = Word(rank, ())
+    for gen, e in syls:
+        g = mul(g, Word(rank, ((min(gen, rank), e),)))
+    parts = [norm_sq(spec, b) for b in blocks(g)]
+    whole = norm_sq(spec, g)
+    assert all(p.upper >= 0 for p in parts)
+    if whole.exact is not None:
+        assert sum((p.exact for p in parts), Fraction(0)) == whole.exact
+    else:
+        lo, hi = sum(p.lower for p in parts), sum(p.upper for p in parts)
+        slack = 1e-12 * (1.0 + hi)
+        assert lo <= whole.upper + slack and whole.lower <= hi + slack
+        assert whole.value == pytest.approx(sum(p.value for p in parts), rel=1e-12)
+
+
 Z_WINDOW = ([1, -3, 8, 40], [40, 64, 2000])
 F2_WINDOW = (["a", "b^-1", "a b^-1", "b^2 a^-1 b", "a^-1 b a^2"], [0, 6])
 

@@ -25,11 +25,12 @@ from bernlab.criteria import (
     witness_partial_sum,
 )
 from bernlab.cocycles import BoundedValue, affinity_pairs, norm_sq, value_pairs
-from bernlab.groups import FreeGroup, format_element, inv, parse_element
+from bernlab.groups import FreeGroup, format_element, inv, parse_element, sphere
 from bernlab.marginals import (
     ActionSpec,
     FreeProductW,
     SpecError,
+    WSplit,
     measures_from_lambda,
     substream_rng,
 )
@@ -106,6 +107,19 @@ class TestVerdicts:
         assert v.verdict == "Conservative"
         assert v.evidence["witness"] == "identity-cocycle"
 
+    @pytest.mark.parametrize("p_a, p_b, gen", [("3/5", "1/2", "b"), ("1/2", "2/5", "a")])
+    @pytest.mark.parametrize("kappa", [None, 1, 1e300])
+    def test_zero_rate_generator_conservative(self, p_a, p_b, gen, kappa):
+        # alpha = 0 or beta = 0: every power of that generator has norm 0
+        spec = ActionSpec(FreeGroup(2), WSplit(Fraction(p_a), Fraction(p_b),
+                                               Fraction(1, 2)), delta=Fraction(1, 3))
+        v = classify_conservativity(spec, kappa)
+        assert v.verdict == "Conservative"
+        assert v.evidence["witness"] == "zero-rate cyclic subgroup"
+        assert v.evidence["generator"] == gen
+        assert norm_sq(spec, g_of(spec, f"{gen}^5")).exact == 0
+        assert verify_certificate(spec, v)
+
 
 class TestCertificateCheck:
     def test_forged_evidence_rejected(self):
@@ -151,6 +165,86 @@ class TestWitness:
         lows = [r["lower"] for r in rows]
         assert lows == sorted(lows)
         assert all(r["lower"] <= r["upper"] for r in rows)
+
+
+def fpw(rank, distinguished=1):
+    mu0, mu1 = measures_from_lambda(Fraction(2, 5))
+    return ActionSpec(FreeGroup(rank), FreeProductW(mu0, mu1, distinguished),
+                      delta=Fraction(1, 5))
+
+
+PARTIAL_SUM_SPECS = [
+    *[(name, lambda name=name: preset(name))
+      for name in ("f2-wsplit", "f2-wsplit-512", "f2-dissipative", "f2-dissipative(12)",
+                   "explicit-z", "explicit-z-sqrt6", "folner-z")],
+    ("f2-wsplit-power-3", lambda: preset("f2-wsplit", power=3)),
+    ("fpw-F2", lambda: fpw(2)),
+    ("fpw-F3-b", lambda: fpw(3, distinguished=2)),
+]
+
+
+class TestPartialSums:
+    @staticmethod
+    def sphere_sums(spec, kappa, radius):
+        """The partial sums word by word over `groups.sphere`."""
+        rows, lo, hi = [], 0.0, 0.0
+        for n in range(radius + 1):
+            for g in sphere(spec.group, n):
+                nv = norm_sq(spec, g, tol=1e-4)
+                lo += math.exp(-kappa * nv.upper)
+                hi += math.exp(-kappa * max(nv.lower, 0.0))
+            rows.append((lo, hi))
+        return rows
+
+    @pytest.mark.parametrize("make", [m for _, m in PARTIAL_SUM_SPECS],
+                             ids=[n for n, _ in PARTIAL_SUM_SPECS])
+    def test_recursion_matches_sphere_sum(self, make):
+        spec = make()
+        radius = 5 if isinstance(spec.group, FreeGroup) else 4
+        # kappa puts the costliest generator's term at 1/e, so that the sums
+        # are neither the ball's size nor the identity's 1
+        kappa = 1.0 / max(norm_sq(spec, g, tol=1e-4).value for g in sphere(spec.group, 1))
+        want = self.sphere_sums(spec, kappa, radius)
+        got = criterion_partial_sums(spec, kappa, radius)
+        assert [r["radius"] for r in got] == list(range(radius + 1))
+        for (lo, hi), row in zip(want, got):
+            assert row["lower"] == pytest.approx(lo, rel=1e-12, abs=0)
+            assert row["upper"] == pytest.approx(hi, rel=1e-12, abs=0)
+        size = sum(1 for n in range(radius + 1) for _ in sphere(spec.group, n))
+        assert 1.5 < got[-1]["lower"] <= got[-1]["upper"] < size - 1
+
+    @pytest.mark.parametrize("make, radius", [
+        (lambda: preset("f2-dissipative(12)"), 6),
+        (lambda: preset("f2-wsplit"), 6),
+        (lambda: fpw(3), 4),
+        (lambda: preset("folner-z"), 60),
+    ], ids=["f2-dissipative(12)", "f2-wsplit", "fpw-F3", "folner-z"])
+    def test_norm_calls_bounded(self, monkeypatch, make, radius):
+        spec = make()
+        calls = []
+
+        def counting(spec, g, tol=1e-6):
+            calls.append(g)
+            return norm_sq(spec, g, tol)
+
+        monkeypatch.setattr(criteria, "norm_sq", counting)
+        criterion_partial_sums(spec, 1.0, radius)
+        r = spec.group.rank if isinstance(spec.group, FreeGroup) else 1
+        assert len(calls) <= 2 * r * radius + r * (r - 1) * radius**2
+        assert all(len(g.syls) <= 2 for g in calls if not isinstance(g, int))
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, 0.0, -1.0])
+    def test_kappa_must_be_positive_and_finite(self, kappa):
+        with pytest.raises(SpecError):
+            criterion_partial_sums(preset("f2-wsplit"), kappa, 2)
+
+    def test_negative_cross_term_at_huge_kappa(self):
+        # alpha beta < 0: a descending pair's cross term is negative, but each
+        # block's norm is not, so no factor exceeds 1
+        spec = ActionSpec(FreeGroup(2), WSplit(Fraction(9, 20), Fraction(2, 5),
+                                               Fraction(1, 2)), delta=Fraction(1, 3))
+        rows = criterion_partial_sums(spec, 1e300, 6)
+        assert all(r["lower"] == r["upper"] == 1.0 for r in rows)
 
 
 class TestIntegralProducts:
