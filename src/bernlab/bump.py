@@ -114,15 +114,35 @@ class BumpCocycle:
     def gamma_norm_sq_bounds(self, k: int):
         """Certified (lower, upper) bracket for sum_n (H(n) - H(n-k))^2.
 
-        The lower bound is a plain partial sum over the first
-        `default_bumps(k)` bumps (every term is nonnegative); the upper bound
-        adds a slope-based tail over the discarded bumps and is deliberately
-        loose. The partial sum is closed-form per linear piece: the
-        breakpoints of H(m) (bump starts and peaks) and of H(m - k) are two
-        sorted runs, merged in linear time with no np.unique, and between
-        merged points the difference is linear. The merge also counts the
-        breakpoints below each point, which gives its bump and that of the
-        point minus k without a search. Memoized per instance by |k|.
+        The lower bound is the partial sum G_N = sum_{1 <= m < b_N} (H(m) -
+        H(m-k))^2 over the first N = `default_bumps(k)` bumps (every term is
+        nonnegative); the upper bound adds `tail_bound(k, N - 1)` over the
+        discarded bumps and is deliberately loose. Memoized per instance by |k|.
+
+        Each m in [1, b_N) lies in one bump span [b_n, b_n + 2a), a = a_n, at
+        offset j = m - b_n, where H(m) = min(j, 2a - j)/a. Let n_k be the first
+        n >= 1 with a' = a_{n-1} >= k. From n_k on a >= a' >= k, because a_n =
+        ceil(delta n^2) never decreases, and the bump's share of G_N is
+        f_k(a', a), summed over four regions of j:
+          j < k:          m - k = b_{n-1} + 2a' - (k - j) falls in the
+                          predecessor at or past its peak (a' >= k - j), so
+                          H(m) - H(m-k) = j/a - (k-j)/a'; summed, the squares
+                          give (k-1)k(2k-1)/(6a^2) - k(k^2-1)/(3aa')
+                          + k(k+1)(2k+1)/(6a'^2);
+          k <= j <= a:    both rising, difference k/a, a - k + 1 times;
+          a < j < a+k:    H(m) falls and H(m-k) still rises (j - k < a): with
+                          i = j - a, the difference is (k - 2i)/a, and
+                          sum_{1<=i<k} (k-2i)^2 = k(k-1)(k-2)/3;
+          a+k <= j < 2a:  both falling, difference -k/a, a - k times.
+        So
+            f_k(a', a) = [(k-1)k(2k-1)/6 + (2a-2k+1)k^2 + k(k-1)(k-2)/3]/a^2
+                         - k(k^2-1)/(3aa') + k(k+1)(2k+1)/(6a'^2),
+        with integer numerators. G_N is the narrow head G_{n_k}, by
+        `_breakpoint_sum`, plus f_k(a_{n-1}, a_n) over n_k <= n < N as one
+        array sum. No part of a float f_k is more than a few times f_k (the
+        j < k squares alone give about k^3/(6a'^2)), so each term is good to a
+        few u, and a sum of fewer than 10^7 of them stays far inside the 1e-9
+        slack.
         """
         k = abs(int(k))
         if k == 0:
@@ -131,7 +151,41 @@ class BumpCocycle:
         if cached is not None:
             return cached
         N = self.default_bumps(k)
+        partial = self._partial_sum(k, N)
+        tail = self.tail_bound(k, N - 1)
+        slack = 1e-9 * (1.0 + partial)
+        out = (max(0.0, partial - slack), partial + tail + slack)
+        self._gamma_cache[k] = out
+        return out
+
+    def _partial_sum(self, k: int, N: int) -> float:
+        """G_N for k >= 1: the head G_{n_k} by `_breakpoint_sum` and the
+        bumps n_k <= n < N by f_k (see `gamma_norm_sq_bounds`)."""
         self.ensure_bumps(N)
+        # a is nondecreasing, so n_k - 1 is the first index with a >= k
+        n_k = min(int(np.searchsorted(self._a[:N], k)) + 1, N)
+        partial = self._breakpoint_sum(k, n_k)
+        if n_k < N:
+            a = self._a[n_k - 1 : N].astype(np.float64)
+            prev, cur = a[:-1], a[1:]
+            c_cur = ((k - 1) * k * (2 * k - 1) // 6 + (1 - 2 * k) * k * k
+                     + k * (k - 1) * (k - 2) // 3)
+            c_mix = k * (k * k - 1) // 3
+            c_prev = k * (k + 1) * (2 * k + 1) // 6
+            f = ((c_cur + 2.0 * k * k * cur) / (cur * cur) - c_mix / (cur * prev)
+                 + c_prev / (prev * prev))
+            partial += float(np.sum(f))
+        return partial
+
+    def _breakpoint_sum(self, k: int, N: int) -> float:
+        """sum_{1 <= m < b_N} (H(m) - H(m-k))^2, closed-form per linear piece.
+
+        The breakpoints of H(m) (bump starts and peaks) and of H(m - k) are
+        two sorted runs, merged in linear time with no np.unique, and between
+        merged points the difference is linear. The merge also counts the
+        breakpoints below each point, which gives its bump and that of the
+        point minus k without a search.
+        """
         b, a = self._b[: N + 1], self._a[:N]
         end = int(b[N])
         # breakpoints of H, strictly increasing: P'_0 = b_0 = 0, b_0 + a_0 = 1,
@@ -162,9 +216,4 @@ class BumpCocycle:
         d0 = self._h_in(X, i) - self._h_in(X - k, j)
         d1 = self._h_in(X + 1, i) - self._h_in(X + 1 - k, j)
         s = np.where(L > 1, d1 - d0, 0.0)
-        partial = _kernels.segment_square_sum(d0, s, L)
-        tail = self.tail_bound(k, N - 1)
-        slack = 1e-9 * (1.0 + partial)
-        out = (max(0.0, partial - slack), partial + tail + slack)
-        self._gamma_cache[k] = out
-        return out
+        return _kernels.segment_square_sum(d0, s, L)

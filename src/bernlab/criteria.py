@@ -136,11 +136,8 @@ def witness_partial_sum(fam, kappa: float, m: int, levels: int,
                         n_terms: int) -> float:
     """Partial sum of exp(-kappa ||c_g||^2) over the witness subfamily of a
     WSplit family with subgroup length <= levels and inner exponents <= n_terms."""
-    q, const = fam.witness_q(kappa, m, n_terms)
-    total = 0.0
-    for k in range(1, levels + 1):
-        total += const * q**k
-    return total
+    log_q, log_const = fam.witness_log_q(kappa, m, n_terms)
+    return sum(math.exp(log_const + k * log_q) for k in range(1, levels + 1))
 
 
 def classify_conservativity(spec: ActionSpec, kappa=None) -> CriterionVerdict:

@@ -452,6 +452,20 @@ class ZSequence(MarginalFamily):
         return None
 
 
+def _log_one_minus_exp(log_y: float) -> float:
+    """log(1 - exp(-y)) from log y, also where y leaves the float range."""
+    if log_y < -700.0:
+        return log_y  # 1 - exp(-y) = y (1 - y/2 + ...), and y < 1e-304
+    return math.log(-math.expm1(-math.exp(min(log_y, 709.0))))
+
+
+def _exp_or_none(log_v: float) -> Optional[float]:
+    try:
+        return math.exp(log_v)
+    except OverflowError:
+        return None  # JSON has no infinity: reported as null
+
+
 @dataclass(frozen=True)
 class WSplit(_BallFamily):
     """F constant on the three last-letter classes of F2."""
@@ -491,27 +505,28 @@ class WSplit(_BallFamily):
         cross = 2 * alpha * beta * descending_sign_changes(g)
         return BoundedValue.from_exact(alpha * alpha * n_a + beta * beta * n_b + cross)
 
-    def witness_q(self, kappa: float, m: int, n_terms: Optional[int] = None):
-        """Per-level weight of the two-generator witness subgroup family.
+    def witness_log_q(self, kappa: float, m: int, n_terms: Optional[int] = None):
+        """(log q, log const) of the two-generator witness subgroup family.
 
         Words (a^-1 b^{n_1} a b^{m_1}) ... (a^-1 b^{n_k} a b^{m_k}) have
         2k a-letters, sum(n_i + m_i) b-letters and k-1 descending pairs; summing
-        the geometric series over the inner exponents leaves a pure power
+        the geometric series over the inner exponents leaves const * q^k with
             q = exp(-2 kappa m (alpha^2 + alpha beta + beta^2)) (1 - x^N)^2 / (1 - x)^2,
-        with x = exp(-kappa m beta^2) and N = n_terms (x^N = 0 when None).
-        The quadratic form is positive unless alpha = beta = 0, so the
-        exponential cannot overflow; beta must be nonzero.
+            const = exp(2 kappa m alpha beta),
+        x = exp(-y), y = kappa m beta^2 and N = n_terms (x^N = 0 when None).
+        Both are returned as logarithms, which stay finite where q or const
+        leaves the float range. log y is taken from the Fraction beta, so a
+        beta^2 below the float range still counts; beta must be nonzero.
         """
         alpha, beta = self.rates
-        quad = float(alpha * alpha + alpha * beta + beta * beta)
-        ab = float(alpha * beta)
-        x = math.exp(-kappa * m * float(beta * beta))
-        head = 1.0 if n_terms is None else 1.0 - x**n_terms
-        q = math.exp(-2.0 * kappa * m * quad) * (head / (1.0 - x)) ** 2
-        # the terms are const * q^k: where q underflows to 0, so do they, and
-        # const (which may overflow there) is taken as 0
-        const = math.exp(2.0 * kappa * m * ab) if q > 0.0 else 0.0
-        return q, const
+        c = kappa * m
+        log_y = (math.log(c) + 2.0 * (math.log(abs(beta.numerator))
+                                      - math.log(beta.denominator)))
+        log_q = -2.0 * c * float(alpha * alpha + alpha * beta + beta * beta) \
+            - 2.0 * _log_one_minus_exp(log_y)
+        if n_terms is not None:
+            log_q += 2.0 * _log_one_minus_exp(log_y + math.log(n_terms))
+        return log_q, 2.0 * c * float(alpha * beta)
 
     def certificate(self, m, kappa, k0):
         alpha, beta = self.rates
@@ -537,12 +552,12 @@ class WSplit(_BallFamily):
             if found is not None:
                 return found
         if kappa > k0:
-            q, const = self.witness_q(kappa, m)
-            if q >= 1.0:
+            log_q, log_const = self.witness_log_q(kappa, m)
+            if log_q >= 0.0:
                 return ("Conservative", kappa, {
                     "witness": "two-generator subgroup family",
-                    "q": q,
-                    "const": const,
+                    "q": _exp_or_none(log_q),
+                    "const": _exp_or_none(log_const),
                     "minorant": "sum_k const * q^k with q >= 1",
                 })
         return None
@@ -786,7 +801,7 @@ class SpecialCocycle(MarginalFamily):
             for x in (1, 2):
                 base, c = (p[:-1], p[-1][1]) if p and p[-1][0] == x else (p, 0)
                 lines.setdefault((base, x), []).append((c - extent, c + extent))
-        f_h, f_g = [], []
+        parts = []
         for (base, x), spans in lines.items():
             m = np.concatenate([np.arange(lo, hi + 1) for lo, hi in _merged(spans)])
             # m = 0 is base itself. The line of its last syllable (x_j, e_j)
@@ -798,26 +813,37 @@ class SpecialCocycle(MarginalFamily):
             # g^-1 base x^m = rest x^(t + m) with rest not ending in x
             r = tuple((gen, -e) for gen, e in reversed(g.syls[len(base):]))
             t, rest = (r[-1][1], r[:-1]) if r and r[-1][0] == x else (0, r)
-            f_h.append(self._line_f(base, x, m))
-            f_g.append(self._line_f(rest, x, t + m))
+            parts.append((base, x, m, rest, t + m))
+        # one table of H over 0..top serves every line, since H(n) = 0 for
+        # n <= 0: top covers each index and each exponent of g, which is
+        # where a stem's last syllable comes from
+        top = max([0] + [abs(e) for _, e in g.syls])
+        for _, _, m, _, n in parts:
+            if m.size:
+                top = max(top, int(m.max()), int(n.max()))
+        h = self.bc.h_float(np.arange(top + 1))
+        f_h = [self._line_f(h, base, x, m) for base, x, m, _, _ in parts]
+        f_g = [self._line_f(h, rest, x, n) for _, x, _, rest, n in parts]
         return np.concatenate(f_h), np.concatenate(f_g)
 
-    def _axis_f(self, x, n):
-        """Float F at the words ending in the syllables (x, n), n != 0."""
+    def _axis_f(self, x, h):
+        """Float F at the words ending in a syllable (x, n), n != 0, from
+        the float H(n)."""
         c = float(self.scale) if x == 1 else -float(self.scale)
-        return float(self.base) + c * self.bc.h_float(n)
+        return float(self.base) + c * h
 
-    def _line_f(self, stem, x, n):
-        """Float F(stem x^n) over the integer array n; stem does not end in x.
+    def _line_f(self, h, stem, x, n):
+        """Float F(stem x^n) over the integer array n; stem does not end in x
+        and the table h holds H over 0..max(n, |exponents of stem|).
 
         The words come out of one formula, so equal exact values give equal
         floats."""
-        f = self._axis_f(x, n)
+        f = self._axis_f(x, h[np.maximum(n, 0)])
         at_stem = n == 0
         if at_stem.any():
             # H(0) = 0 gives F(e) = base
             z, e = stem[-1] if stem else (1, 0)
-            f[at_stem] = self._axis_f(z, np.array([e]))[0]
+            f[at_stem] = self._axis_f(z, h[max(e, 0)])
         return f
 
     def tail(self, g, extent):

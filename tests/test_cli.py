@@ -296,12 +296,17 @@ class TestCommands:
     @pytest.mark.parametrize("family, argv, verdict", [
         # beta = 0: the inner geometric series of the witness divided by 1 - x = 0
         ({"p_a": "3/5", "p_b": "1/2", "p_w": "1/2"}, [], "Conservative"),
+        # beta = 10^-170: kappa m beta^2 underflowed, so 1 - x was 0 again;
+        # log q is finite, q itself is past the float range and reported null
+        ({"p_a": "3/5", "p_b": str(Fraction(1, 2) - Fraction(1, 10**170)),
+          "p_w": "1/2"}, [], "Conservative"),
         # alpha beta < 0: exp(-2 kappa m (alpha^2 + alpha beta)) overflowed
         ({"p_a": "9/20", "p_b": "2/5", "p_w": "1/2"}, ["--kappa", "1e300"],
          "Inconclusive"),
         # 2 kappa m overflows: the iterated-logarithm constant was 0 * inf
         (None, ["--preset", "explicit-z", "--kappa", "1e308"], "Inconclusive"),
-    ], ids=["wsplit-beta-zero", "wsplit-huge-kappa", "explicit-z-huge-kappa"])
+    ], ids=["wsplit-beta-zero", "wsplit-beta-underflow", "wsplit-huge-kappa",
+            "explicit-z-huge-kappa"])
     def test_criterion_edge_cases_are_strict_json(self, capsys, tmp_path, family,
                                                   argv, verdict):
         if family is not None:
@@ -321,6 +326,16 @@ class TestCommands:
         if verdict == "Inconclusive":
             sums = rep["evidence"]["partial_sums"]
             assert sums and all(r["lower"] == r["upper"] == 1.0 for r in sums)
+        if rep["evidence"].get("witness") == "two-generator subgroup family":
+            assert rep["evidence"]["q"] is None
+
+    def test_criterion_witness_q_pinned(self, capsys):
+        # q computed in log space stays the value of the direct product
+        code, out, _ = run(capsys, "criterion", "--preset", "f2-wsplit")
+        assert code == 0
+        evidence = json.loads(out)["results"]["evidence"]
+        assert evidence["witness"] == "two-generator subgroup family"
+        assert evidence["q"] == pytest.approx(17.51451646026311, rel=1e-12)
 
 
 GOLDEN_Z = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "z-tails.json.gz"

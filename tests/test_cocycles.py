@@ -189,7 +189,8 @@ class TestBumpCocycle:
             assert brute <= hi
 
     # brackets of the program before its breakpoints were merged without
-    # np.unique; the merge must leave every bit unchanged
+    # np.unique. Summing the bumps past the narrow head by f_k moves only
+    # the last bits, so they are compared to 1e-12 relative
     PINNED_GAMMA = {
         12: [(486.555621638887, 537.7697646863767),
              (627.9155400766322, 772.4120818842507),
@@ -210,13 +211,55 @@ class TestBumpCocycle:
         bc = BumpCocycle(D)
         for k, pinned in enumerate(self.PINNED_GAMMA[D], start=1):
             lo, hi = bc.gamma_norm_sq_bounds(k)
-            assert (lo, hi) == pinned
+            assert (lo, hi) == pytest.approx(pinned, rel=1e-12, abs=0)
             n_bumps = bc.default_bumps(k)
             bc.ensure_bumps(n_bumps)
             n = np.arange(1, int(bc._b[n_bumps]))
             brute = math.fsum((bc.h_float(n) - bc.h_float(n - k)) ** 2)
             assert lo <= brute * (1 + 1e-9) + 1e-12
             assert brute <= hi
+
+
+    @staticmethod
+    def exact_partial_sum(bc, k, N):
+        """sum_{1 <= m < b_N} (H(m) - H(m-k))^2 as a Fraction, position by
+        position: H(m) = p/a and H(m-k) = p'/a' with integer numerators, and
+        each run of positions of one bump whose m - k lies in one bump adds
+        its integer sums of p^2, p p' and p'^2. h_exact checks the two
+        fractions at the first position of every run."""
+        bc.ensure_bumps(N)
+        a_all, b_all = bc._a[:N], bc._b[: N + 1]
+        total = Fraction(0)
+        for n in range(N):
+            a, b = int(a_all[n]), int(b_all[n])
+            j = np.arange(2 * a, dtype=np.int64)
+            p = np.minimum(j, 2 * a - j)
+            # m - k = s lies in bump i at offset s - b_i; H(s) = 0 for s <= 0
+            s = b + j - k
+            i = np.maximum(np.searchsorted(b_all, s, side="right") - 1, 0)
+            a2, off = a_all[i], s - b_all[i]
+            q = np.where(s <= 0, 0, np.minimum(off, 2 * a2 - off))
+            starts = np.flatnonzero(np.diff(i, prepend=-1))
+            sums = [np.add.reduceat(v, starts) for v in (p * p, p * q, q * q)]
+            for r, st in enumerate(starts.tolist()):
+                a1 = int(a2[st])
+                assert Fraction(int(p[st]), a) == bc.h_exact(b + st)
+                assert Fraction(int(q[st]), a1) == bc.h_exact(b + st - k)
+                pp, pq, qq = (int(v[r]) for v in sums)
+                total += Fraction(pp * a1 * a1 - 2 * pq * a * a1 + qq * a * a,
+                                  (a * a1) ** 2)
+        return total
+
+    @pytest.mark.parametrize("D", [Fraction(1, 20), Fraction(1, 3), 1, 2])
+    def test_partial_sum_matches_exact(self, D):
+        # the narrow head by breakpoints and the bumps past it by f_k, against
+        # the exact sum over every position of the first 150 bumps. D = 1/20
+        # gives delta = 1, a_n = n^2, whose steps exceed 1 and whose heads are
+        # narrower than k (n_k = 8 at k = 40)
+        bc = BumpCocycle(D)
+        for k in (1, 2, 3, 5, 8, 17, 40):
+            exact = self.exact_partial_sum(bc, k, 150)
+            assert bc._partial_sum(k, 150) == pytest.approx(float(exact), rel=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +305,9 @@ class TestSpecialWindow:
     @example(g=w("a b a^-1"), extent=5, which=1)
     @example(g=w("b^2 a^-1 b^-2"), extent=1, which=0)
     @example(g=w("b^2 a^-1 b^-2"), extent=64, which=1)
+    # the H table's top index is reached by m (first) and by t + m (second)
+    @example(g=w("b^3 a^-2 b a^5"), extent=2048, which=0)
+    @example(g=w("b^-3 a^2 b^-1 a^-5"), extent=2048, which=1)
     def test_exact_coordinates(self, g, extent, which):
         spec = SPECIAL_SPECS[which]
         fam = spec.family

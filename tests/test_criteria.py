@@ -160,6 +160,18 @@ class TestWitness:
         total = witness_partial_sum(fam, 16.0, 1, levels=3, n_terms=60)
         assert total > 1e3
 
+    def test_q_past_float_range_is_certified(self):
+        # beta = 10^-170: kappa m beta^2 underflows a float, but log q is
+        # taken from the Fraction beta; q = exp(log q) overflows and is None
+        spec = ActionSpec(FreeGroup(2), WSplit(Fraction(3, 5),
+                                               Fraction(1, 2) - Fraction(1, 10**170),
+                                               Fraction(1, 2)), delta=Fraction(1, 3))
+        v = classify_conservativity(spec)
+        assert v.verdict == "Conservative" and v.evidence["q"] is None
+        log_q, _ = spec.family.witness_log_q(v.kappa, 1)
+        assert 709 < log_q < math.inf
+        assert verify_certificate(spec, v)
+
     def test_partial_sums_monotone(self):
         rows = criterion_partial_sums(preset("f2-wsplit"), 16.0, 3)
         lows = [r["lower"] for r in rows]
@@ -528,6 +540,22 @@ class TestMonteCarlo:
             "se_sqrt_omega": "0x1.d20efa9e17b5ep-14",
             "mean_negsq_omega": "0x1.35eee6527b814p+166",
             "se_negsq_omega": "0x1.f9ca9206b133ap+165",
+        }
+        assert {k: got[k].hex() for k in want} == want
+
+    def test_window_table_stream_is_pinned(self):
+        # `simulate --preset f2-dissipative -g "a^2 b^-1" --window 256
+        # --samples 100000` at its default seed 0, recorded before the window
+        # read H from one table per window: the table changed no coordinate
+        spec = preset("f2-dissipative")
+        got = mc_omega(spec, g_of(spec, "a^2 b^-1"), radius=256, samples=10**5, seed=0)
+        want = {
+            "mean_omega": "0x1.9904c8fe98b9ap-14",
+            "se_omega": "0x1.7998b0d72d511p-14",
+            "mean_sqrt_omega": "0x1.9fa6d225baf4fp-14",
+            "se_sqrt_omega": "0x1.05f1d9799769bp-15",
+            "mean_negsq_omega": "0x1.5b57d8e1fc0c3p+189",
+            "se_negsq_omega": "0x1.5a345193893d2p+189",
         }
         assert {k: got[k].hex() for k in want} == want
 
