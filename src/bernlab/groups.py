@@ -1,7 +1,7 @@
 """Reduced-word arithmetic and enumeration for free groups and the integers.
 
 Free-group elements are stored run-length-encoded by syllable, so syllable
-statistics (length, sign changes, last-letter classes) are O(#syllables).
+statistics (length, the last syllable) are O(#syllables).
 Integer-group elements are plain Python ints.
 """
 from __future__ import annotations
@@ -21,21 +21,15 @@ __all__ = [
     "inv",
     "word_length",
     "is_identity",
-    "descending_sign_changes",
     "sphere",
     "ball",
-    "w_class",
-    "w_last_positive",
-    "e_class",
-    "pi_a",
-    "pi_b",
     "parse_element",
     "format_element",
 ]
 
 
 class GroupError(ValueError):
-    """Raised for malformed words, rank mismatches and invalid class queries."""
+    """Raised for malformed words, rank mismatches and negative radii."""
 
 
 @dataclass(frozen=True)
@@ -153,21 +147,6 @@ def is_identity(g: Element) -> bool:
     return g == 0 if isinstance(g, int) else not g.syls
 
 
-def descending_sign_changes(g: Word) -> int:
-    """Count adjacent syllable-exponent pairs (e_j >= 1, e_{j+1} <= -1).
-
-    These are exactly the pairs that contribute cross terms to the W-split
-    cocycle norm; pairs in the other order do not.
-    """
-    if not isinstance(g, Word) or g.rank != 2:
-        raise GroupError("descending_sign_changes requires a rank-2 word")
-    count = 0
-    for (_, e1), (_, e2) in zip(g.syls, g.syls[1:]):
-        if e1 >= 1 and e2 <= -1:
-            count += 1
-    return count
-
-
 def _letters(rank: int):
     # deterministic lexicographic letter order: (1,+1), (1,-1), (2,+1), ...
     out = []
@@ -221,59 +200,6 @@ def ball(group: Group, n: int) -> Iterator[Element]:
     """All elements of word length <= n, identity first."""
     for r in range(n + 1):
         yield from sphere(group, r)
-
-
-# --- last-letter classes for the free-product constructions ------------------
-
-def w_last_positive(g: Word, distinguished: int) -> bool:
-    """True iff the reduced word ends with a strictly positive power of the
-    distinguished generator."""
-    if not isinstance(g, Word):
-        raise GroupError("w_last_positive requires a free-group word")
-    if not g.syls:
-        return False
-    gen, exp = g.syls[-1]
-    return gen == distinguished and exp > 0
-
-
-def w_class(g: Word) -> str:
-    """Classify a rank-2 word by its last syllable: 'W_a', 'W_b' or 'W'.
-
-    W_a / W_b collect words ending in a strictly positive power of a / b;
-    everything else (including e) lies in W.
-    """
-    if not isinstance(g, Word) or g.rank != 2:
-        raise GroupError("w_class requires a rank-2 word")
-    if w_last_positive(g, 1):
-        return "W_a"
-    if w_last_positive(g, 2):
-        return "W_b"
-    return "W"
-
-
-def e_class(g: Word) -> str:
-    """Classify a rank-2 word by the generator of its last syllable:
-    'e', 'E_a' or 'E_b'."""
-    if not isinstance(g, Word) or g.rank != 2:
-        raise GroupError("e_class requires a rank-2 word")
-    if not g.syls:
-        return "e"
-    gen, _ = g.syls[-1]
-    return "E_a" if gen == 1 else "E_b"
-
-
-def pi_a(g: Word) -> int:
-    """Final a-exponent of a word in E_a."""
-    if e_class(g) != "E_a":
-        raise GroupError(f"pi_a undefined outside E_a (got {format_element(g)})")
-    return g.syls[-1][1]
-
-
-def pi_b(g: Word) -> int:
-    """Final b-exponent of a word in E_b."""
-    if e_class(g) != "E_b":
-        raise GroupError(f"pi_b undefined outside E_b (got {format_element(g)})")
-    return g.syls[-1][1]
 
 
 # --- serialization -----------------------------------------------------------

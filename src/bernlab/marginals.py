@@ -9,6 +9,7 @@ conservativity certificate and the JSON form.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -29,14 +30,8 @@ from .groups import (
     Integers,
     Word,
     ball,
-    descending_sign_changes,
-    e_class,
     inv,
     mul,
-    pi_a,
-    pi_b,
-    w_class,
-    w_last_positive,
     word_length,
 )
 
@@ -223,10 +218,9 @@ class MarginalFamily:
     Every family's norm is additive over blocks: split a reduced word into
     its descending adjacent pairs x^e y^f (e >= 1, f <= -1) and its other
     syllables, one block each; then ||c_g||^2 is the sum of the blocks'
-    ||c_b||^2. WSplit and SpecialCocycle have one cross term per descending
-    pair, inside that pair's block; FreeProductW has none; on the integers
-    every k != 0 is one syllable. `criteria.criterion_partial_sums` rests
-    on this: it evaluates `norm_sq` on blocks only.
+    ||c_b||^2. On the free group this is proved in `_SyllableFamily`; on
+    the integers every k != 0 is one syllable. `criteria.criterion_partial_sums`
+    rests on this: it evaluates `norm_sq` on blocks only.
     """
 
     kind: ClassVar[str]
@@ -281,12 +275,73 @@ class MarginalFamily:
         return None
 
 
-class _BallFamily(MarginalFamily):
-    """Free-group families whose F depends on the last syllable only, so that
-    c_g vanishes off the ball of radius |g|."""
+class _SyllableFamily(MarginalFamily):
+    """Free-group families whose F depends on the last syllable only: F is
+    `base` at the identity and base + psi_x(e) on a reduced word w x^e with w
+    not ending in x, where psi_x(e) = 0 for e <= 0.
+
+    A subclass gives `base`, the exact `psi(x, e)` and `gamma(x, e)`, a
+    bracket (lo, hi) of Gamma_x(e) = sum_m (psi_x(m) - psi_x(m - e))^2, exact
+    (lo == hi) where c_g is `finite`. For a reduced g = x_1^e_1 ... x_n^e_n,
+        ||c_g||^2 = sum_j Gamma_{x_j}(e_j)
+                    - 2 sum_j psi_{x_j}(e_j) psi_{x_(j+1)}(-e_(j+1)),
+    and a cross term is nonzero only for a descending pair (e_j >= 1 > e_(j+1)).
+
+    Proof. Let phi = F - base and (g.u)(h) = u(g^-1 h), so that c_g = phi -
+    g.phi and c_(gh) = c_g + g.c_h. For h = w x^m with w nontrivial and not
+    ending in x, x^-e h ends in the same syllable as h (w's last where m = 0),
+    so c_(x^e) lives on the axis <x>, with c_(x^e)(x^m) = psi_x(m) - psi_x(m - e)
+    and square norm Gamma_x(e). With the prefixes p_j = x_1^e_1 ... x_j^e_j,
+    c_g is the sum of the u_j = p_(j-1).c_(x_j^e_j), each on the line
+    p_(j-1)<x_j>. A common point p_(i-1) x_i^m = p_(j-1) x_j^k (i < j) makes
+    x_i^(e_i - m) x_(i+1)^e_(i+1) ... x_(j-1)^e_(j-1) x_j^-k trivial, which the
+    reduced middle syllables forbid for j > i + 1; for j = i + 1 it needs
+    m = e_i and k = 0, the point p_i. So ||c_g||^2 = sum_j ||u_j||^2 +
+    2 sum_j u_j(p_j) u_(j+1)(p_j), where u_j(p_j) = psi_{x_j}(e_j) and
+    u_(j+1)(p_j) = -psi_{x_(j+1)}(-e_(j+1)), as psi(0) = 0. Each cross term
+    stays inside its pair's block: the block additivity of `MarginalFamily`.
+    """
+
+    # F by last syllable, Gamma by syllable and the cross term by descending
+    # pair ((x, e), (y, k)), cached: each takes a few values over a ball, and
+    # a cache hit costs a twentieth of one Fraction operation
+    @functools.cached_property
+    def _f_of(self):
+        return functools.cache(lambda s: self.base + self.psi(*s))
+
+    @functools.cached_property
+    def _gamma_of(self):
+        return functools.cache(lambda s: self.gamma(*s))
+
+    @functools.cached_property
+    def _cross_of(self):
+        return functools.cache(lambda p: -2 * self.psi(*p[0]) * self.psi(p[1][0], -p[1][1]))
+
+    def f(self, g):
+        return self._f_of(g.syls[-1]) if g.syls else self.base
+
+    def norm_sq(self, g, tol):
+        syls = g.syls
+        cross = sum(self._cross_of(p) for p in zip(syls, syls[1:])
+                    if p[0][1] > 0 > p[1][1])
+        gammas = [self._gamma_of(s) for s in syls]
+        lo = sum((a for a, _ in gammas), cross)
+        if self.finite:
+            return BoundedValue.from_exact(lo)
+        return BoundedValue.from_bracket(lo, sum((b for _, b in gammas), cross))
+
+
+class _BallFamily(_SyllableFamily):
+    """Syllable families with psi_x(e) = psi_x(1) for every e >= 1: c_g
+    vanishes off the ball of radius |g|, and Gamma_x(e) = |e| psi_x(1)^2, as
+    exactly |e| integers m have one of m, m - e positive and one not."""
 
     finite = True
     on_ball = True
+
+    def gamma(self, x, e):
+        v = abs(e) * self.psi(x, 1) ** 2
+        return v, v
 
     def support(self, g, extent):
         yield from ball(FreeGroup(g.rank), word_length(g))
@@ -468,7 +523,8 @@ def _exp_or_none(log_v: float) -> Optional[float]:
 
 @dataclass(frozen=True)
 class WSplit(_BallFamily):
-    """F constant on the three last-letter classes of F2."""
+    """F = p_a on words ending in a positive power of a, p_b on words ending
+    in a positive power of b, and p_w elsewhere (e included)."""
 
     p_a: Fraction
     p_b: Fraction
@@ -490,20 +546,19 @@ class WSplit(_BallFamily):
             raise SpecError("WSplit requires the rank-2 free group")
         return (("p_a", self.p_a), ("p_b", self.p_b), ("p_w", self.p_w))
 
-    def f(self, g):
-        return {"W_a": self.p_a, "W_b": self.p_b, "W": self.p_w}[w_class(g)]
+    @property
+    def base(self):
+        return self.p_w
+
+    def psi(self, x, e):
+        if e <= 0:
+            return 0
+        return (self.p_a if x == 1 else self.p_b) - self.p_w
 
     @property
     def rates(self):
         """(alpha, beta) = (p_a - p_w, p_w - p_b)."""
         return self.p_a - self.p_w, self.p_w - self.p_b
-
-    def norm_sq(self, g, tol):
-        alpha, beta = self.rates
-        n_a = sum(abs(e) for gen, e in g.syls if gen == 1)
-        n_b = sum(abs(e) for gen, e in g.syls if gen == 2)
-        cross = 2 * alpha * beta * descending_sign_changes(g)
-        return BoundedValue.from_exact(alpha * alpha * n_a + beta * beta * n_b + cross)
 
     def witness_log_q(self, kappa: float, m: int, n_terms: Optional[int] = None):
         """(log q, log const) of the two-generator witness subgroup family.
@@ -588,33 +643,19 @@ class FreeProductW(_BallFamily):
     def validate(self, group):
         if not isinstance(group, FreeGroup):
             raise SpecError("FreeProductW requires a free group")
+        if not 1 <= self.distinguished <= group.rank:
+            raise SpecError(f"distinguished generator {self.distinguished} "
+                            f"outside 1..{group.rank}")
         return [("base mass", p) for mu in (self.mu0, self.mu1) for p in mu.probs]
 
-    def f(self, g):
-        mu = self.mu1 if w_last_positive(g, self.distinguished) else self.mu0
-        return mu.probs[0]
+    @property
+    def base(self):
+        return self.mu0.probs[0]
 
-    def norm_sq(self, g, tol):
-        """(p1 - p0)^2 n_d exactly, where p_i is the mass of 0 under mu_i and
-        n_d the total |exponent| of the distinguished generator d in g.
-
-        Proof. Let W be the words ending in a positive power of d, so that
-        F = p0 + (p1 - p0) 1_W and c_g = (p1 - p0) b(g) with
-        b(g) = 1_W - 1_{gW}. Then b(gh) = b(g) + g.b(h), where
-        (g.f)(x) = f(g^-1 x). A generator x != d maps W onto itself (x w and
-        x^-1 w keep the last syllable of w), so b(x^+-1) = 0. d W is W
-        without the word d, so b(d) = delta_d and, translating by d^-1,
-        b(d^-1) = -delta_e. For a reduced word g = s_1 ... s_n with prefixes
-        p_i = s_1 ... s_i, summing over the letters gives
-            b(g) = sum_{s_i = d} delta_{p_i} - sum_{s_i = d^-1} delta_{p_(i-1)}.
-        The prefixes are distinct, and p_i = p_(j-1) with s_i = d, s_j = d^-1
-        would need j = i + 1, a cancelling pair; so b(g) is +-1 at n_d
-        distinct points and 0 elsewhere. For rank 2 this is WSplit with
-        beta = 0; `ball_norm_sq` stays the exact oracle.
-        """
-        d = self.mu1.probs[0] - self.mu0.probs[0]
-        n_d = sum(abs(e) for gen, e in g.syls if gen == self.distinguished)
-        return BoundedValue.from_exact(d * d * n_d)
+    def psi(self, x, e):
+        if e <= 0 or x != self.distinguished:
+            return 0
+        return self.mu1.probs[0] - self.mu0.probs[0]
 
     def certificate(self, m, kappa, k0):
         if self.mu0 == self.mu1:
@@ -729,26 +770,31 @@ def _merged(spans):
     return out
 
 
+@functools.cache
+def _bump_cocycle(D: Fraction) -> BumpCocycle:
+    """One BumpCocycle per D, so that its memos of H and of the gamma_k
+    brackets serve every SpecialCocycle with that D."""
+    return BumpCocycle(D)
+
+
 @dataclass(frozen=True)
-class SpecialCocycle(MarginalFamily):
-    """F(g) = base +/- scale * H(pi(g)) via the bounded oscillating H."""
+class SpecialCocycle(_SyllableFamily):
+    """psi_a = scale * H and psi_b = -scale * H, with the bounded oscillating
+    H of `bump` (H(n) = 0 for n <= 0), so that Gamma_x(e) = scale^2 times the
+    bracket of `BumpCocycle.gamma_norm_sq_bounds(e)`."""
 
     D: Fraction
     base: Fraction
     scale: Fraction
     bc: BumpCocycle = field(init=False, compare=False, repr=False)
-    # per-instance memos of norm_sq: s^2, the gamma_e bracket of each
-    # exponent e and the exact cross term of each descending pair (e1, e2)
     _s2: float = field(init=False, compare=False, repr=False)
-    _syl: dict = field(init=False, compare=False, repr=False, default_factory=dict)
-    _cross: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
     kind = "special"
 
     def __post_init__(self):
         if self.D <= 0:
             raise SpecError(f"D must be positive, got {self.D}")
-        object.__setattr__(self, "bc", BumpCocycle(self.D))
+        object.__setattr__(self, "bc", _bump_cocycle(self.D))
         object.__setattr__(self, "_s2", float(self.scale) ** 2)
 
     def to_json(self):
@@ -766,13 +812,13 @@ class SpecialCocycle(MarginalFamily):
         return (("base - scale", self.base - self.scale),
                 ("base + scale", self.base + self.scale))
 
-    def f(self, g):
-        cls = e_class(g)
-        if cls == "e":
-            return self.base
-        if cls == "E_a":
-            return self.base + self.scale * self.bc.h_exact(pi_a(g))
-        return self.base - self.scale * self.bc.h_exact(pi_b(g))
+    def psi(self, x, e):
+        h = self.scale * self.bc.h_exact(e)
+        return h if x == 1 else -h
+
+    def gamma(self, x, e):
+        lo, hi = self.bc.gamma_norm_sq_bounds(e)
+        return self._s2 * lo, self._s2 * hi
 
     def support(self, g, extent):
         # axis windows |n| <= extent through every prefix of g
@@ -852,29 +898,6 @@ class SpecialCocycle(MarginalFamily):
         for _, e in g.syls:
             tail += self._s2 * self.bc.tail_bound(e, M)
         return tail
-
-    def norm_sq(self, g, tol):
-        syl, cross_of = self._syl, self._cross
-        lo = hi = 0.0
-        for _, e in g.syls:
-            bounds = syl.get(e)
-            if bounds is None:
-                bounds = syl[e] = self.bc.gamma_norm_sq_bounds(e)
-            lo += bounds[0]
-            hi += bounds[1]
-        # the cross terms are summed exactly and rounded once
-        cross = None
-        for (_, e1), (_, e2) in zip(g.syls, g.syls[1:]):
-            if e1 >= 1 and e2 <= -1:
-                term = cross_of.get((e1, e2))
-                if term is None:
-                    term = cross_of[e1, e2] = self.bc.h_exact(e1) * self.bc.h_exact(-e2)
-                cross = term if cross is None else cross + term
-        if cross is not None:
-            cross = 2 * float(cross)
-            lo += cross
-            hi += cross
-        return BoundedValue.from_bracket(self._s2 * lo, self._s2 * hi)
 
     def certificate(self, m, kappa, k0):
         return _geometric(self._s2 * float(self.D), m)

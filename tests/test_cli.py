@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import bernlab
+from bernlab.bump import BumpCocycle
 from bernlab.cli import (
     CliError,
     main,
@@ -18,11 +19,15 @@ from bernlab.cli import (
     spec_digest,
     verify_bounds,
 )
+from bernlab.groups import FreeGroup
 from bernlab.marginals import (
+    ActionSpec,
     FolnerInduced,
+    FreeProductW,
     SpecialCocycle,
     WSplit,
     ZSequence,
+    measures_from_lambda,
     spec_to_json,
 )
 
@@ -55,6 +60,20 @@ class TestPresets:
 
     def test_folner(self):
         assert isinstance(preset("folner-z").family, FolnerInduced)
+
+    def test_dissipative_builds_share_bump_cocycle(self, capsys, monkeypatch):
+        # the gamma_k brackets depend on D and k only, so a second call
+        # finds every bracket it needs in the memo of the first
+        assert preset("f2-dissipative").family.bc is preset("f2-dissipative").family.bc
+        calls = []
+        partial_sum = BumpCocycle._partial_sum
+        monkeypatch.setattr(BumpCocycle, "_partial_sum",
+                            lambda bc, k, N: calls.append(k) or partial_sum(bc, k, N))
+        first = run(capsys, "criterion", "--preset", "f2-dissipative(12)")
+        calls.clear()
+        second = run(capsys, "criterion", "--preset", "f2-dissipative(12)")
+        assert calls == []
+        assert json.loads(second[1])["results"] == json.loads(first[1])["results"]
 
     def test_power(self):
         assert preset("f2-wsplit", power=220).multiplicity == 220
@@ -366,6 +385,14 @@ def _spec_json(name, **family):
     return data
 
 
+def _fpw_json(**family):
+    mu0, mu1 = measures_from_lambda(Fraction(1, 2))
+    data = spec_to_json(ActionSpec(FreeGroup(2), FreeProductW(mu0, mu1),
+                                   delta=Fraction(1, 4)))
+    data["family"].update(family)
+    return data
+
+
 @pytest.mark.parametrize("spec", [
     _spec_json("folner-z", horizon=0),
     _spec_json("f2-wsplit", p_a="abc"),
@@ -373,14 +400,29 @@ def _spec_json(name, **family):
     _spec_json("f2-wsplit", p_a=float("inf")),
     {**_spec_json("f2-wsplit"), "family": "wsplit"},
     {**_spec_json("f2-wsplit"), "multiplicity": "two"},
+    _fpw_json(distinguished=0),
+    _fpw_json(distinguished=-1),
+    _fpw_json(distinguished=3),
 ], ids=["folner-horizon-0", "p_a-abc", "p_a-1/0", "p_a-inf",
-        "family-string", "multiplicity-two"])
+        "family-string", "multiplicity-two", "distinguished-0",
+        "distinguished--1", "distinguished-3"])
 def test_malformed_spec_exits_2(capsys, tmp_path, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     code, out, err = run(capsys, "spec", "validate", str(path))
     assert code == 2 and out == ""
     assert err.startswith("bernlab: error:")
+
+
+@pytest.mark.parametrize("argv", [["cocycle", "norm", "-g", "a b^3"], ["criterion"]],
+                         ids=["norm", "criterion"])
+def test_distinguished_out_of_range_exits_2(capsys, tmp_path, argv):
+    # a generator outside 1..rank would give the zero cocycle, not an error
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_fpw_json(distinguished=3)))
+    code, out, err = run(capsys, *argv, "--spec", str(path))
+    assert code == 2 and out == ""
+    assert "distinguished generator 3 outside 1..2" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,17 +7,12 @@ from bernlab.groups import (
     Integers,
     Word,
     ball,
-    descending_sign_changes,
-    e_class,
     format_element,
     inv,
     mul,
     parse_element,
-    pi_a,
-    pi_b,
     reduce_letters,
     sphere,
-    w_class,
     word_length,
 )
 
@@ -104,27 +99,3 @@ class TestEnumeration:
         assert sorted(ball(Z, 3)) == [-3, -2, -1, 0, 1, 2, 3]
         assert mul(4, -7) == -3 and inv(5) == -5 and word_length(-9) == 9
 
-
-class TestClasses:
-    def test_w_class(self):
-        assert w_class(w("e")) == "W"
-        assert w_class(w("a")) == "W_a"
-        assert w_class(w("b a^-1")) == "W"
-        assert w_class(w("a b^2")) == "W_b"
-
-    def test_e_class_projections(self):
-        assert e_class(w("e")) == "e"
-        assert e_class(w("b a^-3")) == "E_a"
-        assert pi_a(w("b a^-3")) == -3
-        assert pi_b(w("a b^2")) == 2
-        with pytest.raises(GroupError):
-            pi_a(w("b"))
-
-    def test_descending_sign_changes(self):
-        # only (positive, negative) adjacent exponent pairs count
-        assert descending_sign_changes(w("a b^-1")) == 1
-        assert descending_sign_changes(w("a^-1 b")) == 0
-        assert descending_sign_changes(w("a b^-1 a")) == 1
-        assert descending_sign_changes(w("a b a b")) == 0
-        assert descending_sign_changes(w("a b^-1 a b^-1")) == 2
-        assert descending_sign_changes(w("e")) == 0

@@ -21,6 +21,7 @@ from bernlab.marginals import (
     SpecialCocycle,
     WSplit,
     ZSequence,
+    _SyllableFamily,
     f_value,
     make_folner_family,
     measures_from_ab,
@@ -40,12 +41,62 @@ def wsplit_spec():
 
 class TestFValue:
     def test_wsplit_classes(self):
+        # p_a after a positive power of a, p_b after one of b, p_w elsewhere
         spec = wsplit_spec()
-        g = lambda s: parse_element(F2, s)
-        assert f_value(spec, g("a")) == Fraction(3, 5)
-        assert f_value(spec, g("a b")) == Fraction(2, 5)
-        assert f_value(spec, g("b a^-1")) == Fraction(1, 2)
-        assert f_value(spec, g("e")) == Fraction(1, 2)
+        for word, want in [
+            ("e", "1/2"), ("a", "3/5"), ("a b", "2/5"), ("b a^-1", "1/2"),
+            ("a b^2", "2/5"), ("a b^-1", "1/2"), ("a^-1 b", "2/5"),
+            ("a b^-1 a", "3/5"), ("a b a b", "2/5"), ("a b^-1 a b^-1", "1/2"),
+        ]:
+            assert f_value(spec, w(word)) == Fraction(want), word
+
+    @pytest.mark.parametrize("word, want", [
+        # D = 1/12 gives delta = 1 and bumps of half-width n^2 from b_n =
+        # 0, 2, 4, 12: H(1..4) = 1, 0, 1, 0 and H(5..9) = 1/4, 1/2, 3/4, 1, 3/4
+        ("e", "1/2"), ("b a^-3", "1/2"), ("a b^2", "1/2"), ("b", "1/4"),
+        ("a^5", "9/16"), ("a b^7", "5/16"), ("b^-1 a^8", "3/4"),
+        ("a^3 b^-6", "1/2"), ("b^2 a^9", "11/16"),
+    ])
+    def test_special_last_syllable(self, word, want):
+        # base + scale H(e) after a^e, base - scale H(e) after b^e
+        fam = SpecialCocycle(Fraction(1, 12), Fraction(1, 2), Fraction(1, 4))
+        assert fam.f(w(word)) == Fraction(want)
+
+    @pytest.mark.parametrize("word, want", [
+        ("e", "2/3"), ("b", "1/3"), ("b^-1", "2/3"), ("a c b^2", "1/3"),
+        ("b c", "2/3"), ("c^-1 b^3", "1/3"), ("b a", "2/3"), ("a^4", "2/3"),
+    ])
+    def test_free_product_w_rank_3(self, word, want):
+        # p1 = 1/3 after a positive power of the distinguished b, p0 = 2/3
+        fam = FreeProductW(*measures_from_lambda(Fraction(1, 2)), distinguished=2)
+        assert fam.f(parse_element(FreeGroup(3), word)) == Fraction(want)
+
+    def test_matches_last_letter_reference(self):
+        mu0, mu1 = measures_from_lambda(Fraction(1, 2))
+        ws = WSplit(Fraction(3, 5), Fraction(2, 5), Fraction(1, 2))
+        fpw = FreeProductW(mu0, mu1, distinguished=2)
+        sc = SpecialCocycle(Fraction(1, 12), Fraction(1, 2), Fraction(1, 4))
+        for g in ball(F2, 4):
+            letters = [(x, 1 if e > 0 else -1) for x, e in g.syls for _ in range(abs(e))]
+            if not letters:
+                assert (ws.f(g), fpw.f(g), sc.f(g)) == (ws.p_w, mu0.probs[0], sc.base)
+                continue
+            # the last letter and the length of its trailing run
+            last, run = letters[-1], 1
+            while run < len(letters) and letters[-run - 1] == last:
+                run += 1
+            x, sign = last
+            assert ws.f(g) == {(1, 1): ws.p_a, (2, 1): ws.p_b}.get(last, ws.p_w)
+            assert fpw.f(g) == (mu1 if last == (2, 1) else mu0).probs[0]
+            h = sc.bc.h_exact(sign * run)
+            assert sc.f(g) == (sc.base + sc.scale * h if x == 1 else sc.base - sc.scale * h)
+
+    @pytest.mark.parametrize("cls", [WSplit, FreeProductW, SpecialCocycle])
+    def test_f_and_norm_sq_are_shared(self, cls):
+        # a family gives base, psi and gamma only
+        for name in ("f", "norm_sq"):
+            assert name not in vars(cls)
+            assert getattr(cls, name) is getattr(_SyllableFamily, name)
 
     def test_zsequence(self):
         seq = DecreasingSequence("inv_sqrt", scale=Fraction(1, 6))
@@ -69,6 +120,31 @@ class TestFValue:
         with pytest.raises(SpecError):
             ActionSpec(Integers(), WSplit(Fraction(3, 5), Fraction(2, 5),
                                           Fraction(1, 2)))
+
+    @pytest.mark.parametrize("distinguished", [0, -1, 3])
+    def test_distinguished_outside_rank(self, distinguished):
+        mu0, mu1 = measures_from_lambda(Fraction(1, 2))
+        data = spec_to_json(ActionSpec(F2, FreeProductW(mu0, mu1), delta=Fraction(1, 4)))
+        data["family"]["distinguished"] = distinguished
+        with pytest.raises(SpecError, match="distinguished generator"):
+            spec_from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("word, pairs", [
+    ("a b^-1", 1), ("a^-1 b", 0), ("a b^-1 a", 1), ("a b a b", 0),
+    ("a b^-1 a b^-1", 2), ("b^2 a^-3", 1), ("a", 0),
+])
+@pytest.mark.parametrize("p_a", ["3/5", "9/20"])
+def test_wsplit_cross_term_per_descending_pair(word, pairs, p_a):
+    # ||c_g||^2 = alpha^2 n_a + beta^2 n_b + 2 alpha beta (descending pairs)
+    spec = ActionSpec(F2, WSplit(Fraction(p_a), Fraction(2, 5), Fraction(1, 2)),
+                      delta=Fraction(1, 3))
+    g = w(word)
+    alpha, beta = spec.family.rates
+    n_a = sum(abs(e) for x, e in g.syls if x == 1)
+    n_b = sum(abs(e) for x, e in g.syls if x == 2)
+    want = alpha**2 * n_a + beta**2 * n_b + 2 * alpha * beta * pairs
+    assert norm_sq(spec, g).exact == want == spec.family.ball_norm_sq(g, 5)
 
 
 class TestMeasureBuilders:
