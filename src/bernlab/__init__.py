@@ -1,5 +1,10 @@
 """Explicit nonsingular Bernoulli actions: cocycle norms with certified
-error, conservative/dissipative criteria, and exact type classification."""
+error, conservative/dissipative criteria, and exact type classification.
+
+numpy is imported inside the functions that compute with it, never at module
+level: importing it costs tens of milliseconds (more while OpenBLAS starts its
+threads), and most commands do exact `Fraction` work that never touches it.
+"""
 
 __version__ = "1.0.0"
 

@@ -1,7 +1,7 @@
 """Hot numeric kernels, vectorized with numpy."""
 from __future__ import annotations
 
-import numpy as np
+# numpy is imported in the functions that use it (see the package docstring)
 
 __all__ = ["zseq_norm_head", "segment_square_sum"]
 
@@ -13,6 +13,8 @@ def zseq_norm_head(a: np.ndarray, k: int, J: int) -> float:
     The sums are numpy reductions, not BLAS dot products: with more than one
     BLAS thread, `np.dot` at this size is sometimes milliseconds slower.
     """
+    import numpy as np
+
     head = float(np.einsum("i,i->", a[:k], a[:k]))
     d = a[:J] - a[k : J + k]
     return head + float(np.einsum("i,i->", d, d))
@@ -20,6 +22,8 @@ def zseq_norm_head(a: np.ndarray, k: int, J: int) -> float:
 
 def segment_square_sum(u: np.ndarray, s: np.ndarray, L: np.ndarray) -> float:
     """Sum of (u_i + s_i * j)^2 over j = 0..L_i-1, accumulated over segments."""
+    import numpy as np
+
     L = L.astype(np.float64)
     t1 = L * u * u
     t2 = s * u * L * (L - 1.0)

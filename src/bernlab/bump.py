@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
+# numpy is imported in the functions that use it (see the package docstring)
 
 from . import _kernels
 from .exact import parse_fraction
@@ -22,6 +22,8 @@ class BumpCocycle:
     """Evaluator for H and certified bounds on the gamma_k square norms."""
 
     def __init__(self, D):
+        import numpy as np
+
         D = parse_fraction(D)
         if D <= 0:
             raise ValueError(f"D must be positive, got {D}")
@@ -35,6 +37,8 @@ class BumpCocycle:
 
     def ensure_bumps(self, N: int) -> None:
         """Materialize a_n and b_n for all n < N (b has N+1 entries)."""
+        import numpy as np
+
         cur = len(self._a)
         if N <= cur:
             return
@@ -57,8 +61,7 @@ class BumpCocycle:
             if n <= 0:
                 h = Fraction(0)
             else:
-                self._cover(n)
-                i = int(np.searchsorted(self._b, n, side="right")) - 1
+                i = self.bump_index_at(n)
                 a, off = int(self._a[i]), n - int(self._b[i])
                 h = Fraction(off, a) if off <= a else Fraction(2 * a - off, a)
             self._h_cache[n] = h
@@ -66,6 +69,8 @@ class BumpCocycle:
 
     def h_float(self, m: np.ndarray) -> np.ndarray:
         """Vectorized H, materializing bumps past max(m) as needed."""
+        import numpy as np
+
         m = np.asarray(m, dtype=np.int64)
         if m.size:
             self._cover(int(m.max()))
@@ -75,6 +80,8 @@ class BumpCocycle:
     def _h_in(self, m: np.ndarray, i: np.ndarray) -> np.ndarray:
         """Float H(m) given the index i of a bump whose span [b_i, b_{i+1})
         holds m, or i = 0 where m <= 0."""
+        import numpy as np
+
         a = self._a[i].astype(np.float64)
         off = (m - self._b[i]).astype(np.float64)
         # off/a rising, (2a - off)/a falling; both numerators are exact
@@ -83,6 +90,8 @@ class BumpCocycle:
 
     def bump_index_at(self, pos: int) -> int:
         """Index of the bump whose support contains the position pos >= 0."""
+        import numpy as np
+
         self._cover(pos)
         return max(int(np.searchsorted(self._b, pos, side="right")) - 1, 0)
 
@@ -91,6 +100,8 @@ class BumpCocycle:
 
         Per bump at most 2 a_n + k positions, each difference at most k/a_n.
         """
+        import numpy as np
+
         k = abs(int(k))
         if k == 0:
             return 0.0
@@ -161,6 +172,8 @@ class BumpCocycle:
     def _partial_sum(self, k: int, N: int) -> float:
         """G_N for k >= 1: the head G_{n_k} by `_breakpoint_sum` and the
         bumps n_k <= n < N by f_k (see `gamma_norm_sq_bounds`)."""
+        import numpy as np
+
         self.ensure_bumps(N)
         # a is nondecreasing, so n_k - 1 is the first index with a >= k
         n_k = min(int(np.searchsorted(self._a[:N], k)) + 1, N)
@@ -186,6 +199,8 @@ class BumpCocycle:
         breakpoints below each point, which gives its bump and that of the
         point minus k without a search.
         """
+        import numpy as np
+
         b, a = self._b[: N + 1], self._a[:N]
         end = int(b[N])
         # breakpoints of H, strictly increasing: P'_0 = b_0 = 0, b_0 + a_0 = 1,

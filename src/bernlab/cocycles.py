@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
+# numpy is imported in the functions that use it (see the package docstring)
 
 from .exact import BoundedValue
 from .groups import Element, inv, is_identity, mul, word_length
@@ -65,6 +65,9 @@ def norm_sq_bruteforce(spec: ActionSpec, g: Element, radius: int) -> BoundedValu
     fam = spec.family
     if fam.on_ball:
         return BoundedValue.from_exact(fam.ball_norm_sq(g, radius)).scaled(m)
+    # below the exact ball sum, which needs no numpy
+    import numpy as np
+
     p, q = _window(spec, g, radius)
     total = float(np.sum((p - q) ** 2))
     return BoundedValue.from_truncation(total, fam.tail(g, radius)).scaled(m)
@@ -82,6 +85,8 @@ def value_pairs(spec: ActionSpec, g: Element, extent: int):
 def _window(spec: ActionSpec, g: Element, extent: int):
     """Float arrays (F(h), F(g^-1 h)) over the h in support(g, extent) where
     the two values differ, in window order."""
+    import numpy as np
+
     window = spec.family.window_values(g, extent)
     if window is None:
         pairs = [(float(p), float(q)) for _, p, q in value_pairs(spec, inv(g), extent)]
@@ -99,6 +104,8 @@ def affinity_pairs(spec: ActionSpec, g: Element, extent: int):
     The pairs drive the per-coordinate Hellinger and negative-square products;
     the tail bound turns their truncation into a certificate.
     """
+    import numpy as np
+
     gi = inv(g)
     p, q = _window(spec, gi, extent)
     order = np.argsort(-np.abs(p - q), kind="stable")

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
+# numpy is imported in the functions that use it (see the package docstring)
 
 from .cocycles import BoundedValue, _window, affinity_pairs, norm_sq
 from .exact import parse_fraction
@@ -68,6 +68,8 @@ def _block_weights(spec: ActionSpec, kappa: float, radius: int) -> np.ndarray:
     when the block is a single positive syllable. The integers are the
     rank-1 case, whose element x^e is the int e.
     """
+    import numpy as np
+
     free = isinstance(spec.group, FreeGroup)
     rank = spec.group.rank if free else 1
     weights = np.zeros((2, radius + 1, 2 * rank, 2 * rank))
@@ -109,6 +111,8 @@ def criterion_partial_sums(spec: ActionSpec, kappa: float, radius: int):
     `norm_sq`: at most 2rR + r(r-1)R^2 calls on the free group of rank r at
     radius R (54 on F2 at R = 6, whose ball has 1457 words).
     """
+    import numpy as np
+
     if not 0 < kappa < math.inf:
         raise SpecError(f"kappa must be positive and finite, got {kappa}")
     weights = _block_weights(spec, kappa, radius)
@@ -154,7 +158,7 @@ def classify_conservativity(spec: ActionSpec, kappa=None) -> CriterionVerdict:
         kap = math.inf
     if not 0 < kap < math.inf:
         raise SpecError(f"kappa must be positive and finite, got {kap}")
-    found = spec.family.certificate(spec.multiplicity, kap, k0)
+    found = spec.family.certificate(spec.group, spec.multiplicity, kap, k0)
     if found is None:
         return _inconclusive(spec, kap)
     return CriterionVerdict(*found)
@@ -179,7 +183,7 @@ def verify_certificate(spec: ActionSpec, verdict: CriterionVerdict) -> bool:
     produce, is rejected. Inconclusive verdicts carry no certificate."""
     if verdict.verdict == "Inconclusive" or verdict.kappa is None:
         return False
-    found = spec.family.certificate(spec.multiplicity, verdict.kappa,
+    found = spec.family.certificate(spec.group, spec.multiplicity, verdict.kappa,
                                     float(kappa0(spec.delta)))
     return found is not None and CriterionVerdict(*found) == verdict
 
@@ -312,6 +316,8 @@ def _binomial_cdf(n: int, p: float) -> np.ndarray:
     4000). The entries are clipped to 1 and the last one is exactly 1, so
     that a uniform u in [0, 1) has searchsorted(cdf, u, "right") in 0..n.
     """
+    import numpy as np
+
     j = np.arange(n, dtype=float)
     mode = min(int((n + 1) * p), n)
     w = np.ones(n + 1)
@@ -340,6 +346,8 @@ def _mc_sums(gen, m: int, p_single, diff_single, log_r1_sum: float, runs: list,
     run takes the count searchsorted(cdf, u, "right"). Only numpy is called
     here, so that this can run on a worker thread.
     """
+    import numpy as np
+
     cols, n_runs = m * len(diff_single), len(runs)
     p_all, diff_all = np.tile(p_single, m), np.tile(diff_single, m)
     base = m * log_r1_sum + sum(const for _, _, const in runs)
@@ -389,6 +397,8 @@ def mc_omega(spec: ActionSpec, g, radius: int, samples: int, seed: int) -> dict:
     half 0 first, so the report depends only on the seed. An estimate that
     overflows is returned as inf or nan.
     """
+    import numpy as np
+
     if samples < 10**3:
         raise SpecError("need at least 1000 samples")
     if seed < 0:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 
-import numpy as np
+# numpy is imported in the functions that use it (see the package docstring)
 
 from .exact import SpecError
 
@@ -50,6 +50,8 @@ class FolnerCocycle:
         bound is fl(fl(2 |g_n| 2^n) * (1 + 1e-9)).
         conditions_report re-checks every pair (k, n) from the stored data.
         """
+        import numpy as np
+
         self.phi = phi
         self.horizon = horizon
         self.delta = delta
@@ -105,6 +107,8 @@ class FolnerCocycle:
         The positions pass 2^63, so the intervals are clipped to each zone in
         Python ints, and the array is built from the run lengths of its
         constant pieces."""
+        import numpy as np
+
         starts, lengths, values = self.starts, self.lengths, self.values
         runs, run_values = [], []
         for lo, hi in zones:
@@ -127,6 +131,8 @@ class FolnerCocycle:
         Sums 2 min(s, L_n) eps_n^2 / L_n over n with the operations of the
         sequential loop, in its order: np.cumsum adds left to right (np.sum
         would add pairwise)."""
+        import numpy as np
+
         s = abs(s)
         if s > self.gap:
             raise SpecError(f"shift {s} exceeds the interval gap {self.gap}; "

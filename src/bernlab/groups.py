@@ -217,7 +217,7 @@ def parse_element(group: Group, text: str) -> Element:
             raise GroupError(f"not an integer element: {text!r}")
     if text in ("", "e", "1"):
         return identity(group)
-    letters = []
+    syls: list = []
     for tok in text.split():
         m = _SYL_RE.match(tok)
         if not m:
@@ -226,9 +226,9 @@ def parse_element(group: Group, text: str) -> Element:
         exp = int(m.group(2)) if m.group(2) else 1
         if gen > group.rank:
             raise GroupError(f"generator {m.group(1)!r} out of range for rank {group.rank}")
-        sign = 1 if exp > 0 else -1
-        letters.extend([(gen, sign)] * abs(exp))
-    return reduce_letters(letters, group.rank)
+        # fold the whole syllable in at once: O(tokens), whatever the exponents
+        _push(syls, gen, exp)
+    return Word(group.rank, tuple(syls))
 
 
 def format_element(g: Element) -> str:

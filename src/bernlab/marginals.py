@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar, Optional
 
-import numpy as np
+# numpy is imported in the functions that use it (see the package docstring)
 
 from . import _kernels
 from .bump import BumpCocycle
@@ -30,6 +30,7 @@ from .groups import (
     Integers,
     Word,
     ball,
+    format_element,
     inv,
     mul,
     word_length,
@@ -167,6 +168,8 @@ class DecreasingSequence:
         raise SpecError("step needs a closed-form sequence")
 
     def values(self, J: int) -> np.ndarray:
+        import numpy as np
+
         j = np.arange(J, dtype=np.float64)
         if self.kind == "inv_sqrt":
             return float(self.scale) / np.sqrt(j + 1.0)
@@ -269,9 +272,10 @@ class MarginalFamily:
             return 0.0
         raise NotImplementedError
 
-    def certificate(self, m: int, kappa: float, k0: float):
-        """(verdict, kappa, evidence) of the m-fold power, where this family
-        has a certificate at kappa against the threshold k0, else None."""
+    def certificate(self, group: Group, m: int, kappa: float, k0: float):
+        """(verdict, kappa, evidence) of the m-fold power on `group`, where
+        this family has a certificate at kappa against the threshold k0,
+        else None."""
         return None
 
 
@@ -466,7 +470,7 @@ class ZSequence(MarginalFamily):
                     + 8.0 * eta * (k + eta * J) * self.seq.a(0) ** 2)
         return BoundedValue(head + tail / 2.0, tail / 2.0 + rounding)
 
-    def certificate(self, m, kappa, k0):
+    def certificate(self, group, m, kappa, k0):
         kind = self.seq.kind
         if kind == "inv_sqrt":
             sig2 = float(self.seq.scale) ** 2
@@ -519,6 +523,17 @@ def _exp_or_none(log_v: float) -> Optional[float]:
         return math.exp(log_v)
     except OverflowError:
         return None  # JSON has no infinity: reported as null
+
+
+def _zero_rate(kappa: float, generator: str):
+    """Conservative evidence from a generator whose powers all have
+    ||c||^2 = 0: every term of its cyclic subgroup equals 1."""
+    return ("Conservative", kappa, {
+        "witness": "zero-rate cyclic subgroup",
+        "generator": generator,
+        "minorant": "every power of the generator has ||c||^2 = 0; "
+                    "the sum diverges at every kappa",
+    })
 
 
 @dataclass(frozen=True)
@@ -583,7 +598,7 @@ class WSplit(_BallFamily):
             log_q += 2.0 * _log_one_minus_exp(log_y + math.log(n_terms))
         return log_q, 2.0 * c * float(alpha * beta)
 
-    def certificate(self, m, kappa, k0):
+    def certificate(self, group, m, kappa, k0):
         alpha, beta = self.rates
         if alpha == 0 and beta == 0:
             return ("Conservative", kappa, {
@@ -592,12 +607,7 @@ class WSplit(_BallFamily):
             })
         if alpha == 0 or beta == 0:
             # ||c_{x^n}||^2 = 0 for the generator x whose letters cost nothing
-            return ("Conservative", kappa, {
-                "witness": "zero-rate cyclic subgroup",
-                "generator": "a" if alpha == 0 else "b",
-                "minorant": "every power of the generator has ||c||^2 = 0; "
-                            "the sum diverges at every kappa",
-            })
+            return _zero_rate(kappa, "a" if alpha == 0 else "b")
         if alpha >= 0 and beta >= 0:
             rate = float(min(alpha * alpha, beta * beta))
         else:
@@ -657,10 +667,14 @@ class FreeProductW(_BallFamily):
             return 0
         return self.mu1.probs[0] - self.mu0.probs[0]
 
-    def certificate(self, m, kappa, k0):
+    def certificate(self, group, m, kappa, k0):
         if self.mu0 == self.mu1:
             return ("Conservative", kappa,
                     {"witness": "identity-cocycle", "minorant": "all terms equal 1"})
+        if group.rank >= 2:
+            # psi_y = 0 on every other generator y, so ||c_{y^n}||^2 = |n| psi_y(1)^2 = 0
+            y = 2 if self.distinguished == 1 else 1
+            return _zero_rate(kappa, format_element(Word(group.rank, ((y, 1),))))
         return None
 
 
@@ -736,7 +750,7 @@ class FolnerInduced(MarginalFamily):
     def norm_sq(self, k, tol):
         return BoundedValue.from_truncation(self.cocycle.norm_sq_closed(k), 0.0)
 
-    def certificate(self, m, kappa, k0):
+    def certificate(self, group, m, kappa, k0):
         if self.phi_kind == "sqrt_log" and kappa > k0:
             c = kappa * m * float(self.phi_scale)
             if c <= 1.0:
@@ -838,6 +852,8 @@ class SpecialCocycle(_SyllableFamily):
                         yield h
 
     def window_values(self, g, extent):
+        import numpy as np
+
         # F depends on the last syllable only, so every point of support(g,
         # extent) is base x^m on the axis line (base, x) through a prefix of
         # g, with base not ending in x. Syllable tuples stand for the words.
@@ -884,6 +900,8 @@ class SpecialCocycle(_SyllableFamily):
 
         The words come out of one formula, so equal exact values give equal
         floats."""
+        import numpy as np
+
         f = self._axis_f(x, h[np.maximum(n, 0)])
         at_stem = n == 0
         if at_stem.any():
@@ -899,7 +917,7 @@ class SpecialCocycle(_SyllableFamily):
             tail += self._s2 * self.bc.tail_bound(e, M)
         return tail
 
-    def certificate(self, m, kappa, k0):
+    def certificate(self, group, m, kappa, k0):
         return _geometric(self._s2 * float(self.D), m)
 
 
@@ -938,6 +956,8 @@ def substream_rng(seed: int, payload: str) -> np.random.Generator:
     The seed is any nonnegative int; it enters the SeedSequence whole, not
     reduced mod 2^64, so seeds 0 and 2^64 draw different streams.
     """
+    import numpy as np
+
     digest = hashlib.sha256(payload.encode()).digest()
     key = int.from_bytes(digest[:8], "big")
     return np.random.Generator(np.random.PCG64([seed, key]))

@@ -115,6 +115,16 @@ class TestCommands:
             oracles.append((oracle["value"], oracle["err"]))
         assert oracles[0] == oracles[1]
 
+    @pytest.mark.parametrize("text", ["a^99999999999", "b^-99999999999"])
+    def test_cocycle_norm_huge_exponent(self, capsys, text):
+        # WSplit's norm of x^e is the closed form |e| psi_x(1)^2, and the
+        # parse folds the syllable in whole instead of into 10^11 letters
+        code, out, _ = run(capsys, "cocycle", "norm", "--preset", "f2-wsplit", "-g", text)
+        assert code == 0
+        fam = preset("f2-wsplit").family
+        x = 1 if text.startswith("a") else 2
+        assert json.loads(out)["results"]["exact"] == str(99999999999 * fam.psi(x, 1) ** 2)
+
     def test_cocycle_norm_identity(self, capsys):
         code, out, _ = run(capsys, "cocycle", "norm", "--preset", "f2-wsplit",
                            "-g", "e")
@@ -480,16 +490,97 @@ def test_out_of_range_argument_exits_2(capsys, tmp_path, argv, needle):
     assert not (tmp_path / "out").exists()
 
 
-def test_import_leaves_thread_pool_unloaded():
-    # concurrent.futures costs about 5 ms to import; only the Monte Carlo
-    # sampler needs it, so it is imported there
+def _run_python(args, cwd=None):
+    """Run the interpreter on `args` in a fresh process, with bernlab's
+    source first on the import path."""
     src = Path(bernlab.__file__).resolve().parents[1]
-    code = "import sys, bernlab.cli; print('concurrent.futures' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "False"
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
+                          text=True, timeout=120)
+
+
+# Imports bernlab, builds the presets and a FreeProductW spec that need no
+# numpy, then runs the README commands that do exact work in one process
+# with cli.main; prints which of numpy and concurrent.futures were loaded
+# after each step, and the exit codes.
+_START_UP = """
+import contextlib, io, json, sys
+from fractions import Fraction
+import bernlab, bernlab.cli as cli
+from bernlab.groups import FreeGroup
+from bernlab.marginals import (ActionSpec, FreeProductW, measures_from_lambda,
+                               spec_from_json, spec_to_json)
+
+def loaded():
+    return [m for m in ("numpy", "concurrent.futures") if m in sys.modules]
+
+steps = {"import": loaded()}
+for name in ("f2-wsplit", "explicit-z", "explicit-z-sqrt6"):
+    cli.preset(name)
+fpw = ActionSpec(FreeGroup(2), FreeProductW(*measures_from_lambda(Fraction(2, 5))),
+                 delta=Fraction(1, 5))
+spec_from_json(json.dumps(spec_to_json(fpw)))
+steps["build"] = loaded()
+codes = []
+for argv in (
+    ["cocycle", "norm", "--preset", "f2-wsplit", "-g", "a b^-1 a", "--oracle-radius", "4"],
+    ["criterion", "--preset", "f2-wsplit", "--power", "220"],
+    ["classify", "--mu0", "2/3,1/3", "--mu1", "1/3,2/3", "--stable"],
+    ["classify", "--preset", "f2-wsplit", "--element", "a"],
+    ["build", "--preset", "explicit-z-sqrt6", "--out", "z.json"],
+    ["spec", "validate", "z.json"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+steps["commands"] = loaded()
+print(json.dumps({"steps": steps, "codes": codes}))
+"""
+
+
+def test_start_up_leaves_numpy_and_thread_pool_unloaded(tmp_path):
+    # numpy costs tens of milliseconds to import and concurrent.futures about
+    # 5 ms; the functions that compute with them import them, so the import,
+    # the exact presets and the exact commands load neither
+    done = _run_python(["-c", _START_UP], cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report == {"steps": {"import": [], "build": [], "commands": []},
+                      "codes": [0] * 6}
+
+
+def test_simulate_in_a_fresh_process_is_pinned():
+    # numpy is first imported inside the command, before mc_omega starts its
+    # worker; the estimates are those of
+    # test_criteria.py::TestMonteCarlo::test_window_table_stream_is_pinned
+    done = _run_python(["-m", "bernlab.cli", "simulate", "--preset", "f2-dissipative",
+                        "-g", "a^2 b^-1", "--window", "256", "--samples", "100000",
+                        "--seed", "0"])
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)["results"]
+    want = {
+        "mean_omega": "0x1.9904c8fe98b9ap-14",
+        "se_omega": "0x1.7998b0d72d511p-14",
+        "mean_sqrt_omega": "0x1.9fa6d225baf4fp-14",
+        "se_sqrt_omega": "0x1.05f1d9799769bp-15",
+        "mean_negsq_omega": "0x1.5b57d8e1fc0c3p+189",
+        "se_negsq_omega": "0x1.5a345193893d2p+189",
+    }
+    assert {k: got[k].hex() for k in want} == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--preset", "explicit-z-sqrt6"],
+    ["nonamenable", "--preset", "f2-wsplit"],
+], ids=["verify", "nonamenable"])
+def test_numpy_commands_in_a_fresh_process(argv):
+    done = _run_python(["-m", "bernlab.cli", *argv])
+    assert done.returncode == 0, done.stderr
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    assert json.loads(done.stdout, parse_constant=reject)["schema"] == "bernlab/1"
 
 
 def test_main_calls_share_no_parsed_state(capsys, tmp_path):

@@ -28,6 +28,7 @@ from bernlab.cocycles import BoundedValue, affinity_pairs, norm_sq, value_pairs
 from bernlab.groups import FreeGroup, format_element, inv, parse_element, sphere
 from bernlab.marginals import (
     ActionSpec,
+    BaseMeasure,
     FreeProductW,
     SpecError,
     WSplit,
@@ -119,6 +120,28 @@ class TestVerdicts:
         assert v.evidence["generator"] == gen
         assert norm_sq(spec, g_of(spec, f"{gen}^5")).exact == 0
         assert verify_certificate(spec, v)
+
+    @pytest.mark.parametrize("rank, distinguished, gen", [(2, 1, "b"), (3, 2, "a")])
+    @pytest.mark.parametrize("kappa", [None, 1e300])
+    def test_free_product_w_zero_rate_generator(self, rank, distinguished, gen, kappa):
+        # psi vanishes off the distinguished generator, so every power of
+        # another generator has norm 0; the rank-2 case was Inconclusive,
+        # with partial sums reaching 89 at radius 6
+        mu0 = BaseMeasure((Fraction(2, 5), Fraction(3, 5)))
+        mu1 = BaseMeasure((Fraction(3, 5), Fraction(2, 5)))
+        spec = ActionSpec(FreeGroup(rank), FreeProductW(mu0, mu1, distinguished),
+                          delta=Fraction(1, 5))
+        v = classify_conservativity(spec, kappa)
+        assert v.verdict == "Conservative"
+        assert v.evidence["witness"] == "zero-rate cyclic subgroup"
+        assert v.evidence["generator"] == gen
+        assert norm_sq(spec, g_of(spec, f"{gen}^-7 {gen}^2")).exact == 0
+        assert verify_certificate(spec, v)
+
+    def test_free_product_w_rank_1_has_no_zero_rate_generator(self):
+        spec = ActionSpec(FreeGroup(1), FreeProductW(*measures_from_lambda(Fraction(2, 5))),
+                          delta=Fraction(1, 5))
+        assert classify_conservativity(spec).verdict == "Inconclusive"
 
 
 class TestCertificateCheck:

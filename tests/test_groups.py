@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -33,6 +35,31 @@ class TestReduction:
         for text in ("e", "a", "a b^-1 a^2", "b^-3 a b"):
             assert format_element(w(text)) == text if text != "e" else True
             assert parse_element(F2, format_element(w(text))) == w(text)
+
+    @staticmethod
+    def letter_parse(rank, text):
+        """The reference parse: every syllable expanded into its letters,
+        then freely reduced."""
+        letters = []
+        for tok in text.split():
+            name, _, exp = tok.partition("^")
+            exp = int(exp) if exp else 1
+            letters.extend([("abc".index(name) + 1, 1 if exp > 0 else -1)] * abs(exp))
+        return reduce_letters(letters, rank)
+
+    def test_parse_matches_letter_expansion(self):
+        rng = random.Random(18)
+        texts = ["a^3 a^-3 b", "a^0", "a^0 b^0", "b a^2 a^-2 b^-1", "a^5 b^0 a^-5",
+                 "a b b^-1 a^-1 a", "c^-50 c^50", "a^50 a^-49 a^-1 b"]
+        for _ in range(500):
+            texts.append(" ".join(f"{rng.choice('abc')}^{rng.randint(-50, 50)}"
+                                  for _ in range(rng.randint(1, 8))))
+        for text in texts:
+            assert parse_element(FreeGroup(3), text) == self.letter_parse(3, text), text
+
+    def test_parse_huge_exponent(self):
+        # each syllable is folded in whole, so the exponent's size costs nothing
+        assert w("a^99999999999 b^-3 b^3").syls == ((1, 99999999999),)
 
     def test_unreduced_word_rejected(self):
         with pytest.raises(GroupError):
