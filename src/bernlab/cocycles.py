@@ -69,7 +69,10 @@ def norm_sq_bruteforce(spec: ActionSpec, g: Element, radius: int) -> BoundedValu
     import numpy as np
 
     p, q = _window(spec, g, radius)
-    total = float(np.sum((p - q) ** 2))
+    # square the differences in place, in _window's own arrays
+    d = np.subtract(p, q, out=p)
+    d *= d
+    total = float(np.sum(d))
     return BoundedValue.from_truncation(total, fam.tail(g, radius)).scaled(m)
 
 
@@ -84,7 +87,8 @@ def value_pairs(spec: ActionSpec, g: Element, extent: int):
 
 def _window(spec: ActionSpec, g: Element, extent: int):
     """Float arrays (F(h), F(g^-1 h)) over the h in support(g, extent) where
-    the two values differ, in window order."""
+    the two values differ, in window order; both are new arrays that the
+    caller may overwrite."""
     import numpy as np
 
     window = spec.family.window_values(g, extent)

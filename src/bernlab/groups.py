@@ -32,6 +32,9 @@ class GroupError(ValueError):
     """Raised for malformed words, rank mismatches and negative radii."""
 
 
+_GEN_NAMES = "abcdefghijklmnopqrstuvwxyz"
+
+
 @dataclass(frozen=True)
 class FreeGroup:
     rank: int
@@ -39,6 +42,10 @@ class FreeGroup:
     def __post_init__(self):
         if self.rank < 1:
             raise GroupError(f"free group rank must be >= 1, got {self.rank}")
+        if self.rank > len(_GEN_NAMES):
+            raise GroupError(
+                f"free group rank must be <= {len(_GEN_NAMES)}, one letter per "
+                f"generator, got {self.rank}")
 
 
 @dataclass(frozen=True)
@@ -47,8 +54,6 @@ class Integers:
 
 
 Group = Union[FreeGroup, Integers]
-
-_GEN_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 
 @dataclass(frozen=True)
@@ -91,7 +96,7 @@ Element = Union[int, Word]
 def identity(group: Group) -> Element:
     if isinstance(group, Integers):
         return 0
-    return Word(group.rank, ())
+    return Word._trusted(group.rank, ())
 
 
 def _push(syls: list, gen: int, exp: int) -> None:
@@ -119,22 +124,46 @@ def reduce_letters(letters: Iterable, rank: int) -> Word:
 
 
 def mul(g: Element, h: Element) -> Element:
+    """The reduced product g·h.
+
+    For Words only the junction is walked: while g's last syllable and h's
+    first share a generator and their exponents cancel exactly, both are
+    dropped; then, if they still share a generator, they merge into one
+    syllable. The result meets the Word invariants, so it is built with
+    `Word._trusted`. Proof: g and h are reduced, so every syllable kept
+    whole has its generator in range and a nonzero exponent, and a merged
+    exponent is nonzero because the loop stopped short of exact
+    cancellation. Adjacent pairs inside g's kept prefix or h's kept suffix
+    were adjacent in g or h, hence distinct. The one new adjacency, g's last
+    kept syllable against h's first, has distinct generators unless they
+    merged; a merged syllable x^(e+f) sits between g's syllable before x^e
+    and h's syllable after x^f, both of which differ from x because g and h
+    are reduced.
+    """
     if isinstance(g, int) and isinstance(h, int):
         return g + h
     if not (isinstance(g, Word) and isinstance(h, Word)):
         raise GroupError("cannot multiply elements of different groups")
     if g.rank != h.rank:
         raise GroupError(f"rank mismatch: {g.rank} vs {h.rank}")
-    syls = list(g.syls)
-    for gen, exp in h.syls:
-        _push(syls, gen, exp)
-    return Word(g.rank, tuple(syls))
+    gs, hs = g.syls, h.syls
+    i, j, n = len(gs), 0, len(hs)
+    while i and j < n:
+        gen, exp = gs[i - 1]
+        hgen, hexp = hs[j]
+        if gen != hgen:
+            break
+        if exp + hexp:
+            return Word._trusted(g.rank, gs[:i - 1] + ((gen, exp + hexp),) + hs[j + 1:])
+        i -= 1
+        j += 1
+    return Word._trusted(g.rank, gs[:i] + hs[j:])
 
 
 def inv(g: Element) -> Element:
     if isinstance(g, int):
         return -g
-    return Word(g.rank, tuple((gen, -exp) for gen, exp in reversed(g.syls)))
+    return Word._trusted(g.rank, tuple([(gen, -exp) for gen, exp in reversed(g.syls)]))
 
 
 def word_length(g: Element) -> int:
@@ -175,7 +204,7 @@ def sphere(group: Group, n: int) -> Iterator[Element]:
         return
     rank = group.rank
     if n == 0:
-        yield Word(rank, ())
+        yield identity(group)
         return
     alphabet = _letters(rank)
 

@@ -863,52 +863,63 @@ class SpecialCocycle(_SyllableFamily):
             for x in (1, 2):
                 base, c = (p[:-1], p[-1][1]) if p and p[-1][0] == x else (p, 0)
                 lines.setdefault((base, x), []).append((c - extent, c + extent))
-        parts = []
+        runs = []
         for (base, x), spans in lines.items():
-            m = np.concatenate([np.arange(lo, hi + 1) for lo, hi in _merged(spans)])
-            # m = 0 is base itself. The line of its last syllable (x_j, e_j)
-            # holds it at m = e_j, as the prefix base gave that line the span
-            # around e_j; the empty base is kept on the line of a.
-            if (base, x) != ((), 1):
-                m = m[m != 0]
             # base is a prefix of g, so g^-1 base inverts the rest of g;
             # g^-1 base x^m = rest x^(t + m) with rest not ending in x
             r = tuple((gen, -e) for gen, e in reversed(g.syls[len(base):]))
             t, rest = (r[-1][1], r[:-1]) if r and r[-1][0] == x else (0, r)
-            parts.append((base, x, m, rest, t + m))
-        # one table of H over 0..top serves every line, since H(n) = 0 for
+            for lo, hi in _merged(spans):
+                # m = 0 is base itself. The line of its last syllable (x_j,
+                # e_j) holds it at m = e_j, as the prefix base gave that line
+                # the span around e_j; the empty base is kept on the line of a.
+                if lo <= 0 <= hi and (base, x) != ((), 1):
+                    pieces = [(lo, -1), (1, hi)]
+                else:
+                    pieces = [(lo, hi)]
+                runs.extend((base, x, a, b, rest, t) for a, b in pieces if a <= b)
+        # one table of H over 0..top serves every run, since H(n) = 0 for
         # n <= 0: top covers each index and each exponent of g, which is
         # where a stem's last syllable comes from
-        top = max([0] + [abs(e) for _, e in g.syls])
-        for _, _, m, _, n in parts:
-            if m.size:
-                top = max(top, int(m.max()), int(n.max()))
+        top = max([0] + [abs(e) for _, e in g.syls]
+                  + [max(hi, hi + t) for _, _, _, hi, _, t in runs])
         h = self.bc.h_float(np.arange(top + 1))
-        f_h = [self._line_f(h, base, x, m) for base, x, m, _, _ in parts]
-        f_g = [self._line_f(h, rest, x, n) for _, x, _, rest, n in parts]
-        return np.concatenate(f_h), np.concatenate(f_g)
+        # each run is written into its slice of the two outputs, so no other
+        # window-sized array is made
+        size = sum(hi - lo + 1 for _, _, lo, hi, _, _ in runs)
+        f_h, f_g = np.empty(size), np.empty(size)
+        at = 0
+        for base, x, lo, hi, rest, t in runs:
+            end = at + hi - lo + 1
+            self._run_f(h, base, x, lo, hi, f_h[at:end])
+            self._run_f(h, rest, x, lo + t, hi + t, f_g[at:end])
+            at = end
+        return f_h, f_g
 
-    def _axis_f(self, x, h):
+    def _axis_f(self, x, h, out=None):
         """Float F at the words ending in a syllable (x, n), n != 0, from
-        the float H(n)."""
-        c = float(self.scale) if x == 1 else -float(self.scale)
-        return float(self.base) + c * h
+        the float H(n), written into `out` when it is given."""
+        import numpy as np
 
-    def _line_f(self, h, stem, x, n):
-        """Float F(stem x^n) over the integer array n; stem does not end in x
-        and the table h holds H over 0..max(n, |exponents of stem|).
+        c = float(self.scale) if x == 1 else -float(self.scale)
+        return np.add(float(self.base), np.multiply(c, h, out=out), out=out)
+
+    def _run_f(self, h, stem, x, lo, hi, out):
+        """Float F(stem x^n) for n in lo..hi, written into `out`; stem does
+        not end in x and the table h holds H over
+        0..max(hi, |exponents of stem|).
 
         The words come out of one formula, so equal exact values give equal
         floats."""
-        import numpy as np
-
-        f = self._axis_f(x, h[np.maximum(n, 0)])
-        at_stem = n == 0
-        if at_stem.any():
+        # H(n) = 0 for the first k points, n <= 0
+        k = max(0, min(hi, 0) - lo + 1)
+        out[:k] = h[0]
+        out[k:] = h[max(lo, 1):max(hi, 0) + 1]
+        self._axis_f(x, out, out=out)
+        if lo <= 0 <= hi:
             # H(0) = 0 gives F(e) = base
             z, e = stem[-1] if stem else (1, 0)
-            f[at_stem] = self._axis_f(z, h[max(e, 0)])
-        return f
+            out[-lo] = self._axis_f(z, h[max(e, 0)])
 
     def tail(self, g, extent):
         M = self.bc.bump_index_at(max(extent - word_length(g), 1))

@@ -436,6 +436,28 @@ def test_distinguished_out_of_range_exits_2(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify", "--radius", "1"],
+    ["cocycle", "growth", "--radius", "2"],
+    ["nonamenable"],
+    ["criterion"],
+], ids=["verify", "growth", "nonamenable", "criterion"])
+def test_rank_beyond_the_alphabet_exits_2(capsys, tmp_path, argv):
+    # generators are named a..z, so rank 27 would have a generator with no name
+    path = tmp_path / "spec.json"
+    data = _fpw_json()
+    data["group"]["rank"] = 27
+    path.write_text(json.dumps(data))
+    argv = [*argv, "--spec", str(path), "--out", str(tmp_path / "out")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("bernlab: error:") and "rank must be <= 26" in err
+    data["group"]["rank"] = 26
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("argv", [
     ["cocycle", "norm", "--preset", "folner-z", "-g", "2000"],
     ["cocycle", "growth", "--preset", "folner-z", "--radius", "1100"],
 ], ids=["norm", "growth"])

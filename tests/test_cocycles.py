@@ -329,6 +329,23 @@ class TestSpecialWindow:
             head = ov.value - fam.tail(g, extent) / 2
             assert head == pytest.approx(float(total), rel=1e-12)
 
+    def test_window_allocates_only_its_outputs(self):
+        # each run is written into its slice of the outputs: window-sized
+        # temporaries would show as a traced peak of several times the outputs
+        import tracemalloc
+
+        fam = preset("f2-dissipative").family
+        g = w("a^2 b^3")
+        fam.window_values(g, 2048)  # the H table and the bump memo are filled
+        tracemalloc.start()
+        try:
+            fh, fg = fam.window_values(g, 2048)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fh.size > 16000
+        assert peak < 1.25 * (fh.nbytes + fg.nbytes)
+
     @pytest.mark.parametrize("text", ["a", "b^-1", "a b a^-1", "b^2 a^-1 b^-2"])
     def test_work_does_not_grow_with_radius(self, text, monkeypatch):
         # counted work, not time: group multiplications and Word constructions

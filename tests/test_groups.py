@@ -84,6 +84,103 @@ class TestReduction:
         assert mul(g, inv(g)) == Word(2, ())
         assert inv(mul(g, h)) == mul(inv(h), inv(g))
 
+    def test_rank_needs_a_letter_per_generator(self):
+        assert format_element(Word(26, ((26, -1),))) == "z^-1"
+        with pytest.raises(GroupError, match="rank must be <= 26"):
+            FreeGroup(27)
+
+
+def letters_of(syls):
+    return [(gen, 1 if exp > 0 else -1) for gen, exp in syls for _ in range(abs(exp))]
+
+
+syllables3 = st.lists(st.tuples(st.integers(1, 3), st.integers(-6, 6).filter(bool)),
+                      max_size=8)
+
+
+def word3(syls):
+    """The reduced rank-3 word of a syllable list that may repeat generators."""
+    return reduce_letters(letters_of(syls), 3)
+
+
+class TestJunctionMul:
+    """`mul` walks only the junction of two reduced words; the reference is
+    the letter-by-letter reduction of the concatenation."""
+
+    @staticmethod
+    def check(g, h):
+        r = mul(g, h)
+        assert r == reduce_letters(letters_of(g.syls) + letters_of(h.syls), 3)
+        assert r == Word(3, r.syls)  # the invariants hold without the check
+        assert inv(r) == Word(3, inv(r).syls)
+        return r
+
+    @given(syllables3, syllables3)
+    def test_matches_letter_reduction(self, a, b):
+        self.check(word3(a), word3(b))
+
+    @given(syllables3, st.integers(0, 8), st.integers(-6, 6), syllables3)
+    def test_cancelling_suffix(self, a, cut, shift, b):
+        # h starts with the inverse of a suffix of g, so the junction cancels
+        # fully or partly; `shift` changes the next exponent to leave a merged
+        # syllable
+        g = word3(a)
+        cut = min(cut, len(g.syls))
+        suffix = Word(3, g.syls[len(g.syls) - cut:])
+        head = inv(suffix).syls
+        if head and shift and head[-1][1] + shift:
+            head = head[:-1] + ((head[-1][0], head[-1][1] + shift),)
+        h = mul(Word(3, head), word3(b))
+        r = self.check(g, h)
+        if not shift:
+            assert r == mul(Word(3, g.syls[:len(g.syls) - cut]), word3(b))
+
+    @given(syllables3)
+    def test_inv_is_valid(self, a):
+        g = word3(a)
+        r = inv(g)
+        assert r == Word(3, r.syls)
+        want = [(gen, -sign) for gen, sign in reversed(letters_of(g.syls))]
+        assert letters_of(r.syls) == want
+
+    def test_errors_stay(self):
+        with pytest.raises(GroupError, match="different groups"):
+            mul(w("a"), 3)
+        with pytest.raises(GroupError, match="different groups"):
+            mul(3, w("a"))
+        with pytest.raises(GroupError, match="rank mismatch"):
+            mul(w("a"), Word(3, ((1, 1),)))
+
+    @staticmethod
+    def count_validations(monkeypatch):
+        counts = []
+        post_init = Word.__post_init__
+
+        def counting_post_init(self):
+            counts.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(Word, "__post_init__", counting_post_init)
+        return counts
+
+    def test_products_make_no_validations(self, monkeypatch):
+        elems = list(ball(F2, 3))
+        counts = self.count_validations(monkeypatch)
+        for g in elems:
+            for h in elems:
+                mul(inv(g), mul(g, h))
+        assert not counts
+
+    def test_value_pairs_make_no_validations(self, monkeypatch):
+        from bernlab.cli import preset
+        from bernlab.cocycles import value_pairs
+
+        spec = preset("f2-wsplit")
+        g = w("a b^-1 a^2")
+        counts = self.count_validations(monkeypatch)
+        pairs = list(value_pairs(spec, g, 4))
+        assert pairs and not counts
+
 
 class TestEnumeration:
     def test_sphere_cardinality(self):
