@@ -2,9 +2,9 @@
 
 norm_sq uses the family's closed form (exact rational where the cocycle is
 finitely supported, certified truncation otherwise); norm_sq_bruteforce is an
-independent oracle that sums c_g over explicit index windows. It and
-affinity_pairs read a window as float arrays, from the family's
-`window_values` where it has one and from `value_pairs` otherwise.
+independent oracle that sums c_g over explicit index windows. It reads a
+window as float arrays (`_window`), from the family's `window_values` where it
+has one and from `value_pairs` otherwise.
 """
 from __future__ import annotations
 
@@ -105,8 +105,9 @@ def affinity_pairs(spec: ActionSpec, g: Element, extent: int):
     |F(i) - F(g i)| descending (ties in window order), plus a bound on the
     cocycle mass left outside the window.
 
-    The pairs drive the per-coordinate Hellinger and negative-square products;
-    the tail bound turns their truncation into a certificate.
+    These are the coordinates of `criteria.integral_products`, which reads
+    them as the unsorted arrays of `_window(spec, inv(g), extent)`; the list
+    serves tests and the benchmark's layer trace.
     """
     import numpy as np
 

@@ -4,17 +4,16 @@ Kesten norm, and Monte Carlo estimates of the Radon-Nikodym cocycle."""
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 # numpy is imported in the functions that use it (see the package docstring)
 
-from .cocycles import BoundedValue, _window, affinity_pairs, norm_sq
+from .cocycles import BoundedValue, _window, norm_sq
 from .exact import parse_fraction
 from .groups import FreeGroup, Word, format_element, inv, is_identity, word_length
-from .marginals import ActionSpec, SpecError, substream_rng
+from .marginals import _U, ActionSpec, SpecError, substream_rng
 
 __all__ = [
     "CriterionVerdict",
@@ -197,44 +196,74 @@ HELLINGER_TAIL = 0.6
 
 
 def integral_products(spec: ActionSpec, g, tol: float = 1e-6) -> tuple:
-    """(integral of sqrt(omega(g, .)), integral of omega(g, .)^-2), from one
-    pass over the pairs of `affinity_pairs`.
+    """(integral of sqrt(omega(g, .)), integral of omega(g, .)^-2), each one
+    log-space sum over the float pairs (p, q) = (F(h), F(gh)) of the window of
+    c_{g^-1}, whose extent grows until the cocycle mass tau outside is <= tol
+    or it reaches 2^20. Per coordinate, with d = p - q, the m factors are
+    A = sqrt(pq) + sqrt((1-p)(1-q)) = 1 - H and N = p^3/q^2 + (1-p)^3/(1-q)^2:
+        H = d^2/2 (1/(sqrt p + sqrt q)^2 + 1/(sqrt(1-p) + sqrt(1-q))^2),
+        N - 1 = d^2 ((p + 2q)/q^2 + ((1-p) + 2(1-q))/(1-q)^2),
+    sums of nonnegative terms. The factors outside, in
+    [exp(-HELLINGER_TAIL tau), 1] and [1, exp(kappa0 tau)], shift the log ends.
 
-    The per-coordinate factors are the affinity sqrt(pq) + sqrt((1-p)(1-q))
-    and p^3/q^2 + (1-p)^3/(1-q)^2. With tau bounding the cocycle mass left
-    outside the window, the truncated tails are bracketed by
-    [exp(-HELLINGER_TAIL tau), 1] and [1, exp(kappa0 tau)]; the window's
-    extent grows until tau <= tol or it reaches 2^20.
+    Rounding, for the window's floats (u = 2^-53, gamma_k = ku/(1-ku)): p, q,
+    1-p, 1-q >= 2^-36 (checked), so +, -, *, /, sqrt err by u relative, and
+    numpy's log1p and exp are taken to err by 2 ulp = 4u (numpy's own accuracy
+    tests hold them to 1). (1) H and N - 1 carry 11 roundings, a sqrt halving
+    its argument's: gamma_11 relative, say t. (2) For x = N - 1,
+    log1p(x(1+t)) - log1p(x) = log1p(xt/(1+x)) and x/(1+x) <= log1p(x); for
+    log A = log1p(-H) the move is log1p(-Ht/A), H <= -log A and A >= a =
+    min(p, q) + min(1-p, 1-q) over the window. So, with log1p's own 4u, each
+    summed log is within e of itself, relative, e <= 1.001u(11/a + 4) (a = 1
+    for N). (3) np.sum is numpy's pairwise sum: up to 128 terms in 8
+    accumulators (<= 15 additions each), a 3-level tree and <= 7 more;
+    longer arrays halved at a multiple of 8, in <= bit_length(n) levels. So a
+    term meets <= k = 26 + bit_length(n) additions and, the terms sharing one
+    sign, the sum is within ((1+e)(1+gamma_k) - 1)|T| of the exact T. (4) For
+    x = fl(m sum), |x - mT| <= r = 1.1u(11/a + k + 5)|x|, the 1.1 covering
+    second order and the rounding of r and a. (5) The ends x -+ r + shift -+
+    pad are formed within 4.2us, s = |x| + r + |shift| + 1 (the float kappa0
+    included), and exp's 4u is a 5u move of its argument, so pad = 16us
+    covers both. exp is relative only on normal floats: a lower end below
+    them becomes 0, an upper end at least 2^-1021, and a lower end that
+    overflows the largest float, with the upper inf (an omega^-2 product past
+    the float range, null in reports).
     """
+    if not 0 < tol < math.inf:
+        raise SpecError(f"tol must be positive and finite, got {tol}")
     if is_identity(g):
         one = BoundedValue.from_exact(1)
         return one, one
+    import numpy as np
+
     # the extent is fixed from the tail alone, so the window is built once
     gi, m = inv(g), spec.multiplicity
     extent = 4096
-    while spec.family.tail(gi, extent) * m > tol and extent < 2**20:
+    while (tail := spec.family.tail(gi, extent) * m) > tol and extent < 2**20:
         extent *= 4
-    pairs, tail = affinity_pairs(spec, g, extent)
-    hell = negsq = 1.0
-    for p, q in pairs:
-        hell *= math.sqrt(p * q) + math.sqrt((1.0 - p) * (1.0 - q))
-        negsq *= p**3 / q**2 + (1.0 - p) ** 3 / (1.0 - q) ** 2
-    hell = hell ** m
-    lo = hell * math.exp(-HELLINGER_TAIL * tail)
-    slack = 1e-12 * hell
-    sqrt_omega = BoundedValue.from_bracket(max(lo - slack, 0.0), hell + slack)
-    try:
-        negsq = negsq ** m
-        hi = negsq * math.exp(float(kappa0(spec.delta)) * tail)
-    except OverflowError:
-        negsq = hi = math.inf
-    if hi == math.inf:
-        # Each factor is >= 1 by Jensen's inequality, so a product that
-        # overflowed is at least the float maximum, up to rounding.
-        lo = min(negsq, sys.float_info.max) * (1.0 - 1e-12)
-        return sqrt_omega, BoundedValue.from_bracket(lo, math.inf)
-    slack = 1e-12 * hi
-    return sqrt_omega, BoundedValue.from_bracket(max(negsq - slack, 0.0), hi + slack)
+    p, q = _window(spec, gi, extent)
+    low = min(p.min(initial=0.5), q.min(initial=0.5))
+    high = 1.0 - max(p.max(initial=0.5), q.max(initial=0.5))
+    if min(low, high) < 2.0**-36:
+        raise SpecError("window masses within 2^-36 of 0 or 1")
+    d2, p1, q1 = np.square(p - q), 1.0 - p, 1.0 - q
+    h = 0.5 * (d2 / np.square(np.sqrt(p) + np.sqrt(q))
+               + d2 / np.square(np.sqrt(p1) + np.sqrt(q1)))
+    n1 = d2 * ((p + 2.0 * q) / np.square(q) + (p1 + 2.0 * q1) / np.square(q1))
+    k = 26 + p.size.bit_length()
+
+    def bracket(logs, a, shift):
+        x = m * float(np.sum(logs))
+        r = 1.1 * _U * (11.0 / a + k + 5) * abs(x)
+        pad = 16.0 * _U * (abs(x) + r + abs(shift) + 1.0)
+        with np.errstate(over="ignore"):
+            lo, hi = np.exp([x - r + min(shift, 0.0) - pad,
+                             x + r + max(shift, 0.0) + pad]).tolist()
+        lo = 0.0 if lo < 2.0**-1022 else min(lo, math.nextafter(math.inf, 0.0))
+        return BoundedValue.from_bracket(lo, max(hi, 2.0**-1021))
+
+    return (bracket(np.log1p(-h), low + high, -HELLINGER_TAIL * tail),
+            bracket(np.log1p(n1), 1.0, float(kappa0(spec.delta)) * tail))
 
 
 def hellinger_product(spec: ActionSpec, g, tol: float = 1e-6) -> BoundedValue:

@@ -94,6 +94,14 @@ def _frac_str(q) -> str:
     return format_fraction(Fraction(q))
 
 
+def _spec_int(value) -> int:
+    """An integer field of a spec: an int or an integer string, not a bool or
+    a float with a fractional part, which int() would take as 1 or truncate."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise SpecError(f"not an integer: {value!r}")
+    return int(value)
+
+
 _U = 2.0**-53  # unit roundoff of a float
 # deepest ZSequence truncation: the head then allocates two arrays of 400 MB
 _MAX_DEPTH = 5 * 10**7
@@ -192,7 +200,7 @@ class DecreasingSequence:
         if kind == "inv_sqrt":
             return cls(kind, scale=parse_fraction(data["scale"]))
         if kind == "inv_sqrt_log":
-            return cls(kind, n0=int(data["n0"]))
+            return cls(kind, n0=_spec_int(data["n0"]))
         if kind == "explicit":
             return cls(kind, explicit=tuple(parse_fraction(v) for v in data["values"]))
         return cls(kind)  # rejected as unknown
@@ -377,7 +385,7 @@ class ZSequence(MarginalFamily):
 
     @classmethod
     def from_json(cls, data):
-        return cls(parse_fraction(data["lambda"]), int(data["n0"]),
+        return cls(parse_fraction(data["lambda"]), _spec_int(data["n0"]),
                    DecreasingSequence.from_json(data["sequence"]))
 
     def validate(self, group):
@@ -648,7 +656,7 @@ class FreeProductW(_BallFamily):
     def from_json(cls, data):
         return cls(BaseMeasure(tuple(parse_fraction(p) for p in data["mu0"])),
                    BaseMeasure(tuple(parse_fraction(p) for p in data["mu1"])),
-                   int(data.get("distinguished", 1)))
+                   _spec_int(data.get("distinguished", 1)))
 
     def validate(self, group):
         if not isinstance(group, FreeGroup):
@@ -719,7 +727,7 @@ class FolnerInduced(MarginalFamily):
         return make_folner_family(
             phi_kind=data["phi"]["kind"],
             phi_scale=data["phi"].get("scale", "1"),
-            horizon=int(data["horizon"]),
+            horizon=_spec_int(data["horizon"]),
             offset=data["offset"],
             delta_f=data.get("delta_f", "1/2"),
         )
@@ -1063,7 +1071,7 @@ def spec_from_json(data) -> ActionSpec:
     try:
         gspec = data["group"]
         if gspec["type"] == "free":
-            group: Group = FreeGroup(int(gspec["rank"]))
+            group: Group = FreeGroup(_spec_int(gspec["rank"]))
         elif gspec["type"] == "integers":
             group = Integers()
         else:
@@ -1074,7 +1082,7 @@ def spec_from_json(data) -> ActionSpec:
         return ActionSpec(
             group=group,
             family=_FAMILIES[kind].from_json(data["family"]),
-            multiplicity=int(data.get("multiplicity", 1)),
+            multiplicity=_spec_int(data.get("multiplicity", 1)),
             delta=parse_fraction(data.get("delta", "1/3")),
         )
     except KeyError as exc:

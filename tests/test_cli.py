@@ -413,15 +413,45 @@ def _fpw_json(**family):
     _fpw_json(distinguished=0),
     _fpw_json(distinguished=-1),
     _fpw_json(distinguished=3),
+    # int() would truncate these or take true as 1
+    {**_spec_json("f2-wsplit"), "group": {"type": "free", "rank": 2.5}},
+    {**_spec_json("f2-wsplit"), "group": {"type": "free", "rank": True}},
+    {**_spec_json("f2-wsplit"), "multiplicity": 1.9},
+    {**_spec_json("f2-wsplit"), "multiplicity": True},
+    {**_spec_json("f2-wsplit"), "multiplicity": float("inf")},
+    _fpw_json(distinguished=1.5),
+    _fpw_json(distinguished=True),
+    _spec_json("explicit-z", n0=16.5),
+    _spec_json("explicit-z", sequence={"kind": "inv_sqrt_log", "n0": 16.5}),
+    _spec_json("explicit-z", sequence={"kind": "inv_sqrt_log", "n0": True}),
+    _spec_json("folner-z", horizon=256.5),
+    _spec_json("folner-z", horizon=True),
 ], ids=["folner-horizon-0", "p_a-abc", "p_a-1/0", "p_a-inf",
         "family-string", "multiplicity-two", "distinguished-0",
-        "distinguished--1", "distinguished-3"])
+        "distinguished--1", "distinguished-3", "rank-2.5", "rank-true",
+        "multiplicity-1.9", "multiplicity-true", "multiplicity-inf",
+        "distinguished-1.5", "distinguished-true", "n0-16.5", "sequence-n0-16.5",
+        "sequence-n0-true", "horizon-256.5", "horizon-true"])
 def test_malformed_spec_exits_2(capsys, tmp_path, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     code, out, err = run(capsys, "spec", "validate", str(path))
     assert code == 2 and out == ""
     assert err.startswith("bernlab: error:")
+
+
+@pytest.mark.parametrize("field,value", [("rank", 2.0), ("rank", "2"),
+                                         ("multiplicity", 1.0), ("multiplicity", "1")])
+def test_integral_spec_fields_still_parse(capsys, tmp_path, field, value):
+    data = _spec_json("f2-wsplit")
+    if field == "rank":
+        data["group"]["rank"] = value
+    else:
+        data[field] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "spec", "validate", str(path))
+    assert code == 0 and json.loads(out)
 
 
 @pytest.mark.parametrize("argv", [["cocycle", "norm", "-g", "a b^3"], ["criterion"]],

@@ -2,10 +2,14 @@ import math
 import sys
 import threading
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bernlab import criteria
 from bernlab.cli import preset
@@ -24,7 +28,7 @@ from bernlab.criteria import (
     verify_certificate,
     witness_partial_sum,
 )
-from bernlab.cocycles import BoundedValue, affinity_pairs, norm_sq, value_pairs
+from bernlab.cocycles import BoundedValue, _window, affinity_pairs, norm_sq, value_pairs
 from bernlab.groups import FreeGroup, format_element, inv, parse_element, sphere
 from bernlab.marginals import (
     ActionSpec,
@@ -39,6 +43,19 @@ from bernlab.marginals import (
 
 def g_of(spec, text):
     return parse_element(spec.group, text)
+
+
+def _decimal_products(pairs, m):
+    """The m-th powers of the window products of sqrt(pq) + sqrt((1-p)(1-q))
+    and p^3/q^2 + (1-p)^3/(1-q)^2 over the float pairs, in 50-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        hell = negsq = Decimal(1)
+        for p, q in pairs:
+            p, q = Decimal(p), Decimal(q)
+            hell *= (p * q).sqrt() + ((1 - p) * (1 - q)).sqrt()
+            negsq *= p**3 / q**2 + (1 - p) ** 3 / (1 - q) ** 2
+        return +(hell**m), +(negsq**m)
 
 
 class TestThreshold:
@@ -312,33 +329,120 @@ class TestIntegralProducts:
         ("folner-z", [1, -3, 7]),
     ])
     def test_one_pass_matches_reference_loop(self, name, grid):
+        # a 50-digit loop over the pairs of affinity_pairs, at the extent the
+        # tail asks for: each bracket holds the window product times the
+        # whole tail bracket, and is at most 1e-13 wider than that
         spec = preset(name, power=2)
-        k0 = float(kappa0(spec.delta))
         for g in grid:
             g = g_of(spec, g) if isinstance(g, str) else g
-            # the two products as separate loops over affinity_pairs
             extent = 4096
             while True:
                 pairs, tail = affinity_pairs(spec, g, extent)
                 if tail <= 1e-4 or extent >= 2**20:
                     break
                 extent *= 4
-            hell = negsq = 1.0
-            for p, q in pairs:
-                assert p != q
-                hell *= math.sqrt(p * q) + math.sqrt((1.0 - p) * (1.0 - q))
-            for p, q in pairs:
-                negsq *= p**3 / q**2 + (1.0 - p) ** 3 / (1.0 - q) ** 2
-            hell, negsq = hell**2, negsq**2
-            lo, hi = hell * math.exp(-0.6 * tail), negsq * math.exp(k0 * tail)
+            hell, negsq = _decimal_products(pairs, 2)
             hv, pv = integral_products(spec, g, tol=1e-4)
-            # bit for bit: dataclass equality compares the floats exactly
-            assert hv == BoundedValue.from_bracket(max(lo - 1e-12 * hell, 0.0),
-                                                   hell + 1e-12 * hell)
-            assert pv == BoundedValue.from_bracket(max(negsq - 1e-12 * hi, 0.0),
-                                                   hi + 1e-12 * hi)
+            hell_lo = hell * (Decimal(-criteria.HELLINGER_TAIL) * Decimal(tail)).exp()
+            negsq_hi = negsq * (Decimal(float(kappa0(spec.delta))) * Decimal(tail)).exp()
+            for bv, lo, hi in ((hv, hell_lo, hell), (pv, negsq, negsq_hi)):
+                assert Decimal(bv.lower) <= lo and hi <= Decimal(bv.upper)
+                assert Decimal(bv.upper - bv.lower) <= (hi - lo) + Decimal(1e-13) * hi
             assert hellinger_product(spec, g, 1e-4) == hv
             assert negsq_product(spec, g, 1e-4) == pv
+
+    @given(delta=st.sampled_from([1e-3, 1 / 13, 1 / 3]),
+           units=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), max_size=64),
+           m=st.integers(1, 8), tail=st.sampled_from([0.0, 1e-9, 0.25]))
+    @example(delta=1e-3, units=[(0.0, 1.0)] * 64, m=8, tail=0.0)  # omega^-2 overflows
+    @settings(max_examples=150, deadline=None)
+    def test_brackets_hold_decimal_products(self, delta, units, m, tail):
+        # random float windows in [delta, 1 - delta], read in place of the
+        # family's window by a stand-in spec
+        p = np.array([delta + (1 - 2 * delta) * x for x, _ in units])
+        q = np.array([delta + (1 - 2 * delta) * y for _, y in units])
+        p, q = p[p != q], q[p != q]
+        spec = SimpleNamespace(multiplicity=m, delta=Fraction(1, 3),
+                               family=SimpleNamespace(tail=lambda g, extent: tail / m))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(criteria, "_window", lambda spec, g, extent: (p.copy(), q.copy()))
+            hv, pv = integral_products(spec, 1, tol=1.0)
+        hell, negsq = _decimal_products(zip(p.tolist(), q.tolist()), m)
+        shrink = (Decimal(-criteria.HELLINGER_TAIL) * Decimal(tail)).exp()
+        grow = (Decimal(float(kappa0(Fraction(1, 3)))) * Decimal(tail)).exp()
+        assert Decimal(hv.lower) <= hell * shrink and hell <= Decimal(hv.upper)
+        assert Decimal(pv.lower) <= negsq
+        if negsq * grow > Decimal(sys.float_info.max):
+            assert pv.upper == math.inf
+        else:
+            assert negsq * grow <= Decimal(pv.upper)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="needs an 80-bit or wider long double")
+    def test_long_window_matches_longdouble_product(self):
+        # f2-dissipative's a window has 2^20 factors; the long double product
+        # errs by at most about n eps relative
+        spec = preset("f2-dissipative")
+        g = g_of(spec, "a")
+        pairs, tail = affinity_pairs(spec, g, 2**20)
+        p, q = (np.array(v, dtype=np.longdouble) for v in zip(*pairs))
+        n = len(p)
+        assert n > 10**6
+        hell = np.prod(np.sqrt(p * q) + np.sqrt((1 - p) * (1 - q)))
+        log_negsq = np.sum(np.log(p**3 / q**2 + (1 - p) ** 3 / (1 - q) ** 2))
+        slack = 4 * n * float(np.finfo(np.longdouble).eps)
+        shrink = math.exp(-criteria.HELLINGER_TAIL * tail)
+        hv, pv = integral_products(spec, g)
+        assert hv.upper >= float(hell) * (1 - slack)
+        assert hv.lower <= float(hell) * shrink * (1 + slack)
+        assert hv.upper - hv.lower <= float(hell) * (1 - shrink) * 1.001
+        # the omega^-2 product is past the float range
+        assert float(log_negsq) > math.log(sys.float_info.max)
+        assert (pv.lower, pv.upper) == (sys.float_info.max, math.inf)
+
+    def test_np_sum_is_the_pairwise_sum_of_the_proof(self):
+        # the rounding bound counts numpy's pairwise summation: blocks of at
+        # most 128 terms in 8 accumulators, longer arrays halved at a
+        # multiple of 8
+        def pairwise(a):
+            n = len(a)
+            if n < 8:
+                return sum(a, 0.0)
+            if n <= 128:
+                r = list(a[:8])
+                for i in range(8, n - n % 8, 8):
+                    r = [x + y for x, y in zip(r, a[i:i + 8])]
+                res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+                return sum(a[n - n % 8:], res)
+            half = n // 2 - n // 2 % 8
+            return pairwise(a[:half]) + pairwise(a[half:])
+
+        rng = np.random.default_rng(5)
+        for n in (1, 7, 8, 127, 128, 129, 1000, 8191, 8193, 30001):
+            a = -rng.random(n) * 10.0 ** rng.integers(-6, 6, n)
+            assert float(np.sum(a)) == pairwise(a.tolist())
+
+    def test_log1p_and_exp_within_two_ulp(self):
+        # the rounding bound takes numpy's log1p and exp to err by <= 2 ulp;
+        # 1 + x is exact in 260 digits for the x drawn here
+        rng = np.random.default_rng(6)
+        xs = np.concatenate([-rng.random(1000) * 0.99, rng.random(1000) * 1e3,
+                             10.0 ** -rng.integers(1, 200, 300)])
+        ys = np.concatenate([rng.random(2000) * 1400 - 700, -rng.random(500)])
+        with localcontext() as ctx:
+            ctx.prec = 260
+            for got, x in zip(np.log1p(xs).tolist(), xs.tolist()):
+                err = abs(Decimal(got) - (Decimal(x) + 1).ln())
+                assert err <= 2 * Decimal(math.ulp(got))
+            for got, y in zip(np.exp(ys).tolist(), ys.tolist()):
+                assert abs(Decimal(got) - Decimal(y).exp()) <= 2 * Decimal(math.ulp(got))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # tol = 0 would grow the window to 2^20 without a word
+        spec = preset("f2-wsplit")
+        with pytest.raises(SpecError):
+            integral_products(spec, g_of(spec, "a"), tol=tol)
 
     @pytest.mark.parametrize("name,g,extent", [
         ("f2-dissipative", "a", 2**20),
@@ -353,9 +457,9 @@ class TestIntegralProducts:
 
         def counting(spec, g, extent):
             seen.append(extent)
-            return affinity_pairs(spec, g, extent)
+            return _window(spec, g, extent)
 
-        monkeypatch.setattr(criteria, "affinity_pairs", counting)
+        monkeypatch.setattr(criteria, "_window", counting)
         integral_products(spec, g, tol=1e-4)
         assert seen == [extent]
 
@@ -364,12 +468,13 @@ class TestIntegralProducts:
         ("f2-dissipative", 1, ["a"], 1e-4),
     ])
     def test_overflowed_negsq_bracket(self, name, power, words, tol):
-        # every factor is >= 1, so the product is at least the float maximum
+        # every factor is >= 1, so a product past the float range is at least
+        # the largest float: the bracket is [that float, inf], and no NaN
         spec = preset(name, power=power)
         for text in words:
             hv, pv = integral_products(spec, g_of(spec, text), tol)
             assert not any(map(math.isnan, (hv.lower, hv.upper, pv.lower, pv.upper)))
-            assert pv.lower == sys.float_info.max * (1 - 1e-12)
+            assert pv.lower == sys.float_info.max
             assert pv.upper == math.inf
 
     def test_kesten(self):
