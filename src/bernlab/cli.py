@@ -235,7 +235,7 @@ def element_ratio_values(spec: ActionSpec, g):
 
 
 def _parse_measure(text: str):
-    return BaseMeasure(tuple(parse_fraction(p) for p in text.split(",")))
+    return BaseMeasure(tuple(text.split(",")))
 
 
 def _log_json(v: LogValue | None):
@@ -431,12 +431,10 @@ def cmd_nonamenable(args) -> int:
 
 # --- argument parsing --------------------------------------------------------
 
-def _add_spec_flags(p, power=True):
+def _add_spec_flags(p):
     p.add_argument("--spec", help="ActionSpec JSON file")
     p.add_argument("--preset", help="named preset, e.g. f2-wsplit")
-    if power:
-        p.add_argument("--power", type=int, default=1,
-                       help="diagonal power multiplicity")
+    p.add_argument("--power", type=int, default=1, help="diagonal power multiplicity")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
 
 

@@ -17,6 +17,7 @@ from .groups import Element, inv, is_identity, mul, word_length
 from .marginals import ActionSpec, SpecError, f_value
 
 __all__ = [
+    "MAX_EXTENT",
     "BoundedValue",
     "cocycle_coeff",
     "norm_sq",
@@ -25,6 +26,11 @@ __all__ = [
     "value_pairs",
     "affinity_pairs",
 ]
+
+
+# largest window extent; a window's arrays and tables grow with its extent
+# (about 10^6 pairs for g = a on f2-dissipative at 2^20)
+MAX_EXTENT = 2**20
 
 
 def cocycle_coeff(spec: ActionSpec, g: Element, h: Element):
@@ -88,7 +94,10 @@ def value_pairs(spec: ActionSpec, g: Element, extent: int):
 def _window(spec: ActionSpec, g: Element, extent: int):
     """Float arrays (F(h), F(g^-1 h)) over the h in support(g, extent) where
     the two values differ, in window order; both are new arrays that the
-    caller may overwrite."""
+    caller may overwrite. An extent above MAX_EXTENT is refused before
+    anything is allocated."""
+    if extent > MAX_EXTENT:
+        raise SpecError(f"window extent {extent} exceeds 2^20")
     import numpy as np
 
     window = spec.family.window_values(g, extent)

@@ -3,6 +3,7 @@ Hellinger-type integral products, the Zimmer-nonamenability test against the
 Kesten norm, and Monte Carlo estimates of the Radon-Nikodym cocycle."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -10,7 +11,7 @@ from typing import Optional
 
 # numpy is imported in the functions that use it (see the package docstring)
 
-from .cocycles import BoundedValue, _window, norm_sq
+from .cocycles import MAX_EXTENT, BoundedValue, _window, norm_sq
 from .exact import parse_fraction
 from .groups import FreeGroup, Word, format_element, inv, is_identity, word_length
 from .marginals import _U, ActionSpec, SpecError, substream_rng
@@ -32,8 +33,10 @@ __all__ = [
 ]
 
 
+@functools.cache
 def kappa0(delta) -> Fraction:
-    """Conservativeness threshold delta^-2 + delta^-1 (1-delta)^-2."""
+    """Conservativeness threshold delta^-2 + delta^-1 (1-delta)^-2, computed
+    once per delta."""
     delta = parse_fraction(delta)
     if not (0 < delta <= Fraction(1, 2)):
         raise SpecError(f"delta must lie in (0, 1/2], got {delta}")
@@ -199,7 +202,7 @@ def integral_products(spec: ActionSpec, g, tol: float = 1e-6) -> tuple:
     """(integral of sqrt(omega(g, .)), integral of omega(g, .)^-2), each one
     log-space sum over the float pairs (p, q) = (F(h), F(gh)) of the window of
     c_{g^-1}, whose extent grows until the cocycle mass tau outside is <= tol
-    or it reaches 2^20. Per coordinate, with d = p - q, the m factors are
+    or it reaches MAX_EXTENT. Per coordinate, with d = p - q, the m factors are
     A = sqrt(pq) + sqrt((1-p)(1-q)) = 1 - H and N = p^3/q^2 + (1-p)^3/(1-q)^2:
         H = d^2/2 (1/(sqrt p + sqrt q)^2 + 1/(sqrt(1-p) + sqrt(1-q))^2),
         N - 1 = d^2 ((p + 2q)/q^2 + ((1-p) + 2(1-q))/(1-q)^2),
@@ -239,7 +242,7 @@ def integral_products(spec: ActionSpec, g, tol: float = 1e-6) -> tuple:
     # the extent is fixed from the tail alone, so the window is built once
     gi, m = inv(g), spec.multiplicity
     extent = 4096
-    while (tail := spec.family.tail(gi, extent) * m) > tol and extent < 2**20:
+    while (tail := spec.family.tail(gi, extent) * m) > tol and extent < MAX_EXTENT:
         extent *= 4
     p, q = _window(spec, gi, extent)
     low = min(p.min(initial=0.5), q.min(initial=0.5))
@@ -285,22 +288,15 @@ def kesten_norm(rank: int) -> float:
     return 2.0 * math.sqrt(2.0 * rank - 1.0)
 
 
-def nonamenability_check(spec: ActionSpec, generators=None) -> dict:
+def nonamenability_check(spec: ActionSpec) -> dict:
+    """Lower end of the Hellinger sum over the symmetric generators against
+    the Kesten norm."""
     if not isinstance(spec.group, FreeGroup):
         raise SpecError("nonamenability check requires a free group")
     rank = spec.group.rank
-    if generators is None:
-        generators = []
-        for i in range(1, rank + 1):
-            generators.append(Word(rank, ((i, 1),)))
-            generators.append(Word(rank, ((i, -1),)))
-    else:
-        gens = set(generators)
-        if any(inv(g) not in gens for g in gens):
-            raise SpecError("generator set must be symmetric")
     per_gen = {}
     total_lo = 0.0
-    for g in generators:
+    for g in (Word(rank, ((i, e),)) for i in range(1, rank + 1) for e in (1, -1)):
         hv = hellinger_product(spec, g)
         per_gen[format_element(g)] = {"value": hv.value, "err": hv.err}
         total_lo += hv.lower

@@ -1,11 +1,11 @@
 """Action descriptions: group, marginal family, multiplicity, and builders.
 
-An ActionSpec fixes a shift action on a product of two-point (or small finite)
-base measures indexed by the group, through a function F assigning the
-marginal mass of 0 to each index. Families are declarative and immutable, and
-each family class carries everything that depends on it: F, the support and
-norm of the cocycle c_g(h) = F(h) - F(g^{-1} h), its tail outside a window, a
-conservativity certificate and the JSON form.
+An ActionSpec fixes a shift action on a product of two-point base measures
+F(i) delta_0 + (1 - F(i)) delta_1 indexed by the group, through a function F
+assigning the marginal mass of 0 to each index. Families are declarative and
+immutable, and each family class carries everything that depends on it: F,
+the support and norm of the cocycle c_g(h) = F(h) - F(g^{-1} h), its tail
+outside a window, a conservativity certificate and the JSON form.
 """
 from __future__ import annotations
 
@@ -58,31 +58,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BaseMeasure:
-    """Probability vector on a finite base space of size >= 2."""
+    """Probability vector on a finite base space of size >= 2, with exact
+    rational masses (each read by `parse_fraction`)."""
 
     probs: tuple
 
     def __post_init__(self):
         if len(self.probs) < 2:
             raise SpecError("base space must have at least 2 points")
-        exact = all(isinstance(p, (Fraction, int)) for p in self.probs)
-        probs = tuple(Fraction(p) for p in self.probs) if exact else tuple(
-            float(p) for p in self.probs
-        )
+        probs = tuple(parse_fraction(p) for p in self.probs)
         object.__setattr__(self, "probs", probs)
         for p in probs:
             if not (0 < p < 1):
                 raise SpecError(f"marginal mass {p} outside (0,1)")
-        total = sum(probs)
-        if exact:
-            if total != 1:
-                raise SpecError(f"masses sum to {total}, expected 1")
-        elif abs(total - 1.0) > 1e-12:
-            raise SpecError(f"masses sum to {total}, expected 1")
-
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.probs[0], Fraction)
+        if sum(probs) != 1:
+            raise SpecError(f"masses sum to {sum(probs)}, expected 1")
 
     def t_values(self, other: "BaseMeasure") -> tuple:
         if len(self.probs) != len(other.probs):
@@ -639,7 +629,8 @@ class WSplit(_BallFamily):
 @dataclass(frozen=True)
 class FreeProductW(_BallFamily):
     """mu_g = mu1 on words ending in a strictly positive power of the
-    distinguished generator, mu0 elsewhere."""
+    distinguished generator, mu0 elsewhere. Both are two-point measures:
+    F is the mass of point 0, which determines only a two-point measure."""
 
     mu0: BaseMeasure
     mu1: BaseMeasure
@@ -654,13 +645,14 @@ class FreeProductW(_BallFamily):
 
     @classmethod
     def from_json(cls, data):
-        return cls(BaseMeasure(tuple(parse_fraction(p) for p in data["mu0"])),
-                   BaseMeasure(tuple(parse_fraction(p) for p in data["mu1"])),
+        return cls(BaseMeasure(tuple(data["mu0"])), BaseMeasure(tuple(data["mu1"])),
                    _spec_int(data.get("distinguished", 1)))
 
     def validate(self, group):
         if not isinstance(group, FreeGroup):
             raise SpecError("FreeProductW requires a free group")
+        if len(self.mu0.probs) != 2 or len(self.mu1.probs) != 2:
+            raise SpecError("FreeProductW needs two-point measures mu0 and mu1")
         if not 1 <= self.distinguished <= group.rank:
             raise SpecError(f"distinguished generator {self.distinguished} "
                             f"outside 1..{group.rank}")
@@ -997,36 +989,30 @@ def measures_from_ab(a, b) -> tuple:
     """Two-point measures with T(0) = e^b, T(1) = e^{b-a}; three-point
     measures with T-range {1, e^a, e^{-a}} when b = 0.
 
-    Pass LogValue arguments to stay exact; floats yield approximate measures.
+    a is a LogValue and b a LogValue or 0, so the measures are exact.
     """
-    if isinstance(a, LogValue) and isinstance(b, (LogValue, int)):
-        ea = a.arg
-        eb = b.arg if isinstance(b, LogValue) else Fraction(1)
-        if ea <= 1:
-            raise SpecError("need a > 0")
-        if not (1 <= eb < ea):
-            raise SpecError("need 0 <= b < a")
-        if eb == 1:
-            x = 1 / (2 * (ea + 1))
-            mu0 = BaseMeasure((Fraction(1, 2), x, ea * x))
-            mu1 = BaseMeasure((Fraction(1, 2), ea * x, x))
-        else:
-            m0 = (ea / eb - 1) / (ea - 1)
-            mu0 = BaseMeasure((m0, 1 - m0))
-            mu1 = BaseMeasure((eb * m0, 1 - eb * m0))
-        ts = mu0.t_values(mu1)
-        if eb == 1:
-            assert set(ts) == {1, ea, 1 / ea}
-        else:
-            assert ts == (eb, eb / ea)
-        return mu0, mu1
-    af, bf = float(a), float(b)
-    if af <= 0 or not (0 <= bf < af):
-        raise SpecError("need a > 0 and 0 <= b < a")
-    return measures_from_ab(
-        LogValue(Fraction(math.exp(af)).limit_denominator(10**9)),
-        LogValue(Fraction(math.exp(bf)).limit_denominator(10**9)),
-    )
+    if not isinstance(a, LogValue) or not (isinstance(b, LogValue) or b == 0):
+        raise SpecError("need a LogValue a and a LogValue or 0 b")
+    ea = a.arg
+    eb = b.arg if isinstance(b, LogValue) else Fraction(1)
+    if ea <= 1:
+        raise SpecError("need a > 0")
+    if not (1 <= eb < ea):
+        raise SpecError("need 0 <= b < a")
+    if eb == 1:
+        x = 1 / (2 * (ea + 1))
+        mu0 = BaseMeasure((Fraction(1, 2), x, ea * x))
+        mu1 = BaseMeasure((Fraction(1, 2), ea * x, x))
+    else:
+        m0 = (ea / eb - 1) / (ea - 1)
+        mu0 = BaseMeasure((m0, 1 - m0))
+        mu1 = BaseMeasure((eb * m0, 1 - eb * m0))
+    ts = mu0.t_values(mu1)
+    if eb == 1:
+        assert set(ts) == {1, ea, 1 / ea}
+    else:
+        assert ts == (eb, eb / ea)
+    return mu0, mu1
 
 
 def measures_from_atomic_eta(atoms) -> tuple:

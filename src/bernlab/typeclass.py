@@ -2,7 +2,7 @@
 
 Classifies the Krieger type of the free-product constructions from the pair
 (mu0, mu1), computes the stable-type data (L, a, b, k1) and the Sd basis.
-Everything is decided by unique factorization, so inputs must be rational.
+Everything is decided by unique factorization of the exact rational masses.
 """
 from __future__ import annotations
 
@@ -175,11 +175,6 @@ class TypeLabel:
         return {"II1": "II_1", "III1": "III_1"}[self.kind]
 
 
-def _require_exact(mu0: BaseMeasure, mu1: BaseMeasure):
-    if not (mu0.exact and mu1.exact):
-        raise SpecError("classification requires exact rational measures")
-
-
 def krieger_type(rg: RatioGroup) -> TypeLabel:
     """Type from the group generated by the ratio set: II_1 when trivial,
     III_lambda when cyclic with generator lambda, III_1 when dense."""
@@ -190,14 +185,9 @@ def krieger_type(rg: RatioGroup) -> TypeLabel:
     return TypeLabel("III1")
 
 
-def _t_group(mu0: BaseMeasure, mu1: BaseMeasure) -> RatioGroup:
-    _require_exact(mu0, mu1)
-    return ratio_group(mu0.t_values(mu1))
-
-
 def plain_type(mu0: BaseMeasure, mu1: BaseMeasure) -> TypeLabel:
     """Trichotomy from the subgroup generated by the T-range."""
-    return krieger_type(_t_group(mu0, mu1))
+    return krieger_type(ratio_group(mu0.t_values(mu1)))
 
 
 @dataclass(frozen=True)
@@ -206,13 +196,11 @@ class StableParams:
     a: Optional[LogValue]  # None when L is trivial or dense
     b: Optional[LogValue]
     k1: Optional[int]  # None encodes infinite order
-    t0: Optional[Fraction] = None
 
 
 def stable_params(mu0: BaseMeasure, mu1: BaseMeasure) -> StableParams:
     """L from pairwise T-ratios; when L = r^Z, the unique b in [0, a) with
     log T(x) in b + aZ, and the order k1 of b in R/aZ."""
-    _require_exact(mu0, mu1)
     ts = mu0.t_values(mu1)
     ratios = [ts[i] / ts[j] for i in range(len(ts)) for j in range(len(ts)) if i != j]
     L = ratio_group(ratios)
@@ -256,7 +244,7 @@ def stable_params(mu0: BaseMeasure, mu1: BaseMeasure) -> StableParams:
                 break
         if parallel and coeff is not None:
             k1 = coeff.denominator
-    return StableParams(L, a, b, k1, t0=t0)
+    return StableParams(L, a, b, k1)
 
 
 def stable_type_set(params: StableParams) -> dict:
@@ -281,4 +269,4 @@ def stable_type_set(params: StableParams) -> dict:
 
 def sd_generators(mu0: BaseMeasure, mu1: BaseMeasure) -> list:
     """Lattice basis of the multiplicative group generated by the T-range."""
-    return _t_group(mu0, mu1).generators
+    return ratio_group(mu0.t_values(mu1)).generators

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import bernlab
+from bernlab import cocycles
 from bernlab.bump import BumpCocycle
 from bernlab.cli import (
     CliError,
@@ -214,6 +215,23 @@ class TestCommands:
         rep = json.loads(out, parse_constant=reject)["results"]
         assert rep["se_negsq_omega"] is None
         assert rep["mean_sqrt_omega"] > 0
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--preset", "f2-dissipative", "-g", "a", "--samples", "1000",
+         "--window", "100000000"],
+        ["cocycle", "norm", "--preset", "explicit-z-sqrt6", "-g", "3",
+         "--oracle-radius", "100000000"],
+    ], ids=["simulate-window", "oracle-radius-z"])
+    def test_window_above_2_20_exits_2(self, capsys, monkeypatch, argv):
+        # refused before the window is read: reading it would size arrays,
+        # tables or a pair list by the extent (several GB here)
+        def fail(*args):
+            raise AssertionError("window read")
+
+        monkeypatch.setattr(SpecialCocycle, "window_values", fail)
+        monkeypatch.setattr(cocycles, "value_pairs", fail)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "2^20" in err
 
     def test_build_and_validate(self, capsys, tmp_path):
         target = str(tmp_path / "spec.json")
@@ -426,18 +444,26 @@ def _fpw_json(**family):
     _spec_json("explicit-z", sequence={"kind": "inv_sqrt_log", "n0": True}),
     _spec_json("folner-z", horizon=256.5),
     _spec_json("folner-z", horizon=True),
+    # F is the mass of point 0, which fixes only a two-point measure; every
+    # mass here lies in [delta, 1 - delta] = [1/4, 3/4]
+    _fpw_json(mu0=["1/2", "1/4", "1/4"], mu1=["1/4", "1/2", "1/4"]),
+    _fpw_json(mu0=["1/2", "1/4", "1/4"]),
 ], ids=["folner-horizon-0", "p_a-abc", "p_a-1/0", "p_a-inf",
         "family-string", "multiplicity-two", "distinguished-0",
         "distinguished--1", "distinguished-3", "rank-2.5", "rank-true",
         "multiplicity-1.9", "multiplicity-true", "multiplicity-inf",
         "distinguished-1.5", "distinguished-true", "n0-16.5", "sequence-n0-16.5",
-        "sequence-n0-true", "horizon-256.5", "horizon-true"])
+        "sequence-n0-true", "horizon-256.5", "horizon-true", "fpw-three-point",
+        "fpw-mu0-three-point"])
 def test_malformed_spec_exits_2(capsys, tmp_path, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
-    code, out, err = run(capsys, "spec", "validate", str(path))
-    assert code == 2 and out == ""
-    assert err.startswith("bernlab: error:")
+    g = "1" if spec["group"]["type"] == "integers" else "a"
+    for argv in (["spec", "validate", str(path)],
+                 ["cocycle", "norm", "--spec", str(path), "-g", g]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("bernlab: error:")
 
 
 @pytest.mark.parametrize("field,value", [("rank", 2.0), ("rank", "2"),

@@ -71,6 +71,11 @@ class TestThreshold:
         with pytest.raises(SpecError):
             kappa0(Fraction(2, 3))
 
+    def test_kappa0_cached_per_delta(self):
+        # integral_products asks for it on every call
+        first = kappa0(Fraction(2, 7))
+        assert kappa0(Fraction(2, 7)) is first
+
 
 class TestVerdicts:
     def test_wsplit_m1_not_dissipative(self):

@@ -178,6 +178,10 @@ class TestMeasureBuilders:
             measures_from_lambda(Fraction(3, 2))
         with pytest.raises(SpecError):
             BaseMeasure((Fraction(1, 2), Fraction(1, 3)))
+        # floats would stand for e^a and e^b only approximately
+        for a, b in ((0.7, 0.2), (LogValue(Fraction(3)), 0.2)):
+            with pytest.raises(SpecError):
+                measures_from_ab(a, b)
 
 
 class TestSerialization:
