@@ -324,10 +324,14 @@ _MC_CHUNK_DOUBLES = 2**16
 
 # Coordinates with the same float pair (p, q) that occur at least this many
 # times in the window (a run) are drawn together, as one binomial count per
-# sample. Measured on a 2-core host: an inverse-CDF count costs 25 to 50 ns per
-# run and sample, a per-coordinate draw 3.5 to 5 ns. Beside 500 single
-# coordinates, grouping runs of 8 or 12 took -2% to +4% of the time and runs
-# of 16 or 24 -2% to -9%; folner-z's window 4096 (two runs of 12) took +5%.
+# sample. Measured on a 2-core host, on one thread, beside 500 single
+# coordinates: a per-coordinate draw costs 2.4 ns; a table count
+# (`_run_counts`) costs 35 ns per run and sample with 4 runs and 13 to 19 ns
+# with 32, mostly a fixed cost per chunk and the open bins of short runs.
+# Runs of 16 then took -0.4% (4 runs) to -29% (32 runs) of the time of
+# drawing their coordinates one by one, and runs of 8 +7% to -4%. The
+# threshold stays at 16 even so: another one regroups the coordinates and
+# so redraws every report, which waits for the exact means of ROADMAP item 7.
 _MC_RUN_MIN = 16
 
 
@@ -354,30 +358,106 @@ def _binomial_cdf(n: int, p: float) -> np.ndarray:
     return cdf
 
 
-def _mc_sums(gen, m: int, p_single, diff_single, log_r1_sum: float, runs: list,
-             n: int) -> np.ndarray:
+def _count_tables(cdfs: list) -> tuple:
+    """Exact inverse-CDF count tables for the runs' CDFs, built once per
+    `mc_omega` call, as (scale, table, table_start, keys); see `_run_counts`.
+
+    Run j's CDF c of L entries, at s_j in the runs' concatenation, gets
+    K_j = 2^i bins with 2L <= K_j < 4L and one int32 entry for each bin
+    b = 0, ..., K_j (the last one takes the entries equal to 1), so the
+    tables take at most twice the CDFs' bytes. With lo = #{c <= b/K_j} and
+    hi = #{c < (b+1)/K_j}, a closed bin (lo = hi) holds lo and an open one
+    -1 - s_j. `keys` holds every entry as the complex number B + cK_j·i, B
+    the index of its bin in `table`, and takes twice the CDFs' bytes. Every
+    value is exact: counts, bin indices, and c scaled by a power of two.
+    numpy orders complex numbers by real part, then by imaginary part, so
+    the keys are sorted.
+    """
+    import numpy as np
+
+    sizes = [len(cdf) for cdf in cdfs]
+    bins = [1 << (2 * size - 1).bit_length() for size in sizes]
+    table_start = np.cumsum([0] + [k + 1 for k in bins])
+    key_start = np.cumsum([0] + sizes)
+    tables, reals, imags = [np.zeros(0, np.int32)], [[]], [[]]
+    for j, (cdf, k) in enumerate(zip(cdfs, bins)):
+        edges = np.arange(k + 2) / k
+        lo = np.searchsorted(cdf, edges[:-1], side="right")
+        hi = np.searchsorted(cdf, edges[1:], side="left")
+        tables.append(np.where(lo == hi, lo, -1 - key_start[j]).astype(np.int32))
+        reals.append(table_start[j] + np.floor(cdf * k))
+        imags.append(cdf * k)
+    keys = np.empty(key_start[-1], complex)
+    keys.real, keys.imag = np.concatenate(reals), np.concatenate(imags)
+    return (np.array(bins, dtype=float)[:, None], np.concatenate(tables),
+            table_start[:-1, None], keys)
+
+
+def _run_counts(tables: tuple, u: np.ndarray, scaled: np.ndarray,
+                idx: np.ndarray) -> np.ndarray:
+    """searchsorted(cdf_j, u[j], "right") for every run j at once, as an
+    int32 array shaped like u, whose row j holds uniforms in [0, 1) for run
+    j. `tables` comes from `_count_tables`. `scaled` (float) and `idx`
+    (intp) are C-ordered work arrays shaped like u that receive uK_j and
+    the bins' indices in `table`; u is read in full first, so `idx` may
+    share its memory. The counts are exact:
+      - K_j is a power of two, so b = floor(uK_j) is exact, and
+        b/K_j <= u < (b+1)/K_j;
+      - so lo <= #{c <= u} <= hi in bin b, and a closed bin holds the count;
+      - a uniform in an open bin is counted against the CDF itself: one
+        searchsorted over the keys, for B + uK_j·i, gives s_j + #{c <= u}.
+    On f2-dissipative's runs of 128, 6% of the uniforms fall in open bins.
+    The work is the same few numpy calls whatever the number of runs.
+    """
+    import numpy as np
+
+    scale, table, table_start, keys = tables
+    np.multiply(u, scale, out=scaled)
+    np.copyto(idx, scaled, casting="unsafe")  # truncates: floor(uK_j)
+    idx += table_start
+    counts = table[idx]
+    flat = counts.reshape(-1)
+    todo = np.flatnonzero(flat < 0)
+    if todo.size:
+        query = np.empty(todo.size, complex)
+        query.real, query.imag = idx.reshape(-1)[todo], scaled.reshape(-1)[todo]
+        flat[todo] += np.searchsorted(keys, query, side="right") + 1
+    return counts
+
+
+def _mc_sums(gen, m: int, p_single, diff_single, base: float, tables: tuple,
+             diff_runs, n: int) -> np.ndarray:
     """The sums of w, sqrt(w) and w^-2 (row 0) and of their squares (row 1)
     over n samples of omega, as a (2, 3) array, read from `gen` in order.
 
-    `p_single`, `diff_single` (log r0 - log r1) and `log_r1_sum` belong to the
-    k coordinates drawn one by one; `runs` holds a (cdf, log r0 - log r1,
-    m·n·log r1) triple for each run of n coordinates, drawn as one
-    Binomial(m·n, p) count per sample.
+    `p_single` and `diff_single` (log r0 - log r1) belong to the k
+    coordinates drawn one by one; `tables` (from `_count_tables`) and the
+    (R x 1) column `diff_runs` to the R runs, each drawn as one binomial
+    count per sample; `base` is log omega at the draw that takes log r1
+    everywhere.
 
     The samples go in chunks of r rows. A chunk draws one (r x m·k) array of
     uniforms, a row per sample holding its m copies of the k coordinates,
-    and then one (r x R) array with a uniform per run (R = len(runs)). A
-    coordinate with uniform u takes log r0 if u < p and log r1 otherwise; a
-    run takes the count searchsorted(cdf, u, "right"). Only numpy is called
+    and then one (r x R) array with a uniform per run. A coordinate with
+    uniform u takes log r0 if u < p and log r1 otherwise; a run takes the
+    number of its CDF's entries at or below u, read from its count table
+    (`_run_counts`) in the transposed (R x r) layout. Row 0 of `terms` holds
+    log omega and row 1 + j run j's count times its log r0 - log r1; one
+    np.add.reduce down the rows adds them to log omega in run order, one
+    addition at a time, as numpy reduces a C-ordered block of two or more
+    columns row by row (a single column it would sum pairwise, so the block
+    is kept two wide). A chunk's arrays take about 2 MiB at most, whatever
+    n; the tables are shared and grow with the window. Only numpy is called
     here, so that this can run on a worker thread.
     """
     import numpy as np
 
-    cols, n_runs = m * len(diff_single), len(runs)
+    cols, n_runs = m * len(diff_single), len(diff_runs)
     p_all, diff_all = np.tile(p_single, m), np.tile(diff_single, m)
-    base = m * log_r1_sum + sum(const for _, _, const in runs)
     rows = max(1, _MC_CHUNK_DOUBLES // (max(cols, n_runs) + 8))
     buf = np.empty(min(rows, n) * max(cols, n_runs))
+    # at least two columns: numpy reduces a single column pairwise
+    terms = np.zeros((n_runs + 1, max(min(rows, n), 2)))
     sums = np.zeros((2, 3))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for lo in range(0, n, rows):
@@ -386,16 +466,27 @@ def _mc_sums(gen, m: int, p_single, diff_single, log_r1_sum: float, runs: list,
             gen.random(out=u)
             # u becomes the 0.0/1.0 indicator of u < p, in place
             np.less(u, p_all, out=u, casting="unsafe")
-            logw = u @ diff_all + base
+            logw = np.matmul(u, diff_all, out=terms[0, :r])
+            logw += base
             if n_runs:
                 u = buf[:r * n_runs].reshape(r, n_runs)
                 gen.random(out=u)
-                for j, (cdf, diff, _) in enumerate(runs):
-                    logw += np.searchsorted(cdf, u[:, j], side="right") * diff
-            w = np.exp(logw)
-            for i, a in enumerate((w, np.sqrt(w), w**-2)):
-                sums[0, i] += a.sum()
-                sums[1, i] += (a * a).sum()
+                runs = terms[1:, :r]
+                idx = buf[:r * n_runs].view(np.intp).reshape(n_runs, r)
+                np.multiply(_run_counts(tables, u.T, runs, idx), diff_runs, out=runs)
+            # w, sqrt(w) and w^-2 per sample, allocated once the counts'
+            # temporaries are freed and freed before the next chunk's; row 0
+            # first takes log w
+            stats = np.empty((3, max(r, 2)))
+            np.add.reduce(terms[:, :max(r, 2)], axis=0, out=stats[0])
+            a = stats[:, :r]
+            np.exp(a[0], out=a[0])
+            np.sqrt(a[0], out=a[1])
+            np.power(a[0], -2.0, out=a[2])
+            # each row is summed pairwise, as a 1-d array would be
+            sums[0] += a.sum(axis=1)
+            sums[1] += np.square(a, out=a).sum(axis=1)
+            del stats, a
     return sums
 
 
@@ -412,8 +503,13 @@ def mc_omega(spec: ActionSpec, g, radius: int, samples: int, seed: int) -> dict:
     `_MC_RUN_MIN` - 1 others form a run. A run of n coordinates is drawn as
     one count N ~ Binomial(m·n, p), by inverse CDF from one uniform, and adds
     N·(log r0 - log r1) + m·n·log r1 to log omega: the same law as n·m
-    Bernoulli draws, at one draw per sample whatever n. The other k
-    coordinates are drawn one uniform each, in window order.
+    Bernoulli draws, at one draw per sample whatever n. The count is read
+    from a table built once per call (`_count_tables`): K a power of two
+    makes the uniform's bin exact, the table brackets the count in each bin,
+    and the uniforms in the bins where the bracket is open are counted
+    against the CDF itself, so N equals searchsorted(cdf, u, "right") for
+    every uniform. The other k coordinates are drawn one uniform each, in
+    window order.
 
     The samples are split into two fixed halves, the first taking the odd
     one. Half i reads its own PCG64 stream, `substream_rng(seed,
@@ -448,22 +544,24 @@ def mc_omega(spec: ActionSpec, g, radius: int, samples: int, seed: int) -> dict:
         np.stack([p0, q], axis=1), axis=0,
         return_index=True, return_inverse=True, return_counts=True)
     grouped = counts >= _MC_RUN_MIN
-    runs = [(_binomial_cdf(m * n, p), log_diff[i], m * n * log_r1[i])
-            for (p, _), i, n in zip(pairs[grouped], first[grouped],
-                                    counts[grouped].tolist())]
+    run_p, run_first = pairs[grouped, 0], first[grouped]
+    run_coords = m * counts[grouped]
+    tables = _count_tables([_binomial_cdf(mn, p) for p, mn
+                            in zip(run_p.tolist(), run_coords.tolist())])
+    diff_runs = log_diff[run_first, None]
     single = ~grouped[inverse.reshape(-1)]
     p_single, diff_single = p0[single], log_diff[single]
-    log_r1_sum = log_r1[single].sum()
+    # log r1 summed over the single coordinates, then over the runs in order
+    base = m * log_r1[single].sum() + sum((run_coords * log_r1[run_first]).tolist())
+    args = (m, p_single, diff_single, base, tables, diff_runs)
     gens = [substream_rng(seed, f"{format_element(g)}|{radius}|{i}") for i in (0, 1)]
     # imported here, not at the top: it would add about 5 ms to every CLI
     # start, and only the sampler needs it
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(1) as pool:
-        half1 = pool.submit(_mc_sums, gens[1], m, p_single, diff_single, log_r1_sum,
-                            runs, samples // 2)
-        half0 = _mc_sums(gens[0], m, p_single, diff_single, log_r1_sum, runs,
-                         samples - samples // 2)
+        half1 = pool.submit(_mc_sums, gens[1], *args, samples // 2)
+        half0 = _mc_sums(gens[0], *args, samples - samples // 2)
         sums, sqsums = half0 + half1.result()
     with np.errstate(over="ignore", invalid="ignore"):
         means = sums / samples

@@ -580,23 +580,25 @@ class TestMonteCarlo:
         rows = criteria._MC_CHUNK_DOUBLES // (max(m * k, n_runs) + 8)
         chunks = []
         total = np.zeros((2, 3))
-        for rng, n in cls.halves(g, window, samples, seed):
-            sums = np.zeros((2, 3))
-            for lo in range(0, n, rows):
-                r = min(rows, n - lo)
-                chunks.append(r)
-                logw = (rng.random((r, m * k)) < p_all).astype(float) @ diff_all + base
-                u = rng.random((r, n_runs))
-                for j, (p, n_j, r0, r1) in enumerate(runs):
-                    cdf = criteria._binomial_cdf(m * n_j, p)
-                    logw += (u[:, j, None] >= cdf).sum(axis=1) * (r0 - r1)
-                w = np.exp(logw)
-                for idx, arr in enumerate((w, np.sqrt(w), w**-2)):
-                    sums[0, idx] += arr.sum()
-                    sums[1, idx] += (arr * arr).sum()
-            total = total + sums
-        means = total[0] / samples
-        ses = np.sqrt(np.maximum(total[1] / samples - means**2, 0.0) / samples)
+        cdfs = [criteria._binomial_cdf(m * n_j, p) for p, n_j, _, _ in runs]
+        # omega^-2 and its square may overflow to inf, and their SE to nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rng, n in cls.halves(g, window, samples, seed):
+                sums = np.zeros((2, 3))
+                for lo in range(0, n, rows):
+                    r = min(rows, n - lo)
+                    chunks.append(r)
+                    logw = (rng.random((r, m * k)) < p_all).astype(float) @ diff_all + base
+                    u = rng.random((r, n_runs))
+                    for j, ((p, n_j, r0, r1), cdf) in enumerate(zip(runs, cdfs)):
+                        logw += (u[:, j, None] >= cdf).sum(axis=1) * (r0 - r1)
+                    w = np.exp(logw)
+                    for idx, arr in enumerate((w, np.sqrt(w), w**-2)):
+                        sums[0, idx] += arr.sum()
+                        sums[1, idx] += (arr * arr).sum()
+                total = total + sums
+            means = total[0] / samples
+            ses = np.sqrt(np.maximum(total[1] / samples - means**2, 0.0) / samples)
         return rows, chunks, {
             f"{stat}_{key}": float(v[i])
             for i, key in enumerate(("omega", "sqrt_omega", "negsq_omega"))
@@ -604,22 +606,39 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("power", [1, 2])
     def test_threaded_halves_match_serial_loop(self, monkeypatch, power):
-        # one single coordinate and runs of 128 and 129
+        # layouts (single coordinates, runs): one single coordinate and runs
+        # of 128 and 129, then 30 runs of 76 to 433 coordinates and no single
         spec = preset("f2-dissipative", power=power)
-        g = g_of(spec, "a b^-2")
         samples, seed = 20001, 4
-        for chunk_doubles in (criteria._MC_CHUNK_DOUBLES, 2**10):
-            monkeypatch.setattr(criteria, "_MC_CHUNK_DOUBLES", chunk_doubles)
-            rows, chunks, want = self.serial_chunks(spec, g, 256, samples, seed)
-            # halves of 10001 and 10000 samples, each of several chunks, the
-            # last one partial
-            assert sum(chunks) == samples and len(chunks) >= 4
-            assert (samples - samples // 2) % rows and (samples // 2) % rows
-            before = threading.active_count()
-            got = mc_omega(spec, g, radius=256, samples=samples, seed=seed)
-            assert threading.active_count() == before
-            for key, value in want.items():
-                assert got[key].hex() == value.hex(), (chunk_doubles, key)
+        for text, window, layout in (("a b^-2", 256, (1, 2)), ("a", 4096, (0, 30))):
+            g = g_of(spec, text)
+            (p0, _, _), runs = self.layout(spec, g, window)
+            assert (len(p0), len(runs)) == layout
+            for chunk_doubles in (criteria._MC_CHUNK_DOUBLES, 2**10):
+                monkeypatch.setattr(criteria, "_MC_CHUNK_DOUBLES", chunk_doubles)
+                rows, chunks, want = self.serial_chunks(spec, g, window, samples, seed)
+                # halves of 10001 and 10000 samples, each of several chunks,
+                # the last one partial
+                assert sum(chunks) == samples and len(chunks) >= 4
+                assert (samples - samples // 2) % rows and (samples // 2) % rows
+                before = threading.active_count()
+                got = mc_omega(spec, g, radius=window, samples=samples, seed=seed)
+                assert threading.active_count() == before
+                for key, value in want.items():
+                    assert got[key].hex() == value.hex(), (text, chunk_doubles, key)
+
+    @pytest.mark.parametrize("rows", [100, 1])
+    def test_one_row_chunks_match_serial_loop(self, monkeypatch, rows):
+        # the run terms of a chunk are added down its rows in run order; a
+        # chunk of one row (here the last of each half of 501 samples, or
+        # every chunk) must add them in the same order as a wider one
+        spec = preset("f2-dissipative")
+        g = g_of(spec, "a")
+        monkeypatch.setattr(criteria, "_MC_CHUNK_DOUBLES", rows * (30 + 8))
+        got_rows, chunks, want = self.serial_chunks(spec, g, 4096, 1002, 9)
+        assert got_rows == rows and 1 in chunks
+        got = mc_omega(spec, g, radius=4096, samples=1002, seed=9)
+        assert {k: got[k].hex() for k in want} == {k: v.hex() for k, v in want.items()}
 
     @pytest.mark.parametrize("name,text,window", [
         ("f2-dissipative", "a b^-2", 256), ("f2-wsplit", "a^3", 4)])
@@ -676,6 +695,21 @@ class TestMonteCarlo:
         }
         assert {k: got[k].hex() for k in want} == want
 
+    def test_many_runs_stream_is_pinned(self):
+        # as above, on 30 runs and no single coordinate; the variance of
+        # omega^-2 overflows, so its SE is nan
+        spec = preset("f2-dissipative")
+        got = mc_omega(spec, g_of(spec, "a"), radius=4096, samples=3000, seed=7)
+        want = {
+            "mean_omega": "0x1.74ced626ac5d7p-164",
+            "se_omega": "0x1.71b8462ee6ca9p-164",
+            "mean_sqrt_omega": "0x1.9ef197cee1f2cp-88",
+            "se_sqrt_omega": "0x1.68e64415482fcp-88",
+            "mean_negsq_omega": "0x1.323c7b6d80e9dp+642",
+            "se_negsq_omega": "nan",
+        }
+        assert {k: got[k].hex() for k in want} == want
+
     def test_window_table_stream_is_pinned(self):
         # `simulate --preset f2-dissipative -g "a^2 b^-1" --window 256
         # --samples 100000` at its default seed 0, recorded before the window
@@ -706,11 +740,43 @@ class TestMonteCarlo:
         assert np.all(np.diff(cdf) >= 0)
         np.testing.assert_allclose(cdf, exact, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n,p", [
+        pytest.param(n, p, id=f"{label}-{n}")
+        for label, p in (("1/4", Fraction(1, 4)), ("1/2", Fraction(1, 2)),
+                         ("float(1/3)", Fraction(1 / 3)))
+        for n in (2, 8, 128, 866)
+    ] + [pytest.param(n, Fraction(a, 13), id=f"{a}/13-{n}")
+         for n in (4000, 2**16) for a in (1, 12)])
+    def test_count_table_matches_searchsorted(self, n, p):
+        # the table count equals the inverse-CDF count wherever either can
+        # change: at every CDF entry and bin edge b/K, at their neighbours,
+        # and at both ends of [0, 1). The CDF sits between two others in one
+        # table, so its offsets into the table and the keys are not 0.
+        cdf = criteria._binomial_cdf(n, float(p))
+        if n >= 4000:  # tails that underflow to 0 or clip to 1
+            assert (cdf == 0).any() or (cdf == 1).sum() > 1
+        assert criteria._count_tables([cdf])[1].nbytes <= 2 * cdf.nbytes
+        k = 1 << (2 * len(cdf) - 1).bit_length()
+        points = np.concatenate([cdf, np.arange(k + 1) / k])
+        u = np.concatenate([points, np.nextafter(points, -1.0),
+                            np.nextafter(points, 2.0), [0.0, 1.0 - 2.0**-53]])
+        u = np.unique(u[(u >= 0.0) & (u < 1.0)])
+        cdfs = [criteria._binomial_cdf(5, 0.5), cdf, criteria._binomial_cdf(3, 0.25)]
+        tables = criteria._count_tables(cdfs)
+        for lo in range(0, len(u), 2**16):
+            rows = np.tile(u[lo:lo + 2**16], (3, 1))
+            got = criteria._run_counts(tables, rows, np.empty(rows.shape),
+                                        np.empty(rows.shape, np.intp))
+            for j, c in enumerate(cdfs):
+                assert np.array_equal(got[j], np.searchsorted(c, rows[j], side="right"))
+
     def test_binomial_counts_fit(self):
-        # inverse-CDF counts against the exact Bin(128, 1/4) law
+        # inverse-CDF counts against the exact Bin(128, 1/4) law, the counts
+        # drawn through the sampler's count tables
         n, p, draws = 128, Fraction(1, 4), 10**5
-        u = np.random.default_rng(2024).random(draws)
-        counts = np.searchsorted(criteria._binomial_cdf(n, float(p)), u, side="right")
+        u = np.random.default_rng(2024).random((1, draws))
+        tables = criteria._count_tables([criteria._binomial_cdf(n, float(p))])
+        counts = criteria._run_counts(tables, u, np.empty(u.shape), np.empty(u.shape, np.intp))[0]
         seen = np.bincount(counts, minlength=n + 1)
         checked = 0
         for j in range(n + 1):
