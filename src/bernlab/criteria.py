@@ -232,11 +232,28 @@ def integral_products(spec: ActionSpec, g, tol: float = 1e-6) -> tuple:
     overflows the largest float, with the upper inf (an omega^-2 product past
     the float range, null in reports).
     """
+    window = _product_window(spec, g, tol)
+    return _hellinger(spec, window), _negsq(spec, window)
+
+
+def hellinger_product(spec: ActionSpec, g, tol: float = 1e-6) -> BoundedValue:
+    """The integral of sqrt(omega(g, .)); see `integral_products`."""
+    return _hellinger(spec, _product_window(spec, g, tol))
+
+
+def negsq_product(spec: ActionSpec, g, tol: float = 1e-6) -> BoundedValue:
+    """The integral of omega(g, .)^-2; see `integral_products`."""
+    return _negsq(spec, _product_window(spec, g, tol))
+
+
+def _product_window(spec: ActionSpec, g, tol: float):
+    """The window of `integral_products` as float arrays
+    (p, q, 1 - p, 1 - q, (p - q)^2), with a = min(p, q) + min(1-p, 1-q) over
+    it and the cocycle mass tau outside, or None if g is the identity."""
     if not 0 < tol < math.inf:
         raise SpecError(f"tol must be positive and finite, got {tol}")
     if is_identity(g):
-        one = BoundedValue.from_exact(1)
-        return one, one
+        return None
     import numpy as np
 
     # the extent is fixed from the tail alone, so the window is built once
@@ -249,34 +266,44 @@ def integral_products(spec: ActionSpec, g, tol: float = 1e-6) -> tuple:
     high = 1.0 - max(p.max(initial=0.5), q.max(initial=0.5))
     if min(low, high) < 2.0**-36:
         raise SpecError("window masses within 2^-36 of 0 or 1")
-    d2, p1, q1 = np.square(p - q), 1.0 - p, 1.0 - q
+    return p, q, 1.0 - p, 1.0 - q, np.square(p - q), low + high, tail
+
+
+def _hellinger(spec: ActionSpec, window) -> BoundedValue:
+    if window is None:
+        return BoundedValue.from_exact(1)
+    import numpy as np
+
+    p, q, p1, q1, d2, a, tail = window
     h = 0.5 * (d2 / np.square(np.sqrt(p) + np.sqrt(q))
                + d2 / np.square(np.sqrt(p1) + np.sqrt(q1)))
+    return _log_bracket(spec, np.log1p(-h), a, -HELLINGER_TAIL * tail)
+
+
+def _negsq(spec: ActionSpec, window) -> BoundedValue:
+    if window is None:
+        return BoundedValue.from_exact(1)
+    import numpy as np
+
+    p, q, p1, q1, d2, _, tail = window
     n1 = d2 * ((p + 2.0 * q) / np.square(q) + (p1 + 2.0 * q1) / np.square(q1))
-    k = 26 + p.size.bit_length()
-
-    def bracket(logs, a, shift):
-        x = m * float(np.sum(logs))
-        r = 1.1 * _U * (11.0 / a + k + 5) * abs(x)
-        pad = 16.0 * _U * (abs(x) + r + abs(shift) + 1.0)
-        with np.errstate(over="ignore"):
-            lo, hi = np.exp([x - r + min(shift, 0.0) - pad,
-                             x + r + max(shift, 0.0) + pad]).tolist()
-        lo = 0.0 if lo < 2.0**-1022 else min(lo, math.nextafter(math.inf, 0.0))
-        return BoundedValue.from_bracket(lo, max(hi, 2.0**-1021))
-
-    return (bracket(np.log1p(-h), low + high, -HELLINGER_TAIL * tail),
-            bracket(np.log1p(n1), 1.0, float(kappa0(spec.delta)) * tail))
+    return _log_bracket(spec, np.log1p(n1), 1.0, float(kappa0(spec.delta)) * tail)
 
 
-def hellinger_product(spec: ActionSpec, g, tol: float = 1e-6) -> BoundedValue:
-    """The integral of sqrt(omega(g, .)); see `integral_products`."""
-    return integral_products(spec, g, tol)[0]
+def _log_bracket(spec: ActionSpec, logs, a: float, shift: float) -> BoundedValue:
+    """The bracket of exp(m·sum(logs) + s) over s between 0 and `shift`,
+    padded by the rounding radius proved in `integral_products`."""
+    import numpy as np
 
-
-def negsq_product(spec: ActionSpec, g, tol: float = 1e-6) -> BoundedValue:
-    """The integral of omega(g, .)^-2; see `integral_products`."""
-    return integral_products(spec, g, tol)[1]
+    x = spec.multiplicity * float(np.sum(logs))
+    k = 26 + logs.size.bit_length()
+    r = 1.1 * _U * (11.0 / a + k + 5) * abs(x)
+    pad = 16.0 * _U * (abs(x) + r + abs(shift) + 1.0)
+    with np.errstate(over="ignore"):
+        lo, hi = np.exp([x - r + min(shift, 0.0) - pad,
+                         x + r + max(shift, 0.0) + pad]).tolist()
+    lo = 0.0 if lo < 2.0**-1022 else min(lo, math.nextafter(math.inf, 0.0))
+    return BoundedValue.from_bracket(lo, max(hi, 2.0**-1021))
 
 
 # --- nonamenability ----------------------------------------------------------
@@ -324,14 +351,15 @@ _MC_CHUNK_DOUBLES = 2**16
 
 # Coordinates with the same float pair (p, q) that occur at least this many
 # times in the window (a run) are drawn together, as one binomial count per
-# sample. Measured on a 2-core host, on one thread, beside 500 single
-# coordinates: a per-coordinate draw costs 2.4 ns; a table count
-# (`_run_counts`) costs 35 ns per run and sample with 4 runs and 13 to 19 ns
-# with 32, mostly a fixed cost per chunk and the open bins of short runs.
-# Runs of 16 then took -0.4% (4 runs) to -29% (32 runs) of the time of
-# drawing their coordinates one by one, and runs of 8 +7% to -4%. The
-# threshold stays at 16 even so: another one regroups the coordinates and
-# so redraws every report, which waits for the exact means of ROADMAP item 7.
+# sample. Measured on a 2-core host, on one thread, in chunks of 129 rows
+# (500 single coordinates beside R runs): a per-coordinate draw (uniform,
+# comparison, dot product) costs 3.4 ns per sample; a run's count (uniform,
+# `_run_counts`, product) costs 45 ns per sample with 4 runs of 16 and 19 ns
+# with 32, mostly a fixed cost per chunk. So runs of 16 cost 14% (4 runs) to
+# 66% (32 runs) less than drawing their coordinates one by one, and runs of
+# 8 from 55% more to 40% less. The threshold stays at 16 even so: another
+# one regroups the coordinates and so redraws every report, which waits for
+# the exact means of ROADMAP item 7.
 _MC_RUN_MIN = 16
 
 
@@ -362,10 +390,14 @@ def _count_tables(cdfs: list) -> tuple:
     """Exact inverse-CDF count tables for the runs' CDFs, built once per
     `mc_omega` call, as (scale, table, table_start, keys); see `_run_counts`.
 
-    Run j's CDF c of L entries, at s_j in the runs' concatenation, gets
-    K_j = 2^i bins with 2L <= K_j < 4L and one int32 entry for each bin
-    b = 0, ..., K_j (the last one takes the entries equal to 1), so the
-    tables take at most twice the CDFs' bytes. With lo = #{c <= b/K_j} and
+    Run j's CDF c of L entries, at s_j in the runs' concatenation, gets K_j
+    bins, the least power of two >= max(2L, F) with F = 2^floor(log2(2^12/R))
+    over the call's R runs, and one int32 entry for each bin b = 0, ..., K_j
+    (the last one takes the entries equal to 1). Its 4(K_j + 1) bytes are at
+    most twice the CDF's 8L if K_j < 4L, and 4F + 4 otherwise; as RF <= 2^12,
+    the tables take at most twice the CDFs' bytes plus 16 KiB. F gives a
+    call with few runs fine bins, so that fewer of its uniforms fall in open
+    bins (see `_run_counts`). With lo = #{c <= b/K_j} and
     hi = #{c < (b+1)/K_j}, a closed bin (lo = hi) holds lo and an open one
     -1 - s_j. `keys` holds every entry as the complex number B + cK_j·i, B
     the index of its bin in `table`, and takes twice the CDFs' bytes. Every
@@ -376,7 +408,8 @@ def _count_tables(cdfs: list) -> tuple:
     import numpy as np
 
     sizes = [len(cdf) for cdf in cdfs]
-    bins = [1 << (2 * size - 1).bit_length() for size in sizes]
+    fine = 1 << max(0, (2**12 // max(len(cdfs), 1)).bit_length() - 1)
+    bins = [max(1 << (2 * size - 1).bit_length(), fine) for size in sizes]
     table_start = np.cumsum([0] + [k + 1 for k in bins])
     key_start = np.cumsum([0] + sizes)
     tables, reals, imags = [np.zeros(0, np.int32)], [[]], [[]]
@@ -406,8 +439,12 @@ def _run_counts(tables: tuple, u: np.ndarray, scaled: np.ndarray,
       - so lo <= #{c <= u} <= hi in bin b, and a closed bin holds the count;
       - a uniform in an open bin is counted against the CDF itself: one
         searchsorted over the keys, for B + uK_j·i, gives s_j + #{c <= u}.
-    On f2-dissipative's runs of 128, 6% of the uniforms fall in open bins.
-    The work is the same few numpy calls whatever the number of runs.
+    The share of a run's uniforms in open bins is 1.9 and 1.7% on
+    f2-dissipative's two runs of 128 and 129 at window 256 (K = 2048; 6.6
+    and 5.9% at K = 512), 0.8% on folner-z's two runs of 20 (K = 2048; 19%
+    at 64) and 5 to 12% on f2-dissipative's 30 runs at window 4096 (K of
+    256 to 1024). The work is the same few numpy calls whatever the number
+    of runs.
     """
     import numpy as np
 
@@ -466,7 +503,9 @@ def _mc_sums(gen, m: int, p_single, diff_single, base: float, tables: tuple,
             gen.random(out=u)
             # u becomes the 0.0/1.0 indicator of u < p, in place
             np.less(u, p_all, out=u, casting="unsafe")
-            logw = np.matmul(u, diff_all, out=terms[0, :r])
+            # BLAS gemv, whatever k; np.matmul gives the same bits but does
+            # not call BLAS when k = 1
+            logw = np.dot(u, diff_all, out=terms[0, :r])
             logw += base
             if n_runs:
                 u = buf[:r * n_runs].reshape(r, n_runs)
@@ -508,7 +547,9 @@ def mc_omega(spec: ActionSpec, g, radius: int, samples: int, seed: int) -> dict:
     makes the uniform's bin exact, the table brackets the count in each bin,
     and the uniforms in the bins where the bracket is open are counted
     against the CDF itself, so N equals searchsorted(cdf, u, "right") for
-    every uniform. The other k coordinates are drawn one uniform each, in
+    every uniform. K is at least 2(mn + 1) and, over R runs, at least
+    2^floor(log2(2^12/R)), so the tables take at most twice the CDFs' bytes
+    plus 16 KiB. The other k coordinates are drawn one uniform each, in
     window order.
 
     The samples are split into two fixed halves, the first taking the odd
@@ -539,17 +580,17 @@ def mc_omega(spec: ActionSpec, g, radius: int, samples: int, seed: int) -> dict:
     log_r1 = np.log((1.0 - q) / (1.0 - p0))
     # sum_i log r_i(u_i) = sum_i [u_i < p0_i] (log_r0 - log_r1)_i + sum_i log_r1_i
     log_diff = log_r0 - log_r1
-    # runs in increasing order of (p, q)
+    # runs in increasing order of (p, q): numpy orders complex numbers by
+    # real part, then by imaginary part
     pairs, first, inverse, counts = np.unique(
-        np.stack([p0, q], axis=1), axis=0,
-        return_index=True, return_inverse=True, return_counts=True)
+        p0 + 1j * q, return_index=True, return_inverse=True, return_counts=True)
     grouped = counts >= _MC_RUN_MIN
-    run_p, run_first = pairs[grouped, 0], first[grouped]
+    run_p, run_first = pairs.real[grouped], first[grouped]
     run_coords = m * counts[grouped]
     tables = _count_tables([_binomial_cdf(mn, p) for p, mn
                             in zip(run_p.tolist(), run_coords.tolist())])
     diff_runs = log_diff[run_first, None]
-    single = ~grouped[inverse.reshape(-1)]
+    single = ~grouped[inverse]
     p_single, diff_single = p0[single], log_diff[single]
     # log r1 summed over the single coordinates, then over the runs in order
     base = m * log_r1[single].sum() + sum((run_coords * log_r1[run_first]).tolist())

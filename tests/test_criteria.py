@@ -641,11 +641,13 @@ class TestMonteCarlo:
         assert {k: got[k].hex() for k in want} == {k: v.hex() for k, v in want.items()}
 
     @pytest.mark.parametrize("name,text,window", [
-        ("f2-dissipative", "a b^-2", 256), ("f2-wsplit", "a^3", 4)])
+        ("f2-dissipative", "a b^-2", 256), ("f2-wsplit", "a^3", 4),
+        ("folner-z", "5", 4096)])
     def test_working_memory_is_bounded(self, name, text, window):
         # each of the two threads holds one chunk of about 2^16 doubles
         # (0.5 MiB), whatever the number of samples; per-sample arrays of 10^6
-        # samples would take 8 MB each
+        # samples would take 8 MB each. folner-z's two runs of 20 get count
+        # tables of 2048 bins (16 KiB).
         spec = preset(name)
         g = g_of(spec, text)
         # the first call imports the thread pool and fills the window caches
@@ -710,6 +712,21 @@ class TestMonteCarlo:
         }
         assert {k: got[k].hex() for k in want} == want
 
+    def test_short_run_stream_is_pinned(self):
+        # as above, on 860 single coordinates and two runs of 20, recorded
+        # while their count tables had 64 bins (2048 now)
+        spec = preset("folner-z")
+        got = mc_omega(spec, 5, radius=4096, samples=3000, seed=7)
+        want = {
+            "mean_omega": "0x1.fd0c7a6436c05p-1",
+            "se_omega": "0x1.3617cae7fce68p-7",
+            "mean_sqrt_omega": "0x1.ef6f444af8656p-1",
+            "se_sqrt_omega": "0x1.1fe7ab678c33dp-8",
+            "mean_negsq_omega": "0x1.0759d77590cdap+1",
+            "se_negsq_omega": "0x1.68aca43250f1ap-5",
+        }
+        assert {k: got[k].hex() for k in want} == want
+
     def test_window_table_stream_is_pinned(self):
         # `simulate --preset f2-dissipative -g "a^2 b^-1" --window 256
         # --samples 100000` at its default seed 0, recorded before the window
@@ -755,20 +772,68 @@ class TestMonteCarlo:
         cdf = criteria._binomial_cdf(n, float(p))
         if n >= 4000:  # tails that underflow to 0 or clip to 1
             assert (cdf == 0).any() or (cdf == 1).sum() > 1
-        assert criteria._count_tables([cdf])[1].nbytes <= 2 * cdf.nbytes
-        k = 1 << (2 * len(cdf) - 1).bit_length()
+        cdfs = [criteria._binomial_cdf(5, 0.5), cdf, criteria._binomial_cdf(3, 0.25)]
+        tables = criteria._count_tables(cdfs)
+        # a call with few runs gives each of them 2^12 / R bins or more
+        assert criteria._count_tables([cdf])[1].nbytes <= 2 * cdf.nbytes + 2**14
+        assert tables[1].nbytes <= 2 * sum(c.nbytes for c in cdfs) + 2**14
+        k = int(tables[0][1, 0])
+        assert k >= 2 * len(cdf)
         points = np.concatenate([cdf, np.arange(k + 1) / k])
         u = np.concatenate([points, np.nextafter(points, -1.0),
                             np.nextafter(points, 2.0), [0.0, 1.0 - 2.0**-53]])
         u = np.unique(u[(u >= 0.0) & (u < 1.0)])
-        cdfs = [criteria._binomial_cdf(5, 0.5), cdf, criteria._binomial_cdf(3, 0.25)]
-        tables = criteria._count_tables(cdfs)
         for lo in range(0, len(u), 2**16):
             rows = np.tile(u[lo:lo + 2**16], (3, 1))
             got = criteria._run_counts(tables, rows, np.empty(rows.shape),
                                         np.empty(rows.shape, np.intp))
             for j, c in enumerate(cdfs):
                 assert np.array_equal(got[j], np.searchsorted(c, rows[j], side="right"))
+
+    @pytest.mark.parametrize("name,text,window,share", [
+        ("f2-dissipative", "a b^-2", 256, 0.02), ("folner-z", "5", 4096, 0.01)])
+    def test_few_uniforms_fall_in_open_bins(self, name, text, window, share):
+        # a uniform falls in each of a run's K bins with chance 1/K, so the
+        # share resolved against the CDF itself is read from the table: runs
+        # of 128 and 129, and of 20, beside single coordinates
+        spec = preset(name)
+        _, runs = self.layout(spec, g_of(spec, text), window)
+        assert len(runs) == 2
+        scale, table, start, _ = criteria._count_tables(
+            [criteria._binomial_cdf(spec.multiplicity * n, p) for p, n, _, _ in runs])
+        for k, s in zip(scale[:, 0].astype(int).tolist(), start[:, 0].tolist()):
+            assert np.count_nonzero(table[s:s + k] < 0) <= share * k
+
+    def test_np_dot_is_the_matmul_of_the_reference(self):
+        # the sampler sums each row's log-weights into a row of its work
+        # block with np.dot, which calls BLAS for every k; the reference loop
+        # uses @, which does not when k = 1: the bits must agree
+        rng = np.random.default_rng(8)
+        for k in (0, 1, 2, 3, 8, 860):
+            for rows in (1, 301):
+                u = (rng.random((rows, k)) < 0.5).astype(float)
+                diff = rng.standard_normal(k) * 10.0 ** rng.integers(-6, 6, k)
+                out = np.zeros((2, rows))
+                np.dot(u, diff, out=out[0])
+                assert out[0].tobytes() == (u @ diff).tobytes(), (k, rows)
+
+    def test_complex_unique_is_the_pairwise_unique(self):
+        # the sampler groups the window's pairs (p, q) as the complex numbers
+        # p + qi: numpy orders them by p, then q, as unique(axis=0) orders
+        # the rows, so the runs, their first index, the inverse and the counts
+        # agree; p repeats with different q, and q with different p
+        rng = np.random.default_rng(9)
+        for n in (1, 16, 257, 4097):
+            p = rng.integers(1, 5, n) / 7.0
+            q = rng.integers(1, 4, n) / 11.0
+            want = np.unique(np.stack([p, q], axis=1), axis=0, return_index=True,
+                             return_inverse=True, return_counts=True)
+            got = np.unique(p + 1j * q, return_index=True, return_inverse=True,
+                            return_counts=True)
+            assert got[0].real.tobytes() == want[0][:, 0].tobytes()
+            assert got[0].imag.tobytes() == want[0][:, 1].tobytes()
+            for g, w in zip(got[1:], want[1:]):
+                assert np.array_equal(g, w.reshape(-1))
 
     def test_binomial_counts_fit(self):
         # inverse-CDF counts against the exact Bin(128, 1/4) law, the counts
