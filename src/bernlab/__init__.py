@@ -2,8 +2,9 @@
 error, conservative/dissipative criteria, and exact type classification.
 
 numpy is imported inside the functions that compute with it, never at module
-level: importing it costs tens of milliseconds (more while OpenBLAS starts its
-threads), and most commands do exact `Fraction` work that never touches it.
+level, and no constructor builds an array: importing it costs tens of
+milliseconds (more while OpenBLAS starts its threads), and most commands do
+exact `Fraction` work that never touches it.
 """
 
 __version__ = "1.0.0"

@@ -13,37 +13,56 @@ from fractions import Fraction
 # numpy is imported in the functions that use it (see the package docstring)
 
 from . import _kernels
-from .exact import parse_fraction
+from .exact import SpecError, parse_fraction
 
 __all__ = ["BumpCocycle"]
+
+# Most bumps one instance materializes: a^(2^20) at D = 36 needs 2.5 million.
+# Past it the arrays would take gigabytes.
+_MAX_BUMPS = 2**22
 
 
 class BumpCocycle:
     """Evaluator for H and certified bounds on the gamma_k square norms."""
 
     def __init__(self, D):
-        import numpy as np
-
         D = parse_fraction(D)
         if D <= 0:
             raise ValueError(f"D must be positive, got {D}")
         self.D = D
         self.delta = min(Fraction(1), 1 / (144 * D * D))
-        # integer prefix arrays, grown on demand
-        self._a = np.array([1], dtype=np.int64)
-        self._b = np.array([0, 2], dtype=np.int64)
+        # int64 prefix arrays a and b, made by the first ensure_bumps and
+        # grown on demand
+        self._a = self._b = None
         self._gamma_cache: dict = {}
         self._h_cache: dict = {}
 
     def ensure_bumps(self, N: int) -> None:
-        """Materialize a_n and b_n for all n < N (b has N+1 entries)."""
+        """Materialize a_n and b_n for all n < N (b has N+1 entries).
+
+        Raises SpecError, before allocating, when N is past the bump budget
+        or the int64 arithmetic would wrap: the largest numerator
+        p (N-1)^2 + q - 1 of a_n = ceil(p n^2 / q), delta = p/q, and
+        b_N <= 2 N a_(N-1) (a never decreases) must stay below 2^63."""
         import numpy as np
 
+        if self._a is None:
+            # a_0 = 1: the first bump spans [0, 2)
+            self._a = np.array([1], dtype=np.int64)
+            self._b = np.array([0, 2], dtype=np.int64)
         cur = len(self._a)
         if N <= cur:
             return
-        n = np.arange(cur, N, dtype=np.int64)
+        if N > _MAX_BUMPS:
+            raise SpecError(f"the bump cocycle with D = {self.D} needs {N} "
+                            f"bumps here, past the budget of {_MAX_BUMPS}")
         p, q = self.delta.numerator, self.delta.denominator
+        top = p * (N - 1) ** 2 + q - 1
+        if top >= 2**63 or 2 * N * (top // q) >= 2**63:
+            raise SpecError(f"the bump cocycle with D = {self.D} (delta = "
+                            f"{self.delta}) overflows 64-bit integers by "
+                            f"bump {N - 1}")
+        n = np.arange(cur, N, dtype=np.int64)
         a_new = (p * n * n + q - 1) // q
         a = np.concatenate([self._a, a_new])
         b = np.concatenate([[0], np.cumsum(2 * a)])
@@ -51,6 +70,7 @@ class BumpCocycle:
 
     def _cover(self, pos: int) -> None:
         """Materialize bumps, doubling their number, until b[-1] > pos."""
+        self.ensure_bumps(1)
         while self._b[-1] <= pos:
             self.ensure_bumps(2 * len(self._a))
 
@@ -72,8 +92,7 @@ class BumpCocycle:
         import numpy as np
 
         m = np.asarray(m, dtype=np.int64)
-        if m.size:
-            self._cover(int(m.max()))
+        self._cover(int(m.max(initial=0)))
         i = np.searchsorted(self._b, m, side="right") - 1
         return self._h_in(m, np.clip(i, 0, len(self._a) - 1))
 

@@ -81,6 +81,12 @@ def preset(name: str, power: int = 1) -> ActionSpec:
     if not m:
         raise CliError(f"malformed preset name {name!r}")
     base, arg = m.group(1), m.group(2)
+    if arg is not None and not arg.strip():
+        raise CliError(f"preset {name!r} has empty parentheses; leave them "
+                       f"out for the default")
+    if arg is not None and base not in ("explicit-z", "f2-dissipative"):
+        raise CliError(f"preset {name!r}: only explicit-z and f2-dissipative "
+                       f"take a parameter")
     if base == "explicit-z":
         spec = _explicit_z(parse_fraction(arg) if arg else Fraction(3, 4))
         return _spec_with_power(spec, power)

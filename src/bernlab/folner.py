@@ -12,6 +12,7 @@ which together force ||c_{g_k}||_2 <= phi(g_k). Interval positions grow like
 """
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 
@@ -50,8 +51,6 @@ class FolnerCocycle:
         bound is fl(fl(2 |g_n| 2^n) * (1 + 1e-9)).
         conditions_report re-checks every pair (k, n) from the stored data.
         """
-        import numpy as np
-
         self.phi = phi
         self.horizon = horizon
         self.delta = delta
@@ -89,8 +88,6 @@ class FolnerCocycle:
             math.sqrt(eps_sq[n]) / math.sqrt(float(self.lengths[n]))
             for n in range(1, horizon + 1)
         ]
-        self._lengths_f = np.array(self.lengths[1:], dtype=float)
-        self._eps_sq_f = np.array(eps_sq[1:], dtype=float)
 
     def f(self, k: int) -> float:
         """F(k) = eps_n / sqrt(|A_n|) on A_n, 0 off the intervals."""
@@ -125,6 +122,15 @@ class FolnerCocycle:
             run_values.append(0.0)
         return np.repeat(np.array(run_values), np.array(runs, dtype=np.int64))
 
+    @functools.cached_property
+    def _lengths_eps_sq(self):
+        """L_n and eps_n^2 for n = 1..horizon as float arrays, made once, by
+        the first norm_sq_closed."""
+        import numpy as np
+
+        return (np.array(self.lengths[1:], dtype=float),
+                np.array(self.eps_sq[1:], dtype=float))
+
     def norm_sq_closed(self, s: int) -> float:
         """||c_s||_2^2 via the interval boundary zones, exact for |s| <= gap.
 
@@ -137,8 +143,8 @@ class FolnerCocycle:
         if s > self.gap:
             raise SpecError(f"shift {s} exceeds the interval gap {self.gap}; "
                             f"the closed form needs |g| <= {self.gap}")
-        L = self._lengths_f
-        terms = 2.0 * np.minimum(float(s), L) * self._eps_sq_f / L
+        L, eps_sq = self._lengths_eps_sq
+        terms = 2.0 * np.minimum(float(s), L) * eps_sq / L
         return float(np.cumsum(terms)[-1])
 
     def support_zones(self, s: int):

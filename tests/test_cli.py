@@ -578,10 +578,10 @@ def _run_python(args, cwd=None):
                           text=True, timeout=120)
 
 
-# Imports bernlab, builds the presets and a FreeProductW spec that need no
-# numpy, then runs the README commands that do exact work in one process
-# with cli.main; prints which of numpy and concurrent.futures were loaded
-# after each step, and the exit codes.
+# Imports bernlab, builds every preset and a FreeProductW spec, then runs
+# the README commands that do exact work in one process with cli.main;
+# prints which of numpy and concurrent.futures were loaded after each step,
+# and the exit codes.
 _START_UP = """
 import contextlib, io, json, sys
 from fractions import Fraction
@@ -594,7 +594,9 @@ def loaded():
     return [m for m in ("numpy", "concurrent.futures") if m in sys.modules]
 
 steps = {"import": loaded()}
-for name in ("f2-wsplit", "explicit-z", "explicit-z-sqrt6"):
+for name in ("f2-wsplit", "f2-wsplit-512", "explicit-z", "explicit-z(1/3)",
+             "explicit-z-sqrt6", "f2-dissipative", "f2-dissipative(12)",
+             "folner-z"):
     cli.preset(name)
 fpw = ActionSpec(FreeGroup(2), FreeProductW(*measures_from_lambda(Fraction(2, 5))),
                  delta=Fraction(1, 5))
@@ -606,8 +608,14 @@ for argv in (
     ["criterion", "--preset", "f2-wsplit", "--power", "220"],
     ["classify", "--mu0", "2/3,1/3", "--mu1", "1/3,2/3", "--stable"],
     ["classify", "--preset", "f2-wsplit", "--element", "a"],
+    ["criterion", "--preset", "f2-dissipative"],
+    ["criterion", "--preset", "folner-z"],
     ["build", "--preset", "explicit-z-sqrt6", "--out", "z.json"],
     ["spec", "validate", "z.json"],
+    ["build", "--preset", "f2-dissipative", "--out", "d.json"],
+    ["spec", "validate", "d.json"],
+    ["build", "--preset", "folner-z", "--out", "f.json"],
+    ["spec", "validate", "f.json"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(argv))
@@ -619,12 +627,13 @@ print(json.dumps({"steps": steps, "codes": codes}))
 def test_start_up_leaves_numpy_and_thread_pool_unloaded(tmp_path):
     # numpy costs tens of milliseconds to import and concurrent.futures about
     # 5 ms; the functions that compute with them import them, so the import,
-    # the exact presets and the exact commands load neither
+    # the presets (whose constructors build no array) and the exact commands
+    # load neither
     done = _run_python(["-c", _START_UP], cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     assert report == {"steps": {"import": [], "build": [], "commands": []},
-                      "codes": [0] * 6}
+                      "codes": [0] * 12}
 
 
 def test_simulate_in_a_fresh_process_is_pinned():
@@ -650,15 +659,36 @@ def test_simulate_in_a_fresh_process_is_pinned():
 @pytest.mark.parametrize("argv", [
     ["verify", "--preset", "explicit-z-sqrt6"],
     ["nonamenable", "--preset", "f2-wsplit"],
-], ids=["verify", "nonamenable"])
-def test_numpy_commands_in_a_fresh_process(argv):
-    done = _run_python(["-m", "bernlab.cli", *argv])
+    ["cocycle", "norm", "--preset", "folner-z", "-g", "5"],
+    ["cocycle", "growth", "--preset", "folner-z", "--radius", "50"],
+    ["cocycle", "norm", "--preset", "f2-dissipative", "-g", "a^2 b^3",
+     "--oracle-radius", "2048"],
+    ["classify", "--preset", "f2-dissipative", "--element", "b^-3 a^-1"],
+], ids=["verify", "nonamenable", "folner-norm", "folner-growth",
+        "dissipative-norm", "dissipative-classify"])
+def test_numpy_commands_in_a_fresh_process(capsys, tmp_path, monkeypatch, argv):
+    # a fresh process builds the arrays at its first command that needs them;
+    # the results, and any file written, are those of the same command run
+    # through main in this process
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    fresh.mkdir()
+    here.mkdir()
+    done = _run_python(["-m", "bernlab.cli", *argv], cwd=fresh)
     assert done.returncode == 0, done.stderr
 
     def reject(name):
         raise ValueError(f"{name} is not JSON")
 
-    assert json.loads(done.stdout, parse_constant=reject)["schema"] == "bernlab/1"
+    report = json.loads(done.stdout, parse_constant=reject)
+    assert report["schema"] == "bernlab/1"
+    monkeypatch.chdir(here)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["results"] == report["results"]
+    files = sorted(p.name for p in fresh.iterdir())
+    assert files == sorted(p.name for p in here.iterdir())
+    for name in files:
+        assert (fresh / name).read_bytes() == (here / name).read_bytes()
 
 
 def test_main_calls_share_no_parsed_state(capsys, tmp_path):
@@ -685,6 +715,35 @@ def test_malformed_argument_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("bernlab: error:")
+
+
+@pytest.mark.parametrize("name", [
+    "f2-wsplit(7)", "f2-wsplit-512(1/2)", "explicit-z-sqrt6(9)", "folner-z(3)",
+    "explicit-z()", "f2-dissipative()",
+])
+def test_preset_parameter_not_taken_exits_2(capsys, name):
+    # these built the default preset and exited 0
+    code, out, err = run(capsys, "build", "--preset", name)
+    assert code == 2 and out == ""
+    assert err.startswith("bernlab: error:") and repr(name) in err
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["cocycle", "norm", "--preset", "f2-dissipative(10000019/120000227)",
+      "-g", "a"], "overflows 64-bit integers"),
+    (["cocycle", "norm", "--preset", "f2-dissipative(1000000000/3)", "-g", "a^2"],
+     "past the budget"),
+    (["classify", "--preset", "f2-dissipative(1000000000/3)", "--element", "a^2"],
+     "overflows 64-bit integers"),
+], ids=["norm-wraps", "norm-budget", "classify-wraps"])
+def test_bump_arithmetic_past_int64_exits_2(capsys, tmp_path, argv, needle):
+    # the first exited 0 with bumps wrapped in int64 (a bracket near 5e8 for a
+    # norm near 0.33), the second asked numpy for 238 GiB, the third raised
+    # OverflowError
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 2 and out == ""
+    assert err.startswith("bernlab: error:") and needle in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestVerifyBounds:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bernlab import cocycles, folner, marginals
+from bernlab import bump, cocycles, folner, marginals
 from bernlab.bump import BumpCocycle
 from bernlab.cli import preset
 from bernlab.cocycles import (
@@ -165,6 +165,27 @@ class TestBumpCocycle:
         assert bc.h_exact(1) == 1
         assert bc.h_exact(2) == 0
         assert bc.h_exact(3) == 1
+
+    def test_refused_bumps_leave_the_arrays_as_they_were(self):
+        # a^(2^20) at D = 36 fits the budget; past it, or where a_n or b_n
+        # would wrap in int64 (delta = p/q with p near 1.44e16), ensure_bumps
+        # raises before it allocates
+        bc = BumpCocycle(36)
+        assert bc.default_bumps(2**20) <= bump._MAX_BUMPS
+        bc.ensure_bumps(8)
+        with pytest.raises(SpecError, match="budget"):
+            bc.ensure_bumps(bump._MAX_BUMPS + 1)
+        assert len(bc._a) == 8 and len(bc._b) == 9
+        wide = BumpCocycle(Fraction(10000019, 120000227))
+        wide.ensure_bumps(26)
+        assert int(wide._a[25]) == -(-wide.delta.numerator * 25**2
+                                     // wide.delta.denominator)
+        with pytest.raises(SpecError, match="64-bit"):
+            wide.ensure_bumps(27)
+        assert len(wide._a) == 26
+        # delta = 1: a_n = n^2 fits, but b_N, about 2 N^3 / 3, would wrap
+        with pytest.raises(SpecError, match="64-bit"):
+            BumpCocycle(Fraction(1, 12)).ensure_bumps(3_000_000)
 
     def test_gamma_lower_bound(self):
         for D in (Fraction(1, 2), Fraction(1), Fraction(36)):
