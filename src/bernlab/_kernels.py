@@ -21,11 +21,14 @@ def zseq_norm_head(a: np.ndarray, k: int, J: int) -> float:
 
 
 def segment_square_sum(u: np.ndarray, s: np.ndarray, L: np.ndarray) -> float:
-    """Sum of (u_i + s_i * j)^2 over j = 0..L_i-1, accumulated over segments."""
+    """Sum of (u_i + s_i * j)^2 over j = 0..L_i-1, accumulated over segments.
+
+    A segment's sum is L m^2 + s^2 L (L^2 - 1)/12, with m = u + s (L - 1)/2
+    its mean: L times the squared mean plus the spread of s j about it. Both
+    terms are nonnegative, so no segment loses digits to cancellation.
+    """
     import numpy as np
 
     L = L.astype(np.float64)
-    t1 = L * u * u
-    t2 = s * u * L * (L - 1.0)
-    t3 = s * s * (L - 1.0) * L * (2.0 * L - 1.0) / 6.0
-    return float(np.sum(t1 + t2 + t3))
+    m = u + s * (0.5 * (L - 1.0))
+    return float(np.sum(L * m * m + s * s * (L * (L * L - 1.0) / 12.0)))

@@ -304,6 +304,9 @@ def cmd_cocycle(args) -> int:
         }
         if nv.exact is not None:
             results["exact"] = format_fraction(nv.exact)
+        if nv.err > args.tol:
+            # a work budget ran out first: the bracket reached is reported
+            results["tol_missed"] = True
         if args.oracle_radius is not None:
             _check_radius(args.oracle_radius)
             ov = norm_sq_bruteforce(spec, g, args.oracle_radius)

@@ -326,11 +326,15 @@ class _SyllableFamily(MarginalFamily):
         syls = g.syls
         cross = sum(self._cross_of(p) for p in zip(syls, syls[1:])
                     if p[0][1] > 0 > p[1][1])
-        gammas = [self._gamma_of(s) for s in syls]
+        gammas = self._gammas(syls, tol)
         lo = sum((a for a, _ in gammas), cross)
         if self.finite:
             return BoundedValue.from_exact(lo)
         return BoundedValue.from_bracket(lo, sum((b for _, b in gammas), cross))
+
+    def _gammas(self, syls, tol):
+        """The Gamma brackets of the syllables, cached per syllable."""
+        return [self._gamma_of(s) for s in syls]
 
 
 class _BallFamily(_SyllableFamily):
@@ -795,7 +799,15 @@ def _bump_cocycle(D: Fraction) -> BumpCocycle:
 class SpecialCocycle(_SyllableFamily):
     """psi_a = scale * H and psi_b = -scale * H, with the bounded oscillating
     H of `bump` (H(n) = 0 for n <= 0), so that Gamma_x(e) = scale^2 times the
-    bracket of `BumpCocycle.gamma_norm_sq_bounds(e)`."""
+    bracket of `BumpCocycle.gamma_norm_sq_bounds(e)`.
+
+    `norm_sq(g, tol)` gives each of g's n syllables an equal share of tol,
+    tol / 8 up to 8 syllables and tol / 8^r up to 8^r: it asks
+    `gamma_norm_sq_bounds` for a half-width of that share over scale^2, so
+    the norm's bracket is at most tol wide on each side unless a syllable's
+    work budget runs out, and then the bracket reached is returned. The
+    brackets are memoized per |e| in the `BumpCocycle` shared by every
+    instance with this D, so a repeated request costs nothing."""
 
     D: Fraction
     base: Fraction
@@ -830,9 +842,19 @@ class SpecialCocycle(_SyllableFamily):
         h = self.scale * self.bc.h_exact(e)
         return h if x == 1 else -h
 
-    def gamma(self, x, e):
-        lo, hi = self.bc.gamma_norm_sq_bounds(e)
+    def gamma(self, x, e, tol=math.inf):
+        lo, hi = self.bc.gamma_norm_sq_bounds(e, tol / self._s2)
         return self._s2 * lo, self._s2 * hi
+
+    def _gammas(self, syls, tol):
+        # the share is tol / 8^r for the least 8^r >= n, so the words of up
+        # to 8 syllables all ask for tol / 8: a syllable's bracket does not
+        # depend on the word around it, and the norm's bracket is the sum of
+        # its blocks' brackets (see `MarginalFamily`)
+        parts = 8
+        while parts < len(syls):
+            parts *= 8
+        return [self.gamma(x, e, tol / parts) for x, e in syls]
 
     def support(self, g, extent):
         # axis windows |n| <= extent through every prefix of g

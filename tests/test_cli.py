@@ -728,6 +728,29 @@ def test_preset_parameter_not_taken_exits_2(capsys, name):
     assert err.startswith("bernlab: error:") and repr(name) in err
 
 
+def test_norm_reports_a_missed_tol(capsys):
+    # the f_k pass stops at its work budget: the bracket reached is reported,
+    # and marked, instead of an error; a tol that is met adds no key
+    code, out, _ = run(capsys, "cocycle", "norm", "--preset", "f2-dissipative",
+                       "-g", "a^1000", "--tol", "1e-12")
+    res = json.loads(out)["results"]
+    assert code == 0 and res["tol_missed"] is True and res["err"] > 1e-12
+    code, out, _ = run(capsys, "cocycle", "norm", "--preset", "f2-dissipative",
+                       "-g", "a^2 b^3")
+    res = json.loads(out)["results"]
+    assert code == 0 and "tol_missed" not in res and res["err"] <= 1e-6
+
+
+def test_far_element_refused_at_once(capsys):
+    # a^(10^20) needs about 3e8 bumps: the doubling built the 2^21- and
+    # 2^22-bump tables (about 200 MB) before it refused the next step
+    code, out, err = run(capsys, "classify", "--preset", "f2-dissipative",
+                         "--element", "a^99999999999999999999")
+    assert code == 2 and out == ""
+    assert "needs at least 303635761 bumps" in err
+    assert len(preset("f2-dissipative").family.bc._a) < 2**21
+
+
 @pytest.mark.parametrize("argv, needle", [
     (["cocycle", "norm", "--preset", "f2-dissipative(10000019/120000227)",
       "-g", "a"], "overflows 64-bit integers"),

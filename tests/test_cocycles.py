@@ -167,11 +167,11 @@ class TestBumpCocycle:
         assert bc.h_exact(3) == 1
 
     def test_refused_bumps_leave_the_arrays_as_they_were(self):
-        # a^(2^20) at D = 36 fits the budget; past it, or where a_n or b_n
-        # would wrap in int64 (delta = p/q with p near 1.44e16), ensure_bumps
-        # raises before it allocates
+        # the head of a^(2^20) at D = 36 fits the budget; past it, or where
+        # a_n or b_n would wrap in int64 (delta = p/q with p near 1.44e16),
+        # ensure_bumps raises before it allocates
         bc = BumpCocycle(36)
-        assert bc.default_bumps(2**20) <= bump._MAX_BUMPS
+        assert bc._head_end(2**20) <= bump._MAX_BUMPS
         bc.ensure_bumps(8)
         with pytest.raises(SpecError, match="budget"):
             bc.ensure_bumps(bump._MAX_BUMPS + 1)
@@ -187,6 +187,26 @@ class TestBumpCocycle:
         with pytest.raises(SpecError, match="64-bit"):
             BumpCocycle(Fraction(1, 12)).ensure_bumps(3_000_000)
 
+    @pytest.mark.parametrize("pos", [10**20, 2**60 + 3])
+    def test_far_position_refused_before_allocating(self, pos):
+        # the bump count was doubled until b_N passed the position, so the
+        # 2^21 and 2^22 tables were built before the 2^23 step was refused
+        bc = BumpCocycle(36)
+        bc.ensure_bumps(8)
+        a, b = bc._a, bc._b
+        with pytest.raises(SpecError, match="needs at least") as info:
+            bc.h_exact(pos)
+        assert bc._a is a and bc._b is b
+        # the count named is the first N whose bound on b_N passes pos
+        need = int(str(info.value).split("at least ")[1].split()[0])
+        d = bc.delta
+
+        def b_bound(N):
+            return d * (N - 1) * N * (2 * N - 1) / 3 + 2 * N
+
+        assert need > bump._MAX_BUMPS
+        assert b_bound(need - 1) <= pos < b_bound(need)
+
     def test_gamma_lower_bound(self):
         for D in (Fraction(1, 2), Fraction(1), Fraction(36)):
             bc = BumpCocycle(D)
@@ -195,23 +215,32 @@ class TestBumpCocycle:
                 assert lo >= float(D) * k ** 1.5
                 assert hi >= lo
 
+    @staticmethod
+    def old_default_bumps(bc, k):
+        # the fixed bump count the brackets were summed to before they took
+        # a tol
+        n0 = math.isqrt(math.ceil(2 * k / bc.delta)) + 1
+        return max(64, 4 * n0)
+
     def test_gamma_pointwise_oracle(self):
+        # a brute-force sum over the first N bumps is a lower bound, and the
+        # one-sided tail_bound past them an upper one
         bc = BumpCocycle(Fraction(1, 2))
         for k in (1, 3, 10):
-            lo, hi = bc.gamma_norm_sq_bounds(k)
-            n_bumps = bc.default_bumps(k)
+            lo, hi = bc.gamma_norm_sq_bounds(k, 1e-6)
+            assert hi - lo <= 2e-6
+            n_bumps = self.old_default_bumps(bc, k)
             bc.ensure_bumps(n_bumps)
             end = int(bc._b[n_bumps])
             brute = sum(
                 (float(bc.h_exact(n)) - float(bc.h_exact(n - k))) ** 2
                 for n in range(1, end)
             )
-            assert lo <= brute * (1 + 1e-9) + 1e-12
             assert brute <= hi
+            assert lo <= brute * (1 + 1e-9) + bc.tail_bound(k, n_bumps - 1)
 
-    # brackets of the program before its breakpoints were merged without
-    # np.unique. Summing the bumps past the narrow head by f_k moves only
-    # the last bits, so they are compared to 1e-12 relative
+    # brackets of the program when it summed a fixed number of bumps and took
+    # the one-sided tail_bound as its upper margin
     PINNED_GAMMA = {
         12: [(486.555621638887, 537.7697646863767),
              (627.9155400766322, 772.4120818842507),
@@ -229,28 +258,67 @@ class TestBumpCocycle:
 
     @pytest.mark.parametrize("D", [12, 36])
     def test_gamma_pointwise_oracle_pinned(self, D):
+        # each bracket at tol 1e-6 lies inside the old, wider one, and a
+        # brute-force sum over the old number of bumps stays below it
         bc = BumpCocycle(D)
-        for k, pinned in enumerate(self.PINNED_GAMMA[D], start=1):
-            lo, hi = bc.gamma_norm_sq_bounds(k)
-            assert (lo, hi) == pytest.approx(pinned, rel=1e-12, abs=0)
-            n_bumps = bc.default_bumps(k)
+        for k, (old_lo, old_hi) in enumerate(self.PINNED_GAMMA[D], start=1):
+            lo, hi = bc.gamma_norm_sq_bounds(k, 1e-6)
+            assert hi - lo <= 2e-6
+            assert old_lo * (1 - 1e-12) <= lo and hi <= old_hi
+            n_bumps = self.old_default_bumps(bc, k)
             bc.ensure_bumps(n_bumps)
             n = np.arange(1, int(bc._b[n_bumps]))
             brute = math.fsum((bc.h_float(n) - bc.h_float(n - k)) ** 2)
-            assert lo <= brute * (1 + 1e-9) + 1e-12
             assert brute <= hi
 
+    def test_gamma_brackets_table_only_the_head(self):
+        # the bumps past the narrow head are made from n chunk by chunk
+        for D, k in ((36, 1), (36, 3), (12, 40), (Fraction(1, 20), 7)):
+            bc = BumpCocycle(D)
+            bc.gamma_norm_sq_bounds(k, 1e-6)
+            assert len(bc._a) == bc._head_end(k)
+            assert len(bc._gamma_cache[k].chunks) >= 1
+
+    def test_gamma_bracket_depends_on_k_and_tol_alone(self):
+        # a looser request after a tighter one gets the bracket a fresh
+        # instance gives, from the chunk sums already made
+        fresh = {tol: BumpCocycle(36).gamma_norm_sq_bounds(2, tol)
+                 for tol in (math.inf, 1e-3, 1e-7, 1e-9)}
+        bc = BumpCocycle(36)
+        assert bc.gamma_norm_sq_bounds(2, 1e-7) == fresh[1e-7]
+        chunks = list(bc._gamma_cache[2].chunks)
+        assert bc.gamma_norm_sq_bounds(2, 1e-3) == fresh[1e-3]
+        assert bc.gamma_norm_sq_bounds(2) == fresh[math.inf]
+        assert bc.gamma_norm_sq_bounds(2, 1e-7) == fresh[1e-7]
+        assert bc._gamma_cache[2].chunks == chunks
+        # a tighter one sums on past the last chunk, inside the looser bracket
+        lo, hi = bc.gamma_norm_sq_bounds(2, 1e-9)
+        assert (lo, hi) == fresh[1e-9]
+        assert bc._gamma_cache[2].chunks[:len(chunks)] == chunks
+        assert fresh[1e-7][0] <= lo <= hi <= fresh[1e-7][1] and hi - lo <= 2e-9
+
+    def test_gamma_budget_miss_returns_the_bracket_reached(self, monkeypatch):
+        true_lo, true_hi = BumpCocycle(36).gamma_norm_sq_bounds(3, 1e-6)
+        monkeypatch.setattr(bump, "_CHUNK", 256)
+        monkeypatch.setattr(bump, "_MAX_TERMS", 2048)
+        bc = BumpCocycle(36)
+        first = bc.gamma_norm_sq_bounds(3)
+        lo, hi = bc.gamma_norm_sq_bounds(3, 1e-9)
+        assert len(bc._gamma_cache[3].chunks) == 8
+        assert 2e-9 < hi - lo < first[1] - first[0]
+        assert lo <= true_lo <= true_hi <= hi
 
     @staticmethod
-    def exact_partial_sum(bc, k, N):
-        """sum_{1 <= m < b_N} (H(m) - H(m-k))^2 as a Fraction, position by
+    def exact_bump_shares(bc, k, N):
+        """The exact share of each of the first N bumps in
+        sum_{1 <= m < b_N} (H(m) - H(m-k))^2, as Fractions, position by
         position: H(m) = p/a and H(m-k) = p'/a' with integer numerators, and
         each run of positions of one bump whose m - k lies in one bump adds
         its integer sums of p^2, p p' and p'^2. h_exact checks the two
         fractions at the first position of every run."""
         bc.ensure_bumps(N)
         a_all, b_all = bc._a[:N], bc._b[: N + 1]
-        total = Fraction(0)
+        shares = []
         for n in range(N):
             a, b = int(a_all[n]), int(b_all[n])
             j = np.arange(2 * a, dtype=np.int64)
@@ -262,14 +330,20 @@ class TestBumpCocycle:
             q = np.where(s <= 0, 0, np.minimum(off, 2 * a2 - off))
             starts = np.flatnonzero(np.diff(i, prepend=-1))
             sums = [np.add.reduceat(v, starts) for v in (p * p, p * q, q * q)]
+            share = Fraction(0)
             for r, st in enumerate(starts.tolist()):
                 a1 = int(a2[st])
                 assert Fraction(int(p[st]), a) == bc.h_exact(b + st)
                 assert Fraction(int(q[st]), a1) == bc.h_exact(b + st - k)
                 pp, pq, qq = (int(v[r]) for v in sums)
-                total += Fraction(pp * a1 * a1 - 2 * pq * a * a1 + qq * a * a,
+                share += Fraction(pp * a1 * a1 - 2 * pq * a * a1 + qq * a * a,
                                   (a * a1) ** 2)
-        return total
+            shares.append(share)
+        return shares
+
+    @classmethod
+    def exact_partial_sum(cls, bc, k, N):
+        return sum(cls.exact_bump_shares(bc, k, N), Fraction(0))
 
     @pytest.mark.parametrize("D", [Fraction(1, 20), Fraction(1, 3), 1, 2])
     def test_partial_sum_matches_exact(self, D):
@@ -281,6 +355,34 @@ class TestBumpCocycle:
         for k in (1, 2, 3, 5, 8, 17, 40):
             exact = self.exact_partial_sum(bc, k, 150)
             assert bc._partial_sum(k, 150) == pytest.approx(float(exact), rel=1e-12)
+
+    # delta = 1/144, 1/36 and 1
+    @settings(max_examples=40, deadline=None)
+    @given(D=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 12)]),
+           k=st.integers(1, 12), tol=st.sampled_from([math.inf, 0.1, 0.01]),
+           extra=st.integers(1, 40))
+    @example(D=Fraction(1), k=12, tol=0.01, extra=40)
+    @example(D=Fraction(1, 12), k=1, tol=math.inf, extra=1)
+    def test_gamma_bracket_holds_the_exact_sum_and_its_remainder(
+            self, D, k, tol, extra):
+        # past the explicit range N2, the exact sum over the first N bumps
+        # plus the remainder's bounds past N is a bracket nested in the one
+        # returned: a remainder bound on the wrong side, or a partial sum that
+        # drops or repeats a bump, leaves it
+        bc = BumpCocycle(D)
+        # short chunks keep the explicit range, and so the exact sums, small
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bump, "_CHUNK", 8)
+            lo, hi = bc.gamma_norm_sq_bounds(k, tol)
+        memo = bc._gamma_cache[k]
+        N2 = memo.n_k + 8 * len(memo.chunks)
+        shares = self.exact_bump_shares(bc, k, N2 + 2 * extra)
+        for N in (N2, N2 + 1, N2 + extra, N2 + 2 * extra):
+            exact = float(sum(shares[:N], Fraction(0)))
+            r_lo, r_hi, r = bc._remainder(k, N)
+            slack = r + 4 * bump._U * exact
+            assert lo <= exact + max(r_lo, 0.0) + slack
+            assert exact + r_hi - slack <= hi
 
 
 @pytest.fixture(scope="module")
@@ -296,6 +398,16 @@ class TestSpecialNorm:
             nv = norm_sq(spec, g)
             ov = norm_sq_bruteforce(spec, g, 3000)
             assert abs(nv.value - ov.value) <= nv.err + ov.err
+
+    @pytest.mark.parametrize("name", ["f2-dissipative", "f2-dissipative(12)"])
+    def test_norm_meets_tol_on_the_ball(self, name):
+        # the bracket was 5-12% wide whatever tol was asked for
+        spec = preset(name)
+        grid = [g for g in ball(spec.group, 3) if word_length(g)]
+        for tol in (1e-3, 1e-6, 1e-9):
+            for g in grid:
+                nv = norm_sq(spec, g, tol=tol)
+                assert nv.err <= tol, (format_element(g), tol, nv.err)
 
     def test_linear_growth(self, spec):
         from bernlab.groups import word_length
