@@ -13,7 +13,7 @@ from fractions import Fraction
 # numpy is imported in the functions that use it (see the package docstring)
 
 from . import _kernels
-from .exact import SpecError, parse_fraction
+from .exact import SpecError, convex_sum, parse_fraction
 
 __all__ = ["BumpCocycle"]
 
@@ -341,9 +341,10 @@ class BumpCocycle:
         (n(n-1))^-2 = ((n - 1/2)^2 - 1/4)^-2, which lies between (n - 1/2)^-4
         and (n - 1/2)^-4 + (8/9)(n - 1/2)^-6 for n >= 3/2; the corrections
         (A^2 A')^-1 and (AA'^2)^-1 are at most delta^-3 (n-1)^-6. Each
-        (x - s)^-p is convex and decreasing on x > s, so its sum over n >= N
-        lies between the trapezoid bound int_N^inf + (N - s)^-p / 2 and the
-        midpoint bound int_{N-1/2}^inf, which is (N - s - 1/2)^(1-p)/(p-1).
+        (x - s)^-p is convex and decreasing on x > s, so `convex_sum` puts
+        its sum over n >= N between the trapezoid bound int_N^inf +
+        (N - s)^-p / 2 and the midpoint bound int_{N-1/2}^inf, where
+        int_x^inf = (x - s)^(1-p)/(p-1).
         Every term takes its own side: a positive term the upper sum in hi
         and the lower in lo, a negative one the other way round. The width is
         about 2k^2 / (3 delta^2 N^3). Each float term is within 21u of its
@@ -358,11 +359,16 @@ class BumpCocycle:
         k2 = float(2 * k * k)
         d2, d3 = d * d, d * d * d
 
-        def mid(s, p):  # midpoint bound on sum_{n >= N} (n - s)^-p
-            return 1.0 / ((p - 1) * (N - s - 0.5) ** (p - 1))
+        def bounds(s, p):  # (trapezoid, midpoint) bounds on sum_{n >= N} (n - s)^-p
+            return convex_sum(lambda x: 1.0 / (x - s) ** p,
+                              lambda x, y, upper: 1.0 / ((p - 1) * (x - s) ** (p - 1)),
+                              N)[:2]
 
-        def trap(s, p):  # trapezoid bound on the same sum
-            return 1.0 / ((p - 1) * (N - s) ** (p - 1)) + 0.5 / (N - s) ** p
+        def mid(s, p):
+            return bounds(s, p)[1]
+
+        def trap(s, p):
+            return bounds(s, p)[0]
 
         hi_terms = (k2 / d * mid(0, 2), 2.0 * c / d3 * mid(0, 6),
                     c_p / d2 * mid(1, 4), 2.0 * c_m / d3 * mid(1, 6),

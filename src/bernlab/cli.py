@@ -319,22 +319,25 @@ def cmd_cocycle(args) -> int:
         return 0
     if args.action == "growth":
         _check_radius(args.radius)
-        rows = []
+        rows, missed = [], False
         if isinstance(spec.group, Integers):
-            for k in range(1, args.radius + 1):
-                nv = norm_sq(spec, k, tol=args.tol)
-                rows.append([k, nv.value, nv.lower, nv.upper])
+            elements = range(1, args.radius + 1)
         else:
-            for g in groups.ball(spec.group, args.radius):
-                if is_identity(g):
-                    continue
-                nv = norm_sq(spec, g, tol=args.tol)
-                rows.append([format_element(g), nv.value, nv.lower, nv.upper])
+            elements = (g for g in groups.ball(spec.group, args.radius)
+                        if not is_identity(g))
+        for g in elements:
+            nv = norm_sq(spec, g, tol=args.tol)
+            missed |= nv.err > args.tol
+            label = g if isinstance(g, int) else format_element(g)
+            rows.append([label, nv.value, nv.lower, nv.upper])
         out = args.out or "growth.csv"
         _write_csv(out, rows)
-        print(json.dumps(make_report(
-            "cocycle growth", spec,
-            {"rows": len(rows), "csv": out}, started=started), indent=2))
+        results = {"rows": len(rows), "csv": out}
+        if missed:
+            # a row's work budget ran out first (see `cocycle norm`)
+            results["tol_missed"] = True
+        print(json.dumps(make_report("cocycle growth", spec, results,
+                                     started=started), indent=2))
         return 0
     raise CliError(f"unknown cocycle action {args.action!r}")
 

@@ -192,10 +192,34 @@ def verify_certificate(spec: ActionSpec, verdict: CriterionVerdict) -> bool:
 
 # --- integral products -------------------------------------------------------
 
-# exp(-HELLINGER_TAIL tau) is taken as the lower bound on the affinity of a
-# cocycle mass tau, here and in verify_bounds against ||c_g||^2. To leading
-# order it holds only where p(1-p) >= 5/24, which explicit-z leaves.
+# verify_bounds tests exp(-HELLINGER_TAIL ||c_g||^2) as a lower bound on the
+# affinity. To leading order it holds only where p(1-p) >= 5/24, which
+# explicit-z leaves; `_hellinger_tail` is the proven factor of the tail.
 HELLINGER_TAIL = 0.6
+
+
+def _hellinger_tail(delta: float, tau: float) -> float:
+    """A kappa with -log A(p, q) <= kappa (p - q)^2 on every coordinate
+    outside a window whose cocycle mass outside is tau, for masses p, q in
+    [delta, 1 - delta]; inf where the bound below gives none.
+
+    Proof. With d = p - q, H = 1 - A = d^2/2 (1/(sqrt p + sqrt q)^2 +
+    1/(sqrt(1-p) + sqrt(1-q))^2) (see `integral_products`), and (sqrt x +
+    sqrt y)^2 >= 4 min(x, y), so H <= d^2/8 (1/s + 1/t) with s = min(p, q),
+    t = min(1-p, 1-q), both >= delta and s + t = sigma = 1 - |d|; on that
+    segment st >= delta (sigma - delta), so H <= c d^2 with c = sigma /
+    (8 delta (sigma - delta)), which decreases in sigma. Outside the window
+    d^2 <= tau, so |d| <= d* = min(sqrt tau, 1 - 2 delta) and c <= c* at
+    sigma = 1 - d*. Then -log A = -log(1 - H) <= H/(1 - H) <= c*/(1 - H*)
+    d^2 with H* = c* d*^2 < 1. As tau -> 0 this tends to 1/(8 delta (1 -
+    delta)), the sup of -log A / d^2 near the diagonal at p = delta. It is
+    rounded up by a relative 2^-40 for the few roundings here.
+    """
+    d = min(math.sqrt(tau), 1.0 - 2.0 * delta)
+    sigma = 1.0 - d
+    c = sigma / (8.0 * delta * (sigma - delta))
+    h = c * d * d
+    return c / (1.0 - h) * (1.0 + 2.0**-40) if h < 1.0 else math.inf
 
 
 def integral_products(spec: ActionSpec, g, tol: float = 1e-6) -> tuple:
@@ -207,7 +231,7 @@ def integral_products(spec: ActionSpec, g, tol: float = 1e-6) -> tuple:
         H = d^2/2 (1/(sqrt p + sqrt q)^2 + 1/(sqrt(1-p) + sqrt(1-q))^2),
         N - 1 = d^2 ((p + 2q)/q^2 + ((1-p) + 2(1-q))/(1-q)^2),
     sums of nonnegative terms. The factors outside, in
-    [exp(-HELLINGER_TAIL tau), 1] and [1, exp(kappa0 tau)], shift the log ends.
+    [exp(-_hellinger_tail tau), 1] and [1, exp(kappa0 tau)], shift the log ends.
 
     Rounding, for the window's floats (u = 2^-53, gamma_k = ku/(1-ku)): p, q,
     1-p, 1-q >= 2^-36 (checked), so +, -, *, /, sqrt err by u relative, and
@@ -277,7 +301,8 @@ def _hellinger(spec: ActionSpec, window) -> BoundedValue:
     p, q, p1, q1, d2, a, tail = window
     h = 0.5 * (d2 / np.square(np.sqrt(p) + np.sqrt(q))
                + d2 / np.square(np.sqrt(p1) + np.sqrt(q1)))
-    return _log_bracket(spec, np.log1p(-h), a, -HELLINGER_TAIL * tail)
+    kappa = _hellinger_tail(float(spec.delta), tail) if tail > 0.0 else 0.0
+    return _log_bracket(spec, np.log1p(-h), a, -kappa * tail)
 
 
 def _negsq(spec: ActionSpec, window) -> BoundedValue:
@@ -298,7 +323,8 @@ def _log_bracket(spec: ActionSpec, logs, a: float, shift: float) -> BoundedValue
     x = spec.multiplicity * float(np.sum(logs))
     k = 26 + logs.size.bit_length()
     r = 1.1 * _U * (11.0 / a + k + 5) * abs(x)
-    pad = 16.0 * _U * (abs(x) + r + abs(shift) + 1.0)
+    # a shift of -inf (no proven tail factor) makes the lower end 0 alone
+    pad = 16.0 * _U * (abs(x) + r + (abs(shift) if shift > -math.inf else 0.0) + 1.0)
     with np.errstate(over="ignore"):
         lo, hi = np.exp([x - r + min(shift, 0.0) - pad,
                          x + r + max(shift, 0.0) + pad]).tolist()

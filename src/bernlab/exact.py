@@ -12,11 +12,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-__all__ = ["BoundedValue", "LogValue", "SpecError", "parse_fraction",
+__all__ = ["BoundedValue", "LogValue", "SpecError", "convex_sum", "parse_fraction",
            "format_fraction"]
 
 # relative allowance for float rounding in a certified float sum
 _FLOAT_SLACK = 1e-12
+_U = 2.0**-53  # unit roundoff of a float
 
 
 class SpecError(ValueError):
@@ -39,6 +40,42 @@ def parse_fraction(text) -> Fraction:
 
 def format_fraction(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+
+
+def convex_sum(phi, integral, N, M=math.inf, ulps: float = 0.0):
+    """(lo, hi, r): lo <= sum_{N <= n < M} phi(n) <= hi over the integers n,
+    for a phi that is convex and decreasing on [N - 1/2, M - 1/2] (M = inf
+    allowed, where phi tends to 0 and is integrable), each end computed
+    within r of its real value.
+
+    `phi(x)` is phi at x, and `integral(x, y, upper)` a lower bound on
+    int_x^y phi (an upper bound when `upper` is true; the same number for a
+    closed form). Each is a float within a relative `ulps` u, u = 2^-53, of
+    the real number it stands for.
+
+    Proof. A convex phi lies below its chord on [n, n+1], so int_n^(n+1) phi
+    <= (phi(n) + phi(n+1))/2 (the trapezoid rule), and above its tangent at
+    n, so phi(n) <= int_(n-1/2)^(n+1/2) phi (the midpoint rule). Summed over
+    N <= n < M, with phi(M) = 0 when M = inf,
+        int_N^M phi + (phi(N) - phi(M))/2 <= sum <= int_(N-1/2)^(M-1/2) phi.
+    lo is the left side from the lower bound on its integral, hi the right
+    side from the upper bound on its integral. The width is about
+    (phi'(M) - phi'(N))/8.
+
+    Rounding. Halving a float is exact, and phi(N) - phi(M) and the sum with
+    the integral round once each, so lo is within (ulps + 2)(1 + 2u) u times
+    |int| + phi(N) + phi(M) of its real value, and hi within ulps u |int|;
+    r takes (ulps + 3)u times the sum of all four sizes.
+    """
+    low = integral(N, M, False)
+    p_n = phi(N)
+    if M == math.inf:
+        p_m, lo = 0.0, low + p_n / 2
+    else:
+        p_m = phi(M)
+        lo = low + (p_n - p_m) / 2
+    high = integral(N - 0.5, M - 0.5, True)
+    return lo, high, (ulps + 3.0) * _U * (abs(low) + abs(high) + abs(p_n) + abs(p_m))
 
 
 @dataclass(frozen=True, order=False)

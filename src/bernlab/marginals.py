@@ -13,7 +13,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import ClassVar, Optional
 
@@ -21,7 +21,14 @@ from typing import ClassVar, Optional
 
 from . import _kernels
 from .bump import BumpCocycle
-from .exact import BoundedValue, LogValue, SpecError, format_fraction, parse_fraction
+from .exact import (
+    BoundedValue,
+    LogValue,
+    SpecError,
+    convex_sum,
+    format_fraction,
+    parse_fraction,
+)
 from .folner import FolnerCocycle, build_folner
 from .groups import (
     Element,
@@ -93,8 +100,15 @@ def _spec_int(value) -> int:
 
 
 _U = 2.0**-53  # unit roundoff of a float
-# deepest ZSequence truncation: the head then allocates two arrays of 400 MB
-_MAX_DEPTH = 5 * 10**7
+# most doubles the arrays of one ZSequence norm hold at once (32 MB): the
+# head takes at most 4 J of them, so J <= _MAX_VALUES // 5, and a quadrature
+# of an inv_sqrt_log tail at most 64 blocks of _MAX_PANELS + 1 points
+_MAX_VALUES = 2**22
+_MAX_PANELS = 2**11
+_PANELS = 32  # panels per block of an inv_sqrt_log quadrature, at first
+# relative error, in units of u, of the floats the ZSequence tail brackets
+# are made of (see `ZSequence.tail`)
+_ULPS = 128.0
 
 
 def _gamma(n: int) -> float:
@@ -110,22 +124,53 @@ def _float_up(q: Fraction) -> float:
     return math.nextafter(x, math.inf) if Fraction(x) < q else x
 
 
+def _log_diff(y, k, xp=math):
+    """g(y) - g(y + k) for g(y) = (y ln y)^-1/2, y > 1, without the
+    cancellation of a difference of nearby floats; y may be an array, with
+    xp = numpy. With h(y) = y ln y and z = y + k, over the common denominator,
+        h(y)^-1/2 - h(z)^-1/2 = (h(z) - h(y)) / (sqrt(h(y) h(z)) (sqrt(h(y)) + sqrt(h(z)))),
+    and h(z) - h(y) = k ln z + y log1p(k / y) is a sum of two positive terms."""
+    z = y + k
+    lz = xp.log(z)
+    ry, rz = xp.sqrt(y * xp.log(y)), xp.sqrt(z * lz)
+    return (k * lz + y * xp.log1p(k / y)) / (ry * rz * (ry + rz))
+
+
+def _log_far(y: float, k: int) -> float:
+    """Upper bound on int_y^inf (g(t) - g(t + k))^2 dt, g(t) = (t ln t)^-1/2,
+    y > 1: the difference is at most k |g'(t)| (g' increases), g'(t)^2 =
+    (L + 1)^2 / (4 t^3 L^3) with L = ln t, and (L + 1)^2 / L^3 decreases in
+    L, so the integral is at most k^2 (L + 1)^2 / (8 y^2 L^3) at L = ln y."""
+    L = math.log(y)
+    return k * k * (L + 1.0) ** 2 / (8.0 * y * y * L**3)
+
+
 @dataclass(frozen=True)
 class DecreasingSequence:
-    """a_0 >= a_1 >= ... > 0 given by a closed form or an explicit list."""
+    """a_0 >= a_1 >= ... > 0 given by a closed form or an explicit list.
+
+    A closed form is a function a(x) of a real x >= -1/2 with a_j =
+    a(j + shift): c (x + 1)^-1/2 (inv_sqrt, c = scale) or g(x + n0) with
+    g(y) = (y ln y)^-1/2 (inv_sqrt_log). `shift` is 0 in a spec; a shifted
+    copy is the view a_(j + shift) that `ZSequence.norm_sq` reads the far
+    half of its head from.
+    """
 
     kind: str  # inv_sqrt | inv_sqrt_log | explicit
     scale: Optional[Fraction] = None
     n0: int = 2
     explicit: tuple = ()
+    shift: int = 0
+    _c: float = field(default=0.0, init=False, compare=False, repr=False)  # float(scale)
 
     def __post_init__(self):
         if self.kind == "inv_sqrt":
             if self.scale is None or self.scale <= 0:
                 raise SpecError(f"inv_sqrt needs scale > 0, got {self.scale}")
+            object.__setattr__(self, "_c", float(self.scale))
         elif self.kind == "inv_sqrt_log":
-            if self.n0 < 2:
-                raise SpecError(f"inv_sqrt_log needs n0 >= 2, got {self.n0}")
+            if not 2 <= self.n0 <= 2**32:
+                raise SpecError(f"inv_sqrt_log needs 2 <= n0 <= 2^32, got {self.n0}")
         elif self.kind == "explicit":
             vals = self.explicit
             if not vals:
@@ -140,42 +185,101 @@ class DecreasingSequence:
     def a(self, j: int) -> float:
         if j < 0:
             raise SpecError("sequence index must be >= 0")
+        j += self.shift
         if self.kind == "inv_sqrt":
-            return float(self.scale) / math.sqrt(j + 1)
+            return self._c / math.sqrt(j + 1)
         if self.kind == "inv_sqrt_log":
             x = j + self.n0
             return 1.0 / math.sqrt(x * math.log(x))
         return float(self.explicit[min(j, len(self.explicit) - 1)])
 
-    def step(self, j: int) -> float:
-        """a_j - a_{j+1} of a closed form, written without the cancellation of
-        a difference of two nearby floats: each operation adds a relative
-        error of at most about u, whatever j is."""
-        if self.kind == "inv_sqrt":
-            # c (1/sqrt(x) - 1/sqrt(y)) = c / (sqrt(x) sqrt(y) (sqrt(x) + sqrt(y))),
-            # since y - x = 1
-            rx, ry = math.sqrt(j + 1), math.sqrt(j + 2)
-            return float(self.scale) / (rx * ry * (rx + ry))
-        if self.kind == "inv_sqrt_log":
-            # with h(x) = x ln x and y = x + 1: h(x)^-1/2 - h(y)^-1/2 over the
-            # common denominator, and h(y) - h(x) = ln y + x log1p(1/x) > 0
-            x = j + self.n0
-            hx, hy = x * math.log(x), (x + 1) * math.log(x + 1)
-            rx, ry = math.sqrt(hx), math.sqrt(hy)
-            return (math.log(x + 1) + x * math.log1p(1.0 / x)) / (rx * ry * (rx + ry))
-        raise SpecError("step needs a closed-form sequence")
-
     def values(self, J: int) -> np.ndarray:
+        """a_0, ..., a_(J-1) as a float array, computed in place."""
         import numpy as np
 
-        j = np.arange(J, dtype=np.float64)
+        if self.kind == "explicit":
+            idx = np.minimum(np.arange(J) + self.shift, len(self.explicit) - 1)
+            return np.array([float(self.explicit[i]) for i in idx])
+        x = np.arange(self.shift, self.shift + J, dtype=np.float64)
         if self.kind == "inv_sqrt":
-            return float(self.scale) / np.sqrt(j + 1.0)
-        if self.kind == "inv_sqrt_log":
-            x = j + self.n0
-            return 1.0 / np.sqrt(x * np.log(x))
-        idx = np.minimum(j.astype(np.int64), len(self.explicit) - 1)
-        return np.array([float(self.explicit[i]) for i in idx])
+            x += 1.0
+            return np.divide(self._c, np.sqrt(x, out=x), out=x)
+        x += self.n0
+        t = np.log(x)
+        np.multiply(x, t, out=t)
+        return np.divide(1.0, np.sqrt(t, out=t), out=t)
+
+    # The four closed-form helpers below are for the spec's own sequence,
+    # shift 0.
+
+    def _sq(self, x: float) -> float:
+        """a(x)^2 at a real x >= -1/2 of a closed form."""
+        if self.kind == "inv_sqrt":
+            return self._c * self._c / (x + 1.0)
+        y = x + self.n0
+        return 1.0 / (y * math.log(y))
+
+    def _sq_integral(self, x: float, y: float, upper: bool = False) -> float:
+        """int_x^y a(t)^2 dt for -1/2 <= x <= y < inf, without cancellation:
+        c^2 ln((y + 1)/(x + 1)) for inv_sqrt, and ln ln(y + n0) - ln ln(x + n0)
+        for inv_sqrt_log, as d/dt ln ln t = 1/(t ln t). `upper` is ignored:
+        the closed form is both bounds of `convex_sum`."""
+        if self.kind == "inv_sqrt":
+            return self._c * self._c * math.log1p((y - x) / (x + 1.0))
+        X = x + self.n0
+        return math.log1p(math.log1p((y - x) / X) / math.log(X))
+
+    def _diff(self, x: float, k: int) -> float:
+        """a(x) - a(x + k) at a real x >= -1/2 of a closed form, without the
+        cancellation of a difference of nearby floats."""
+        if self.kind == "inv_sqrt":
+            # c (u^-1/2 - v^-1/2) = c d / sqrt(uv), d = sqrt(v) - sqrt(u)
+            ru, rv = math.sqrt(x + 1.0), math.sqrt(x + 1.0 + k)
+            return self._c * (k / (ru + rv)) / (ru * rv)
+        return _log_diff(x + self.n0, k)
+
+    def _diff_integral(self, x: float, k: int, upper: bool, panels: int) -> float:
+        """A lower bound on I(x) = int_x^inf (a(t) - a(t + k))^2 dt (an upper
+        bound when `upper`); see `ZSequence.tail` for the proofs.
+
+        inv_sqrt: the closed form 2 c^2 log1p(d^2 / (4 sqrt(uv))), u = x + 1,
+        v = u + k, d = k / (sqrt(u) + sqrt(v)), for both bounds.
+
+        inv_sqrt_log: in y = t + n0, the midpoint (lower) or trapezoid (upper)
+        rule with `panels` panels (a power of 2) on each block [y0 2^i,
+        y0 2^(i+1)], y0 = x + n0, i < B, and for the upper bound the far tail
+        `_log_far` past y0 2^B; B is the least with that far tail at most
+        I_hat / (4 panels^2), where I_hat >= I(x) is the smaller of
+        _log_far(y0) and int_y0^(y0+k) g^2 + _log_far(y0 + k).
+        """
+        if k == 0:
+            return 0.0
+        if self.kind == "inv_sqrt":
+            u = x + 1.0
+            ru, rv = math.sqrt(u), math.sqrt(u + k)
+            d = k / (ru + rv)
+            return 2.0 * self._c * self._c * math.log1p(d * d / (4.0 * ru * rv))
+        import numpy as np
+
+        y0 = x + self.n0
+        i_hat = min(_log_far(y0, k),
+                    math.log1p(math.log1p(k / y0) / math.log(y0)) + _log_far(y0 + k, k))
+        limit = i_hat / (4.0 * panels * panels)
+        B, top = 0, y0
+        while _log_far(top, k) > limit and B < 64:
+            B, top = B + 1, 2.0 * top
+        start = y0 * np.exp2(np.arange(B))[:, None]  # exact: powers of 2
+        h = start / panels  # exact: panels is a power of 2
+        if upper:
+            w = np.full(panels + 1, 1.0)
+            w[0] = w[-1] = 0.5
+            y = start + h * np.arange(panels + 1.0)
+        else:
+            w = 1.0
+            y = start + h * (np.arange(panels) + 0.5)
+        d = _log_diff(y, k, np)
+        total = math.fsum((d * d * (h * w)).ravel().tolist())
+        return total + _log_far(top, k) if upper else total
 
     def to_json(self) -> dict:
         if self.kind == "inv_sqrt":
@@ -370,8 +474,12 @@ class ZSequence(MarginalFamily):
     lam: Fraction
     n0: int
     seq: DecreasingSequence
+    _lam: float = field(default=0.0, init=False, compare=False, repr=False)  # float(lam)
 
     kind = "zsequence"
+
+    def __post_init__(self):
+        object.__setattr__(self, "_lam", float(self.lam))
 
     def to_json(self):
         return {"kind": self.kind, "lambda": _frac_str(self.lam), "n0": self.n0,
@@ -393,35 +501,76 @@ class ZSequence(MarginalFamily):
         if not isinstance(n, int):
             raise SpecError("ZSequence index must be an integer")
         if n < self.n0:
-            return float(self.lam)
-        return float(self.lam) + self.seq.a(n - self.n0)
+            return self._lam
+        return self._lam + self.seq.a(n - self.n0)
 
     def support(self, k, extent):
         yield from range(self.n0 - max(-k, 0), self.n0 + extent + max(k, 0))
 
     def tail(self, k, extent):
         """Bound on sum_{j >= extent} (a_j - a_{j+k})^2, the mass of c_k
-        outside support(k, extent), from two values of the sequence.
+        outside support(k, extent): the upper end of `_tail_bracket`.
 
         An explicit sequence is constant from j = L-1 on: its tail is the
         finite sum over extent <= j < L-1, exact and rounded up.
 
-        The closed forms are convex, decreasing and tend to 0. Convexity gives
-        a_j - a_{j+k} <= k (a_j - a_{j+1}), and the steps a_j - a_{j+1}
-        decrease and sum to a_J over j >= J, so
-            sum_{j>=J} (a_j - a_{j+k})^2 <= k^2 sum_{j>=J} (a_j - a_{j+1})^2
-                                         <= k^2 a_J (a_J - a_{J+1}).
-        inv_sqrt: c (x+1)^-1/2 is convex. inv_sqrt_log: g(x) = (x ln x)^-1/2
-        has g'' = (x ln x)^-5/2 [3/4 (ln x + 1)^2 - 1/2 ln x] > 0, because
-        3/4 L^2 + L + 3/4 has no real root. The float product carries fewer
-        than 20 roundings (a_J and `step` are free of cancellation), each of
-        relative size at most u, with libm's log within an ulp; the factor
-        1 + 2^-46 > 1 + 64u covers them.
+        The closed forms. With a(x) as in `DecreasingSequence`, let D(x) =
+        a(x) - a(x + k) and f = D^2, so the tail is sum_{j >= J} f(j).
+        - f is convex and decreasing on x >= -1/2. Both closed forms have
+          a > 0, a' < 0, a'' > 0 and a''' < 0 there (they are completely
+          monotone; three derivatives are all the proof needs). Then D >= 0,
+          D' = a'(x) - a'(x + k) <= 0 as a' increases, and D'' = a''(x) -
+          a''(x + k) >= 0 as a'' decreases, so f' = 2 D D' <= 0 and f'' =
+          2 D'^2 + 2 D D'' >= 0; the same argument makes a^2 convex and
+          decreasing. inv_sqrt: the derivatives of c u^-1/2, u = x + 1, are
+          -c/2 u^-3/2, 3c/4 u^-5/2 and -15c/8 u^-7/2. inv_sqrt_log: with h =
+          y ln y, L = ln y and y = x + n0 >= 3/2,
+              g' = -1/2 h^-3/2 (L + 1),
+              g'' = h^-5/2 [3/4 (L + 1)^2 - L/2],
+              g''' = h^-7/2 [-15/8 (L + 1)^3 + 11/4 L (L + 1) - L/2];
+          3/4 L^2 + L + 3/4 has no real root, and (L + 1)^2 >= 4L gives
+          15/8 (L + 1)^3 >= 15/2 L (L + 1) > 11/4 L (L + 1) for L >= 0.
+        - So `convex_sum` brackets the tail between I(J) + f(J)/2 and
+          I(J - 1/2), with I(x) = int_x^inf f; the width is about -f'(J)/8,
+          3 k^2 c^2 / (32 J^4) for inv_sqrt when J >> k.
+        - inv_sqrt: int (u^-1/2 - v^-1/2)^2 dx, v = u + k, is ln u + ln v -
+          4 ln(sqrt(u) + sqrt(v)) = 2 ln(sqrt(uv) / (sqrt(u) + sqrt(v))^2),
+          which tends to 2 ln(1/4); and (sqrt(u) + sqrt(v))^2 = 4 sqrt(uv) +
+          d^2 with d = sqrt(v) - sqrt(u) = k / (sqrt(u) + sqrt(v)). So
+              I(x) = 2 c^2 log1p(d^2 / (4 sqrt(uv))),
+          a form with no cancellation.
+        - inv_sqrt_log: I has no closed form. On each block of
+          `DecreasingSequence._diff_integral` f is convex, so on a panel of
+          width w with ends l, r and midpoint m, w f(m) <= int <= w (f(l) +
+          f(r))/2: the midpoint sum is a lower bound on I, and the trapezoid
+          sum plus the far tail (`_log_far`) an upper bound. Their gap is
+          about 0.9 I / panels^2. Every point y0 2^i (1 + t/panels) is a
+          float: y0 is a half-integer below 2^33 (n0 <= 2^32, and J below
+          2^20), panels at most 2^11, and 2 y0 (2 panels + 2t) < 2^53.
+
+        Rounding. a(x), D (free of cancellation), a^2, the closed-form
+        integrals and the far tail take at most 20 operations each, with
+        libm's log, log1p and sqrt within an ulp; a quadrature point's D
+        takes 16 operations, with numpy's log and log1p taken to be within 4
+        ulps, so D^2 times its weight is within 72u and math.fsum adds u. So
+        every float `convex_sum` is given is within _ULPS = 128 u of the
+        bound it stands for, and its radius r covers the rest.
         """
         k = abs(k)
         if self.seq.kind == "explicit":
             return _float_up(self._explicit_diffs(k, extent))
-        return k * k * self.seq.a(extent) * self.seq.step(extent) * (1.0 + 2.0**-46)
+        _, hi, r = self._tail_bracket(k, extent, _PANELS)
+        return hi + r
+
+    def _tail_bracket(self, k, J, panels):
+        """(lo, hi, r) of sum_{j >= J} (a_j - a_{j+k})^2 for a closed form,
+        k >= 0; `panels` is the quadrature's for inv_sqrt_log (see `tail`)."""
+        if k == 0:
+            return 0.0, 0.0, 0.0
+        seq = self.seq
+        return convex_sum(lambda x: seq._diff(x, k) ** 2,
+                          lambda x, y, upper: seq._diff_integral(x, k, upper, panels),
+                          J, ulps=_ULPS)
 
     def _explicit_diffs(self, k, start) -> Fraction:
         """sum_{start <= j < L-1} (a_j - a_{min(j+k, L-1)})^2 of an explicit
@@ -431,46 +580,91 @@ class ZSequence(MarginalFamily):
         return sum(((a[j] - a[min(j + k, last)]) ** 2 for j in range(start, last)),
                    Fraction(0))
 
+    def _rest(self, k, J, panels):
+        """(lo, hi, r): the bracket of what the head of `norm_sq` leaves out
+        at depth J, sum_{j >= J} (a_j - a_{j+k})^2 plus, for J < k,
+        sum_{J <= j < k} a_j^2 (by `convex_sum` on the convex, decreasing
+        a^2; see `tail`)."""
+        lo, hi, r = self._tail_bracket(k, J, panels)
+        if J < k:
+            seq = self.seq
+            s_lo, s_hi, s_r = convex_sum(seq._sq, seq._sq_integral, J, k, ulps=_ULPS)
+            lo, hi, r = lo + s_lo, hi + s_hi, r + s_r
+        return lo, hi, r
+
     def _depth(self, k, target):
-        """Smallest J <= _MAX_DEPTH with tail(k, J) <= target, by doubling
-        and then bisection: the closed-form tail is nonincreasing in J and
-        costs two evaluations of the sequence."""
-        lo, hi = 0, 1  # tail(k, lo) > target, or lo == 0
-        while self.tail(k, hi) > target:
-            if hi >= _MAX_DEPTH:
-                raise SpecError(f"tail bound fails to reach {target} by "
-                                f"J = {_MAX_DEPTH} (stuck at {self.tail(k, hi)})")
-            lo, hi = hi, min(2 * hi, _MAX_DEPTH)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.tail(k, mid) > target:
-                lo = mid
+        """(J, panels, rest): a depth J and panel count at which the width of
+        `_rest` is at most target, or the last tried within the work budget
+        (J <= _MAX_VALUES // 5, panels <= _MAX_PANELS), and that bracket.
+
+        The guess comes from the width's leading terms: about 3 k^2 a^2 /
+        (32 y^3) for y >> k and a^2 / (4 y) for y << k, y the closed form's
+        argument, and for inv_sqrt_log the quadrature's 0.9 I / panels^2 with
+        I about k^2 a^2 / (8 y). A width w > target then scales J by
+        (w / target)^(1/p), p = 4 or 2 as the width falls like J^-4 (inv_sqrt,
+        J >> k) or at least like J^-2, and past the budget's J the panels of
+        an inv_sqrt_log quadrature by (w / target)^(1/2)."""
+        log_kind = self.seq.kind == "inv_sqrt_log"
+        panels, cap = _PANELS, _MAX_VALUES // 5
+        c2 = self.seq._c ** 2
+        if log_kind:  # a(y)^2 y = 1 / ln y, taken at y = n0 + k
+            c2 = 1.0 / math.log(self.seq.n0 + k)
+        y = min((3.0 * k * k * c2 / (32.0 * target)) ** 0.25, 0.5 * math.sqrt(c2 / target))
+        if log_kind:
+            y = max(y, k / panels * math.sqrt(0.3 * c2 / target))
+        J = min(max(1, math.ceil(y)), cap)
+        while True:
+            lo, hi, r = rest = self._rest(k, J, panels)
+            w = hi - lo + 2.0 * r
+            if w <= target:
+                break
+            if J < cap:
+                p = 2.0 if log_kind or J < 2 * k else 4.0
+                J = min(cap, math.ceil(1.05 * J * (w / target) ** (1.0 / p)))
+            elif log_kind and panels < _MAX_PANELS:
+                grow = 2 ** math.ceil(math.log2((w / target) ** 0.5))
+                panels = min(_MAX_PANELS, panels * max(2, grow))
             else:
-                hi = mid
-        return hi
+                break  # the budget is spent: the bracket reached is returned
+        return J, panels, rest
 
     def norm_sq(self, k, tol):
+        """||c_k||^2 = sum_{j<k} a_j^2 + sum_{j>=0} (a_j - a_{j+k})^2 for
+        k >= 0 (c_-k is c_k reflected): the head sums both over j < J,
+        `_rest` brackets the rest, and `_depth` picks J from the width,
+        aimed at tol/4 (J grows like the width^-1/4 to ^-1/2, so aiming
+        nearer tol saves little). The head reads a_0 ... a_(J-1) and
+        a_k ... a_(k+J-1): O(J) values whatever k is. Past the work budget
+        the bracket reached is returned, wider than tol."""
         k = abs(k)
         if self.seq.kind == "explicit":
             a = self.seq.explicit
             head = sum(a[min(j, len(a) - 1)] ** 2 for j in range(k))
             return BoundedValue.from_exact(head + self._explicit_diffs(k, 0))
-        # aim the tail at tol/4, not tol: J grows only like tail^-1/2, so a
-        # half-width near tol/8 costs twice the depth of one near tol/2
-        J = self._depth(k, tol / 4.0)
-        tail = self.tail(k, J)
-        head = _kernels.zseq_norm_head(self.seq.values(J + k), k, J)
+        J, _, (lo, hi, r) = self._depth(k, tol / 4.0)
+        m = min(k, J)
+        if k <= J:
+            a = self.seq.values(J + k)
+        else:
+            import numpy as np
+
+            # a_0 ... a_(J-1), then a_k ... a_(k+J-1): the head below with m = J
+            a = np.concatenate((self.seq.values(J),
+                                replace(self.seq, shift=k).values(J)))
+        head = _kernels.zseq_norm_head(a, m, J)
         # Float error of head. values() gives each a_j within eta = 8u of the
-        # real one (at most three roundings, or numpy's log within a few ulps and three more). So
-        # the squares of the first k terms move by <= 3 eta k a_0^2, and each
-        # difference by <= 2 eta a_j, which moves the difference squares by
-        # <= 4 eta sum a_j (a_j - a_{j+k}) + 4 eta^2 sum a_j^2
-        # <= 4 eta k a_0^2 + 4 eta^2 J a_0^2. Summing the J + k squares, the
-        # subtraction and the final additions adds gamma_{J+k+8} (head + tail).
+        # real one (at most three roundings, or numpy's log within a few ulps
+        # and three more). So the squares of the first m terms move by
+        # <= 3 eta m a_0^2, and each difference by <= 2 eta a_j, which moves
+        # the difference squares by <= 4 eta sum a_j (a_j - a_{j+k}) +
+        # 4 eta^2 sum a_j^2 <= 4 eta m a_0^2 + 4 eta^2 J a_0^2, as
+        # sum_{j<J} (a_j - a_{j+k}) <= sum_{j<m} a_j. Summing the J + m
+        # squares, the subtraction and the final additions adds
+        # gamma_{2J+8} (head + hi); r covers the rounding of the rest.
         eta = 8.0 * _U
-        rounding = (_gamma(J + k + 8) * (head + tail)
-                    + 8.0 * eta * (k + eta * J) * self.seq.a(0) ** 2)
-        return BoundedValue(head + tail / 2.0, tail / 2.0 + rounding)
+        rounding = (_gamma(2 * J + 8) * (head + hi) + r
+                    + 8.0 * eta * (m + eta * J) * self.seq.a(0) ** 2)
+        return BoundedValue.from_bracket(head + lo - rounding, head + hi + rounding)
 
     def certificate(self, group, m, kappa, k0):
         kind = self.seq.kind

@@ -741,6 +741,41 @@ def test_norm_reports_a_missed_tol(capsys):
     assert code == 0 and "tol_missed" not in res and res["err"] <= 1e-6
 
 
+@pytest.mark.parametrize("argv, missed", [
+    # both exited 2 when the one-sided tail ran into its depth cap
+    (["--preset", "explicit-z", "-g", "5", "--tol", "1e-300"], True),
+    (["--preset", "explicit-z-sqrt6", "-g", "100000000"], False),
+])
+def test_z_norm_stays_within_its_budget(capsys, argv, missed):
+    # a ZSequence norm returns the bracket reached once its arrays would pass
+    # _MAX_VALUES doubles, and allocates no more than that on the way
+    import tracemalloc
+
+    from bernlab import marginals
+
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "cocycle", "norm", *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    res = json.loads(out)["results"]
+    assert code == 0 and res.get("tol_missed", False) is missed
+    assert (res["err"] > 1e-300) if missed else (res["err"] <= 1e-6)
+    assert peak <= 8 * marginals._MAX_VALUES
+
+
+def test_growth_marks_a_missed_tol(capsys, tmp_path):
+    # the key appears only when some row missed, so the reports perfbench
+    # compares keep their keys
+    target = str(tmp_path / "growth.csv")
+    for tol, missed in (("1e-300", True), ("1e-6", False)):
+        code, out, _ = run(capsys, "cocycle", "growth", "--preset", "explicit-z-sqrt6",
+                           "--radius", "2", "--tol", tol, "--out", target)
+        res = json.loads(out)["results"]
+        assert code == 0 and res.get("tol_missed", False) is missed
+
+
 def test_far_element_refused_at_once(capsys):
     # a^(10^20) needs about 3e8 bumps: the doubling built the 2^21- and
     # 2^22-bump tables (about 200 MB) before it refused the next step

@@ -271,6 +271,33 @@ class TestBumpCocycle:
             brute = math.fsum((bc.h_float(n) - bc.h_float(n - k)) ** 2)
             assert brute <= hi
 
+    # _remainder(k, N) at the N each tol-1e-6 bracket of the pinned grid ends
+    # at, from the program whose midpoint and trapezoid sums were written out
+    # in `_remainder` itself, before `exact.convex_sum` took them over
+    PINNED_REMAINDER = {
+        12: [(65537, ("0x1.43ff3bd460078p-1", "0x1.43ff5e008abeap-1", "0x1.43ff9142155c3p-47")),
+             (98450, ("0x1.af5c659c01a89p+0", "0x1.af5c79c545babp+0", "0x1.af5cc55f25a52p-46")),
+             (131277, ("0x1.6bee895c7a1c4p+1", "0x1.6bee92ed78da6p+1", "0x1.6beec89a784e4p-45")),
+             (164091, ("0x1.02cdd7c4f876dp+2", "0x1.02cddc1fa3969p+2", "0x1.02cdfc3bfac6fp-44")),
+             (164130, ("0x1.9449032b80dedp+2", "0x1.944909f7eee94p+2", "0x1.944947d52f376p-44")),
+             (196931, ("0x1.e53424d9d0e4dp+2", "0x1.e5342a84b920bp+2", "0x1.e53467c1f1677p-44"))],
+        36: [(262145, ("0x1.6c7fbcd035e8cp+0", "0x1.6c7fd270101d2p+0", "0x1.6c7ff2dfc51a4p-46")),
+             (393650, ("0x1.e576e39fb2826p+1", "0x1.e576f065652cfp+1", "0x1.e577204aaba8cp-45")),
+             (492132, ("0x1.b4db2f9b23492p+2", "0x1.b4db36f5af2d0p+2", "0x1.b4db6038c94c1p-44")),
+             (590574, ("0x1.4396af0124977p+3", "0x1.4396b2c9741a9p+3", "0x1.4396ceaeb21d3p-43")),
+             (688994, ("0x1.b1621c0b422f5p+3", "0x1.b1621fc4143b0p+3", "0x1.b16241a2b0728p-43")),
+             (787399, ("0x1.110a102baf446p+4", "0x1.110a11f74faa1p+4", "0x1.110a255dcce8cp-42"))],
+    }
+
+    @pytest.mark.parametrize("D", [12, 36])
+    def test_remainder_bit_identical_on_the_pinned_grid(self, D):
+        bc = BumpCocycle(D)
+        for k, (N, want) in enumerate(self.PINNED_REMAINDER[D], start=1):
+            bc.gamma_norm_sq_bounds(k, 1e-6)
+            memo = bc._gamma_cache[k]
+            assert memo.n_k + len(memo.chunks) * bump._CHUNK == N
+            assert tuple(x.hex() for x in bc._remainder(k, N)) == want
+
     def test_gamma_brackets_table_only_the_head(self):
         # the bumps past the narrow head are made from n chunk by chunk
         for D, k in ((36, 1), (36, 3), (12, 40), (Fraction(1, 20), 7)):

@@ -348,7 +348,8 @@ class TestIntegralProducts:
                 extent *= 4
             hell, negsq = _decimal_products(pairs, 2)
             hv, pv = integral_products(spec, g, tol=1e-4)
-            hell_lo = hell * (Decimal(-criteria.HELLINGER_TAIL) * Decimal(tail)).exp()
+            kappa = criteria._hellinger_tail(float(spec.delta), tail)
+            hell_lo = hell * (Decimal(-kappa) * Decimal(tail)).exp()
             negsq_hi = negsq * (Decimal(float(kappa0(spec.delta))) * Decimal(tail)).exp()
             for bv, lo, hi in ((hv, hell_lo, hell), (pv, negsq, negsq_hi)):
                 assert Decimal(bv.lower) <= lo and hi <= Decimal(bv.upper)
@@ -373,7 +374,8 @@ class TestIntegralProducts:
             mp.setattr(criteria, "_window", lambda spec, g, extent: (p.copy(), q.copy()))
             hv, pv = integral_products(spec, 1, tol=1.0)
         hell, negsq = _decimal_products(zip(p.tolist(), q.tolist()), m)
-        shrink = (Decimal(-criteria.HELLINGER_TAIL) * Decimal(tail)).exp()
+        kappa = criteria._hellinger_tail(1 / 3, tail) if tail else 0.0
+        shrink = (Decimal(-kappa) * Decimal(tail)).exp()
         grow = (Decimal(float(kappa0(Fraction(1, 3)))) * Decimal(tail)).exp()
         assert Decimal(hv.lower) <= hell * shrink and hell <= Decimal(hv.upper)
         assert Decimal(pv.lower) <= negsq
@@ -396,7 +398,7 @@ class TestIntegralProducts:
         hell = np.prod(np.sqrt(p * q) + np.sqrt((1 - p) * (1 - q)))
         log_negsq = np.sum(np.log(p**3 / q**2 + (1 - p) ** 3 / (1 - q) ** 2))
         slack = 4 * n * float(np.finfo(np.longdouble).eps)
-        shrink = math.exp(-criteria.HELLINGER_TAIL * tail)
+        shrink = math.exp(-criteria._hellinger_tail(float(spec.delta), tail) * tail)
         hv, pv = integral_products(spec, g)
         assert hv.upper >= float(hell) * (1 - slack)
         assert hv.lower <= float(hell) * shrink * (1 + slack)

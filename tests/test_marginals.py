@@ -3,11 +3,12 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bernlab.cli import preset
+from bernlab.cli import main, preset
 from bernlab.cocycles import norm_sq, norm_sq_bruteforce
 from bernlab.criteria import integral_products
 from bernlab.exact import LogValue
@@ -22,6 +23,7 @@ from bernlab.marginals import (
     WSplit,
     ZSequence,
     _SyllableFamily,
+    _log_diff,
     f_value,
     make_folner_family,
     measures_from_ab,
@@ -296,8 +298,10 @@ def test_explicit_zsequence_exact_tail():
             assert bracket.upper - bracket.lower < 1e-9
 
 
-def _exact_step(seq, J):
-    """(a_J, a_J - a_{J+1}) in 50-digit decimals."""
+def _old_bound(seq, k, J):
+    """The one-sided tail bound k^2 a_J (a_J - a_{J+1}) that the two-sided
+    bracket replaced, in 50-digit decimals: it holds for every convex,
+    decreasing sequence that tends to 0."""
     with localcontext() as ctx:
         ctx.prec = 50
         if seq.kind == "inv_sqrt":
@@ -306,7 +310,20 @@ def _exact_step(seq, J):
         else:
             a = [1 / (Decimal(x) * Decimal(x).ln()).sqrt()
                  for x in (J + seq.n0, J + seq.n0 + 1)]
-        return a[0], a[0] - a[1]
+        return k * k * a[0] * (a[0] - a[1])
+
+
+def _inv_sqrt_integral(seq, k, x):
+    """int_x^inf (a(t) - a(t+k))^2 dt for a(t) = c (t+1)^-1/2 in 50-digit
+    decimals, from the antiderivative c^2 (ln u + ln v - 4 ln(sqrt(u) +
+    sqrt(v))), u = t + 1, v = u + k, and its limit 2 c^2 ln(1/4)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        c = Decimal(seq.scale.numerator) / Decimal(seq.scale.denominator)
+        u = Decimal(x) + 1
+        v = u + k
+        at_x = u.ln() + v.ln() - 4 * (u.sqrt() + v.sqrt()).ln()
+        return c * c * (2 * Decimal("0.25").ln() - at_x)
 
 
 @pytest.mark.parametrize("seq", [DecreasingSequence("inv_sqrt", scale=Fraction(1, 6)),
@@ -314,15 +331,29 @@ def _exact_step(seq, J):
                                  DecreasingSequence("inv_sqrt_log", n0=2),
                                  DecreasingSequence("inv_sqrt_log", n0=16)])
 def test_tail_bound_survives_rounding(seq):
-    # a_J - a_{J+1} taken as a difference of floats loses about log10(4 J)
-    # digits; `step` must keep the float tail above the real bound
-    # k^2 a_J (a_J - a_{J+1}) up to the deepest truncation
+    # cross-check against the old one-sided bound k^2 a_J (a_J - a_{J+1}):
+    # the bracket's upper end, rounding included, is never looser, and about
+    # a quarter of it once J >> k; for inv_sqrt it also stays above the real
+    # I(J - 1/2) up to the deepest truncation
     fam = ZSequence(Fraction(1, 2), 1, seq)
     for J in (0, 1, 10**3, 10**6, 5 * 10**7):
-        a, step = _exact_step(seq, J)
-        assert abs(Decimal(seq.step(J)) / step - 1) < Decimal("1e-14")
         for k in (1, 7, 200):
-            assert Decimal(fam.tail(k, J)) >= k * k * a * step
+            tail, old = Decimal(fam.tail(k, J)), _old_bound(seq, k, J)
+            assert tail <= old
+            if J >= 10**6:
+                assert tail >= old / 5
+            if seq.kind == "inv_sqrt":
+                assert tail >= _inv_sqrt_integral(seq, k, J - 0.5)
+
+
+@pytest.mark.parametrize("k", [1, 3, 200, 10**6, 10**9])
+def test_inv_sqrt_integral_closed_form(k):
+    # the cancellation-free closed form against the 50-digit antiderivative
+    seq = DecreasingSequence("inv_sqrt", scale=Fraction(7, 3))
+    for x in (-0.5, 0.0, 2.5, 1e3, 1e6 - 0.5, 3e9):
+        got = seq._diff_integral(x, k, True, 32)
+        want = _inv_sqrt_integral(seq, k, x)
+        assert abs(Decimal(got) / want - 1) < Decimal("1e-13")
 
 
 N_TERMS = 10**5
@@ -376,6 +407,91 @@ def test_norm_sq_work_is_linear_in_k(name, monkeypatch):
         requested.clear()
         norm_sq(spec, k, 1e-6)
         assert 0 < sum(requested) <= 1000 * k
+
+
+def _square_bound(seq, M, k):
+    """Upper bound on sum_{M <= j < M+k} a_j^2 for M >= 1: a^2 decreases, so
+    a_j^2 <= int_{j-1}^j a(t)^2 dt, a closed form."""
+    if seq.kind == "inv_sqrt":
+        return float(seq.scale) ** 2 * math.log1p(k / M)
+    X = M - 1 + seq.n0
+    return math.log1p(math.log1p(k / X) / math.log(X))
+
+
+def _decimal_diff(seq, k, J):
+    """a_J - a_{J+k} in 50-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        if seq.kind == "inv_sqrt":
+            c = Decimal(seq.scale.numerator) / Decimal(seq.scale.denominator)
+            return c / Decimal(J + 1).sqrt() - c / Decimal(J + 1 + k).sqrt()
+        x, y = Decimal(J + seq.n0), Decimal(J + seq.n0 + k)
+        return 1 / (x * x.ln()).sqrt() - 1 / (y * y.ln()).sqrt()
+
+
+LONG_TERMS = 10**6
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seq=st.one_of(
+           st.builds(lambda p, q: DecreasingSequence("inv_sqrt", scale=Fraction(p, q)),
+                     st.integers(1, 10**6), st.integers(1, 10**6)),
+           st.builds(lambda n0: DecreasingSequence("inv_sqrt_log", n0=n0),
+                     st.integers(2, 10**6))),
+       k=st.integers(1, 10**9), J=st.integers(0, 10**6))
+def test_tail_bracket_holds_a_long_sum(seq, k, J):
+    # both ends of the two-sided tail bracket against the sum of its first
+    # 10^6 terms, exact up to float rounding, and a proven bound on the rest
+    fam = ZSequence(Fraction(1, 2), 1, seq)
+    lo, hi, r = fam._tail_bracket(k, J, 32)
+    d_J = Decimal(seq._diff(J, k))
+    assert abs(d_J / _decimal_diff(seq, k, J) - 1) < Decimal("1e-13")
+    x = np.arange(J, J + LONG_TERMS, dtype=np.float64)
+    if seq.kind == "inv_sqrt":
+        ru, rv = np.sqrt(x + 1.0), np.sqrt(x + 1.0 + k)
+        d = float(seq.scale) * (k / (ru + rv)) / (ru * rv)
+    else:
+        d = _log_diff(x + seq.n0, k, np)
+    partial = math.fsum((d * d).tolist())
+    M = J + LONG_TERMS
+    rest = min(_remainder_bound(seq, k, M),
+               _square_bound(seq, M, k) + _remainder_bound(seq, k, M + k))
+    assert lo - r <= (partial + rest) * (1 + 1e-12)
+    assert hi + r >= partial * (1 - 1e-12)
+
+
+def _count_values(monkeypatch):
+    """The list of J of every DecreasingSequence.values(J) call from now on."""
+    requested = []
+    values = DecreasingSequence.values
+
+    def counting(self, J):
+        requested.append(J)
+        return values(self, J)
+
+    monkeypatch.setattr(DecreasingSequence, "values", counting)
+    return requested
+
+
+@pytest.mark.parametrize("name, most", [("explicit-z-sqrt6", 10**6),
+                                        ("explicit-z", 2 * 10**7)])
+def test_growth_values_requested_are_bounded(name, most, monkeypatch, tmp_path, capsys):
+    # counted work, not time: the README's growth command requests about
+    # 3.0e5 (explicit-z-sqrt6) and 7.3e6 (explicit-z) values; the one-sided
+    # tail, at J of about 240 k to 590 k, requested 1.2e8 and 2.1e8
+    requested = _count_values(monkeypatch)
+    assert main(["cocycle", "growth", "--preset", name, "--radius", "1000",
+                 "--out", str(tmp_path / "growth.csv")]) == 0
+    assert sum(requested) <= most
+
+
+def test_norm_at_huge_k_reads_o_of_j_values(monkeypatch):
+    # a_0 ... a_(J-1) and a_k ... a_(k+J-1), with J a few hundred: not the
+    # 10^8 + J values of one array through a_(k+J-1)
+    requested = _count_values(monkeypatch)
+    nv = norm_sq(preset("explicit-z-sqrt6"), 10**8, 1e-6)
+    assert nv.err <= 1e-6
+    assert len(requested) == 2 and requested[0] == requested[1] <= 1000
 
 
 def w(text):
