@@ -8,6 +8,8 @@ delta = min(1, 1/(144 D^2)).
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from fractions import Fraction
 
 # numpy is imported in the functions that use it (see the package docstring)
@@ -54,6 +56,9 @@ class BumpCocycle:
         # int64 prefix arrays a and b, made by the first ensure_bumps and
         # grown on demand
         self._a = self._b = None
+        # b again, as Python ints (a_n = (b_(n+1) - b_n) / 2): the scalar
+        # lookups of `bump_index_at` and `h_exact` read it without numpy
+        self._bs = array("q", (0, 2))
         # |k| -> _GammaMemo
         self._gamma_cache: dict = {}
         self._h_cache: dict = {}
@@ -74,6 +79,30 @@ class BumpCocycle:
         cur = len(self._a)
         if N <= cur:
             return
+        self._check_bumps(N)
+        p, q = self.delta.numerator, self.delta.denominator
+        n = np.arange(cur, N, dtype=np.int64)
+        a_new = (p * n * n + q - 1) // q
+        a = np.concatenate([self._a, a_new])
+        b = np.concatenate([[0], np.cumsum(2 * a)])
+        self._a, self._b = a, b
+
+    def _ensure_scalar(self, N: int) -> None:
+        """`ensure_bumps` for the Python-int b table `_bs`."""
+        b = self._bs
+        cur = len(b) - 1
+        if N <= cur:
+            return
+        self._check_bumps(N)
+        p, q = self.delta.numerator, self.delta.denominator
+        end = b[-1]
+        for n in range(cur, N):
+            end += 2 * ((p * n * n + q - 1) // q)
+            b.append(end)
+
+    def _check_bumps(self, N: int) -> None:
+        """Raise SpecError unless N bumps fit the budget and int64 (see
+        `ensure_bumps`)."""
         if N > _MAX_BUMPS:
             raise SpecError(f"the bump cocycle with D = {self.D} needs {N} "
                             f"bumps here, past the budget of {_MAX_BUMPS}")
@@ -81,19 +110,14 @@ class BumpCocycle:
         top = p * (N - 1) ** 2 + q - 1
         if top >= 2**63 or 2 * N * (top // q) >= 2**63:
             raise SpecError(self._wraps(N - 1))
-        n = np.arange(cur, N, dtype=np.int64)
-        a_new = (p * n * n + q - 1) // q
-        a = np.concatenate([self._a, a_new])
-        b = np.concatenate([[0], np.cumsum(2 * a)])
-        self._a, self._b = a, b
 
     def _wraps(self, n: int) -> str:
         return (f"the bump cocycle with D = {self.D} (delta = {self.delta}) "
                 f"overflows 64-bit integers by bump {n}")
 
-    def _cover(self, pos: int) -> None:
+    def _cover(self, pos: int, scalar: bool = False) -> None:
         """Materialize bumps, doubling their number up to the budget, until
-        b[-1] > pos.
+        b_N > pos: in the int64 arrays, or in `_bs` when `scalar`.
 
         A position that the budget cannot cover is refused before anything
         is allocated. As a_0 = 1 and a_n < delta n^2 + 1,
@@ -101,8 +125,10 @@ class BumpCocycle:
                 = delta (N-1) N (2N-1) / 3 + 2N,
         so the position needs at least the first N at which that bound
         passes it."""
-        self.ensure_bumps(1)
-        if self._b[-1] > pos:
+        grow = self._ensure_scalar if scalar else self.ensure_bumps
+        grow(1)
+        b = self._bs if scalar else self._b
+        if b[-1] > pos:
             return
         p, q = self.delta.numerator, self.delta.denominator
 
@@ -119,22 +145,25 @@ class BumpCocycle:
             raise SpecError(f"position {pos} of the bump cocycle with D = "
                             f"{self.D} needs at least {hi} bumps, past the "
                             f"budget of {_MAX_BUMPS}")
-        while self._b[-1] <= pos:
-            if len(self._a) >= _MAX_BUMPS:
+        while b[-1] <= pos:
+            N = len(b) - 1
+            if N >= _MAX_BUMPS:
                 raise SpecError(f"position {pos} of the bump cocycle with D = "
                                 f"{self.D} needs more than {_MAX_BUMPS} bumps, "
                                 f"the budget")
-            self.ensure_bumps(min(2 * len(self._a), _MAX_BUMPS))
+            grow(min(2 * N, _MAX_BUMPS))
+            b = self._bs if scalar else self._b
 
     def h_exact(self, n: int) -> Fraction:
-        """Exact H(n), memoized per instance."""
+        """Exact H(n), memoized per instance, from the Python-int table."""
         h = self._h_cache.get(n)
         if h is None:
             if n <= 0:
                 h = Fraction(0)
             else:
                 i = self.bump_index_at(n)
-                a, off = int(self._a[i]), n - int(self._b[i])
+                b = self._bs
+                a, off = (b[i + 1] - b[i]) // 2, n - b[i]
                 h = Fraction(off, a) if off <= a else Fraction(2 * a - off, a)
             self._h_cache[n] = h
         return h
@@ -164,11 +193,10 @@ class BumpCocycle:
         return np.where(m <= 0, 0, np.minimum(off, 2 * self._a[i] - off))
 
     def bump_index_at(self, pos: int) -> int:
-        """Index of the bump whose support contains the position pos >= 0."""
-        import numpy as np
-
-        self._cover(pos)
-        return max(int(np.searchsorted(self._b, pos, side="right")) - 1, 0)
+        """Index of the bump whose support contains the position pos >= 0,
+        looked up in the Python-int table, without numpy."""
+        self._cover(pos, scalar=True)
+        return max(bisect_right(self._bs, pos) - 1, 0)
 
     def tail_bound(self, k: int, M: int) -> float:
         """Upper bound on the gamma_k mass carried by bumps with index >= M.

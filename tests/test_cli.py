@@ -175,6 +175,17 @@ class TestCommands:
         assert rep["type"]["label"] == "III_1"
         assert set(rep["omega_values"]) == {"6/5", "4/5"}
 
+    def test_classify_special_element(self, capsys):
+        # H(1) = 1 and H(3) = 1 (D = 36: bumps of half-width 1 from 0, 2, 4),
+        # so F is 3/4 after a and 1/4 after b^3, against the base 1/2
+        code, out, _ = run(capsys, "classify", "--preset", "f2-dissipative",
+                           "--element", "a b^3")
+        assert code == 0
+        rep = json.loads(out)["results"]
+        assert rep == {"g": "a b^3", "omega_values": ["1/2", "3/2"],
+                       "ratio_group": "RatioGroup(dense, {1/2, 1/3})",
+                       "type": {"label": "III_1"}}
+
     def test_simulate_seed_echo(self, capsys):
         code, out, _ = run(capsys, "simulate", "--preset", "f2-wsplit",
                            "-g", "a", "--samples", "1000", "--seed", "5",
@@ -609,6 +620,7 @@ for argv in (
     ["classify", "--mu0", "2/3,1/3", "--mu1", "1/3,2/3", "--stable"],
     ["classify", "--preset", "f2-wsplit", "--element", "a"],
     ["criterion", "--preset", "f2-dissipative"],
+    ["classify", "--preset", "f2-dissipative", "--element", "a b^3"],
     ["criterion", "--preset", "folner-z"],
     ["build", "--preset", "explicit-z-sqrt6", "--out", "z.json"],
     ["spec", "validate", "z.json"],
@@ -633,7 +645,7 @@ def test_start_up_leaves_numpy_and_thread_pool_unloaded(tmp_path):
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     assert report == {"steps": {"import": [], "build": [], "commands": []},
-                      "codes": [0] * 12}
+                      "codes": [0] * 13}
 
 
 def test_simulate_in_a_fresh_process_is_pinned():
@@ -765,6 +777,22 @@ def test_z_norm_stays_within_its_budget(capsys, argv, missed):
     assert peak <= 8 * marginals._MAX_VALUES
 
 
+def test_z_norm_past_its_budget_is_the_narrowest_bracket(capsys):
+    # J stood at the cap, 838,860, where the head's rounding alone made err
+    # 1.9e-11; past the budget J now halves while the width falls
+    code, out, _ = run(capsys, "cocycle", "norm", "--preset", "explicit-z", "-g", "5",
+                       "--tol", "1e-300")
+    res = json.loads(out)["results"]
+    assert code == 0 and res["tol_missed"] is True and res["err"] <= 1e-12
+    code, out, _ = run(capsys, "cocycle", "norm", "--preset", "explicit-z", "-g", "5",
+                       "--tol", "1e-9")
+    ref = json.loads(out)["results"]
+    assert abs(res["value"] - ref["value"]) <= res["err"] + ref["err"]
+    # a norm that meets its tol keeps the depth it had
+    fam = preset("explicit-z").family
+    assert [fam._depth(5, tol / 4)[0] for tol in (1e-6, 1e-12)] == [99, 98096]
+
+
 def test_growth_marks_a_missed_tol(capsys, tmp_path):
     # the key appears only when some row missed, so the reports perfbench
     # compares keep their keys
@@ -783,7 +811,7 @@ def test_far_element_refused_at_once(capsys):
                          "--element", "a^99999999999999999999")
     assert code == 2 and out == ""
     assert "needs at least 303635761 bumps" in err
-    assert len(preset("f2-dissipative").family.bc._a) < 2**21
+    assert len(preset("f2-dissipative").family.bc._bs) < 2**21
 
 
 @pytest.mark.parametrize("argv, needle", [

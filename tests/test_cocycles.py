@@ -166,6 +166,21 @@ class TestBumpCocycle:
         assert bc.h_exact(2) == 0
         assert bc.h_exact(3) == 1
 
+    @pytest.mark.parametrize("D", [36, 3])
+    def test_scalar_lookup_matches_the_int64_tables(self, D):
+        # bump_index_at and h_exact read the Python-int table, h_float and
+        # the gamma brackets the int64 arrays: every position below 10^6
+        # finds the same bump in both, and H the same value
+        top = 10**6
+        bc = BumpCocycle(D)
+        bc._cover(top)
+        want = np.searchsorted(bc._b, np.arange(top), side="right") - 1
+        assert list(map(bc.bump_index_at, range(top))) == want.tolist()
+        n = len(bc._bs)
+        assert bc._bs.tolist() == bc._b[:n].tolist() and bc._b[n - 1] > top
+        m = np.arange(-3, 20000)
+        assert [float(bc.h_exact(int(i))) for i in m] == bc.h_float(m).tolist()
+
     def test_refused_bumps_leave_the_arrays_as_they_were(self):
         # the head of a^(2^20) at D = 36 fits the budget; past it, or where
         # a_n or b_n would wrap in int64 (delta = p/q with p near 1.44e16),

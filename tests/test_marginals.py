@@ -12,7 +12,7 @@ from bernlab.cli import main, preset
 from bernlab.cocycles import norm_sq, norm_sq_bruteforce
 from bernlab.criteria import integral_products
 from bernlab.exact import LogValue
-from bernlab.groups import FreeGroup, Integers, ball, parse_element
+from bernlab.groups import FreeGroup, Integers, Word, ball, mul, parse_element, word_length
 from bernlab.marginals import (
     ActionSpec,
     BaseMeasure,
@@ -22,6 +22,7 @@ from bernlab.marginals import (
     SpecialCocycle,
     WSplit,
     ZSequence,
+    _BallFamily,
     _SyllableFamily,
     _log_diff,
     f_value,
@@ -95,10 +96,13 @@ class TestFValue:
 
     @pytest.mark.parametrize("cls", [WSplit, FreeProductW, SpecialCocycle])
     def test_f_and_norm_sq_are_shared(self, cls):
-        # a family gives base, psi and gamma only
+        # a family gives base, psi and gamma only; the ball families share
+        # the syllable-statistics norm of `_BallFamily`
         for name in ("f", "norm_sq"):
             assert name not in vars(cls)
-            assert getattr(cls, name) is getattr(_SyllableFamily, name)
+        assert cls.f is _SyllableFamily.f
+        shared = _BallFamily if issubclass(cls, _BallFamily) else _SyllableFamily
+        assert cls.norm_sq is shared.norm_sq
 
     def test_zsequence(self):
         seq = DecreasingSequence("inv_sqrt", scale=Fraction(1, 6))
@@ -147,6 +151,75 @@ def test_wsplit_cross_term_per_descending_pair(word, pairs, p_a):
     n_b = sum(abs(e) for x, e in g.syls if x == 2)
     want = alpha**2 * n_a + beta**2 * n_b + 2 * alpha * beta * pairs
     assert norm_sq(spec, g).exact == want == spec.family.ball_norm_sq(g, 5)
+
+
+@st.composite
+def ball_family_and_word(draw):
+    """A WSplit (rank 2) or a FreeProductW (rank 2 or 3, any distinguished
+    generator) and a reduced word of at most 12 letters."""
+    rank = draw(st.sampled_from([2, 3]))
+    mass = st.fractions(Fraction(1, 10), Fraction(9, 10), max_denominator=60)
+    if rank == 2 and draw(st.booleans()):
+        fam = WSplit(draw(mass), draw(mass), draw(mass))
+    else:
+        fam = FreeProductW(*measures_from_lambda(draw(mass)),
+                           distinguished=draw(st.integers(1, rank)))
+    letters = [Word(rank, ((x, e),)) for x in range(1, rank + 1) for e in (1, -1)]
+    g = Word(rank, ())
+    for letter in draw(st.lists(st.sampled_from(letters), max_size=12)):
+        g = mul(g, letter)
+    return fam, g
+
+
+@given(ball_family_and_word())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_ball_norm_from_syllable_statistics(case):
+    # the (l, d) form equals the block sum it is proved from, and the sum of
+    # c_g^2 over the ball
+    fam, g = case
+    got = fam.norm_sq(g, 1e-6)
+    assert got == _SyllableFamily.norm_sq(fam, g, 1e-6)
+    assert isinstance(got.exact, Fraction)
+    if word_length(g) <= 6:
+        assert got.exact == fam.ball_norm_sq(g, 6)
+
+
+def _fpw_rank3_spec(tmp_path):
+    spec = ActionSpec(FreeGroup(3), FreeProductW(*measures_from_lambda(Fraction(2, 5)),
+                                                 distinguished=2), delta=Fraction(1, 5))
+    path = tmp_path / "fpw3.json"
+    path.write_text(json.dumps(spec_to_json(spec)))
+    return ["--spec", str(path)]
+
+
+@pytest.mark.parametrize("source", ["f2-wsplit", "f2-wsplit-512", "fpw-rank-3"])
+def test_growth_csv_matches_the_block_sum(source, monkeypatch, tmp_path, capsys):
+    # the same CSV, byte for byte, as the per-word block sum of
+    # `_SyllableFamily.norm_sq`
+    args = (_fpw_rank3_spec(tmp_path) if source == "fpw-rank-3"
+            else ["--preset", source])
+    paths = [tmp_path / "stats.csv", tmp_path / "blocks.csv"]
+    assert main(["cocycle", "growth", *args, "--radius", "6", "--out", str(paths[0])]) == 0
+    monkeypatch.setattr(_BallFamily, "norm_sq", _SyllableFamily.norm_sq)
+    assert main(["cocycle", "growth", *args, "--radius", "6", "--out", str(paths[1])]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_statistics_memo_starts_cold_in_every_call(monkeypatch, tmp_path, capsys):
+    # the memo lives on the family instance, and every CLI call builds its
+    # preset afresh, so no call reads a norm another one computed
+    assert "_norm_of" not in vars(preset("f2-wsplit").family)
+    calls = []
+    psi = WSplit.psi
+    monkeypatch.setattr(WSplit, "psi", lambda fam, x, e: calls.append(x) or psi(fam, x, e))
+    out = str(tmp_path / "growth.csv")
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert main(["cocycle", "growth", "--preset", "f2-wsplit", "--radius", "3",
+                     "--out", out]) == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 class TestMeasureBuilders:
