@@ -53,12 +53,10 @@ class BumpCocycle:
             raise ValueError(f"D must be positive, got {D}")
         self.D = D
         self.delta = min(Fraction(1), 1 / (144 * D * D))
-        # int64 prefix arrays a and b, made by the first ensure_bumps and
-        # grown on demand
-        self._a = self._b = None
-        # b again, as Python ints (a_n = (b_(n+1) - b_n) / 2): the scalar
-        # lookups of `bump_index_at` and `h_exact` read it without numpy
-        self._bs = array("q", (0, 2))
+        # the bump table, grown in place by ensure_bumps: a_0 = 1, so the
+        # first bump spans [0, 2). The scalar lookups read it as Python ints,
+        # without numpy; the numpy readers through `_tables`.
+        self._a, self._b = array("q", (1,)), array("q", (0, 2))
         # |k| -> _GammaMemo
         self._gamma_cache: dict = {}
         self._h_cache: dict = {}
@@ -70,35 +68,24 @@ class BumpCocycle:
         or the int64 arithmetic would wrap: the largest numerator
         p (N-1)^2 + q - 1 of a_n = ceil(p n^2 / q), delta = p/q, and
         b_N <= 2 N a_(N-1) (a never decreases) must stay below 2^63."""
-        import numpy as np
-
-        if self._a is None:
-            # a_0 = 1: the first bump spans [0, 2)
-            self._a = np.array([1], dtype=np.int64)
-            self._b = np.array([0, 2], dtype=np.int64)
-        cur = len(self._a)
-        if N <= cur:
-            return
-        self._check_bumps(N)
-        p, q = self.delta.numerator, self.delta.denominator
-        n = np.arange(cur, N, dtype=np.int64)
-        a_new = (p * n * n + q - 1) // q
-        a = np.concatenate([self._a, a_new])
-        b = np.concatenate([[0], np.cumsum(2 * a)])
-        self._a, self._b = a, b
-
-    def _ensure_scalar(self, N: int) -> None:
-        """`ensure_bumps` for the Python-int b table `_bs`."""
-        b = self._bs
-        cur = len(b) - 1
-        if N <= cur:
+        a, b = self._a, self._b
+        if N <= len(a):
             return
         self._check_bumps(N)
         p, q = self.delta.numerator, self.delta.denominator
         end = b[-1]
-        for n in range(cur, N):
-            end += 2 * ((p * n * n + q - 1) // q)
+        for n in range(len(a), N):
+            a_n = (p * n * n + q - 1) // q
+            end += 2 * a_n
+            a.append(a_n)
             b.append(end)
+
+    def _tables(self):
+        """int64 numpy views of a and b. A view pins the tables' buffers, so
+        take it after growing them and do not keep it."""
+        import numpy as np
+
+        return np.frombuffer(self._a, np.int64), np.frombuffer(self._b, np.int64)
 
     def _check_bumps(self, N: int) -> None:
         """Raise SpecError unless N bumps fit the budget and int64 (see
@@ -115,9 +102,9 @@ class BumpCocycle:
         return (f"the bump cocycle with D = {self.D} (delta = {self.delta}) "
                 f"overflows 64-bit integers by bump {n}")
 
-    def _cover(self, pos: int, scalar: bool = False) -> None:
+    def _cover(self, pos: int) -> None:
         """Materialize bumps, doubling their number up to the budget, until
-        b_N > pos: in the int64 arrays, or in `_bs` when `scalar`.
+        b_N > pos.
 
         A position that the budget cannot cover is refused before anything
         is allocated. As a_0 = 1 and a_n < delta n^2 + 1,
@@ -125,9 +112,7 @@ class BumpCocycle:
                 = delta (N-1) N (2N-1) / 3 + 2N,
         so the position needs at least the first N at which that bound
         passes it."""
-        grow = self._ensure_scalar if scalar else self.ensure_bumps
-        grow(1)
-        b = self._bs if scalar else self._b
+        b = self._b
         if b[-1] > pos:
             return
         p, q = self.delta.numerator, self.delta.denominator
@@ -151,19 +136,17 @@ class BumpCocycle:
                 raise SpecError(f"position {pos} of the bump cocycle with D = "
                                 f"{self.D} needs more than {_MAX_BUMPS} bumps, "
                                 f"the budget")
-            grow(min(2 * N, _MAX_BUMPS))
-            b = self._bs if scalar else self._b
+            self.ensure_bumps(min(2 * N, _MAX_BUMPS))
 
     def h_exact(self, n: int) -> Fraction:
-        """Exact H(n), memoized per instance, from the Python-int table."""
+        """Exact H(n), memoized per instance, without numpy."""
         h = self._h_cache.get(n)
         if h is None:
             if n <= 0:
                 h = Fraction(0)
             else:
                 i = self.bump_index_at(n)
-                b = self._bs
-                a, off = (b[i + 1] - b[i]) // 2, n - b[i]
+                a, off = self._a[i], n - self._b[i]
                 h = Fraction(off, a) if off <= a else Fraction(2 * a - off, a)
             self._h_cache[n] = h
         return h
@@ -174,29 +157,27 @@ class BumpCocycle:
 
         m = np.asarray(m, dtype=np.int64)
         self._cover(int(m.max(initial=0)))
-        i = np.searchsorted(self._b, m, side="right") - 1
-        return self._h_in(m, np.clip(i, 0, len(self._a) - 1))
-
-    def _h_in(self, m: np.ndarray, i: np.ndarray) -> np.ndarray:
-        """Float H(m) given the index i of a bump whose span [b_i, b_{i+1})
-        holds m, or i = 0 where m <= 0."""
+        a, b = self._tables()
+        i = np.clip(np.searchsorted(b, m, side="right") - 1, 0, len(a) - 1)
         # the integer numerator over a_i: one rounding
-        return self._num(m, i) / self._a[i].astype(float)
+        return self._num(m, i) / a[i].astype(float)
 
     def _num(self, m: np.ndarray, i: np.ndarray) -> np.ndarray:
-        """The integer numerator of H(m) = _num(m, i) / a_i, for i as in
-        `_h_in`: the offset up the bump's rising side or down its falling
-        side, 0 where m <= 0."""
+        """The integer numerator of H(m) = _num(m, i) / a_i, given the index
+        i of a bump whose span [b_i, b_{i+1}) holds m, or i = 0 where m <= 0:
+        the offset up the bump's rising side or down its falling side, 0
+        where m <= 0."""
         import numpy as np
 
-        off = m - self._b[i]
-        return np.where(m <= 0, 0, np.minimum(off, 2 * self._a[i] - off))
+        a, b = self._tables()
+        off = m - b[i]
+        return np.where(m <= 0, 0, np.minimum(off, 2 * a[i] - off))
 
     def bump_index_at(self, pos: int) -> int:
         """Index of the bump whose support contains the position pos >= 0,
-        looked up in the Python-int table, without numpy."""
-        self._cover(pos, scalar=True)
-        return max(bisect_right(self._bs, pos) - 1, 0)
+        looked up without numpy."""
+        self._cover(pos)
+        return max(bisect_right(self._b, pos) - 1, 0)
 
     def tail_bound(self, k: int, M: int) -> float:
         """Upper bound on the gamma_k mass carried by bumps with index >= M.
@@ -213,7 +194,7 @@ class BumpCocycle:
         # switch to the integral bound once a_n = ceil(delta n^2) > 1
         M2 = max(M, int(math.ceil(1.0 / math.sqrt(delta))) + 1)
         self.ensure_bumps(M2)
-        a = self._a[M:M2].astype(np.float64)
+        a = self._tables()[0][M:M2].astype(np.float64)
         explicit = float(np.sum((2.0 * a + k) * (k / a) ** 2)) if M2 > M else 0.0
         analytic = 2.0 * k * k / (delta * (M2 - 1)) + k**3 / (
             3.0 * delta * delta * (M2 - 1) ** 3
@@ -496,7 +477,8 @@ class BumpCocycle:
         """
         import numpy as np
 
-        b, a = self._b[: N + 1], self._a[:N]
+        a_all, b_all = self._tables()
+        b, a = b_all[: N + 1], a_all[:N]
         if int(a[-1]) >= 2**31:
             raise SpecError(f"gamma_{k} of the bump cocycle with D = {self.D} "
                             f"needs bumps of half-width {int(a[-1])} in its "
@@ -527,7 +509,7 @@ class BumpCocycle:
         # wherever L > 1, as do X - k and X + 1 - k
         i = c[:-1] // 2
         j = np.maximum((t - c)[:-1] // 2, 0)
-        ai, aj = self._a[i], self._a[j]
+        ai, aj = a_all[i], a_all[j]
         n0 = self._num(X, i) * aj - self._num(X - k, j) * ai
         n1 = self._num(X + 1, i) * aj - self._num(X + 1 - k, j) * ai
         den = (ai * aj).astype(np.float64)

@@ -13,7 +13,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar, Optional
 
@@ -149,18 +149,15 @@ def _log_far(y: float, k: int) -> float:
 class DecreasingSequence:
     """a_0 >= a_1 >= ... > 0 given by a closed form or an explicit list.
 
-    A closed form is a function a(x) of a real x >= -1/2 with a_j =
-    a(j + shift): c (x + 1)^-1/2 (inv_sqrt, c = scale) or g(x + n0) with
-    g(y) = (y ln y)^-1/2 (inv_sqrt_log). `shift` is 0 in a spec; a shifted
-    copy is the view a_(j + shift) that `ZSequence.norm_sq` reads the far
-    half of its head from.
+    A closed form is a function a(x) of a real x >= -1/2 with a_j = a(j):
+    c (x + 1)^-1/2 (inv_sqrt, c = scale) or g(x + n0) with g(y) =
+    (y ln y)^-1/2 (inv_sqrt_log).
     """
 
     kind: str  # inv_sqrt | inv_sqrt_log | explicit
     scale: Optional[Fraction] = None
     n0: int = 2
     explicit: tuple = ()
-    shift: int = 0
     _c: float = field(default=0.0, init=False, compare=False, repr=False)  # float(scale)
 
     def __post_init__(self):
@@ -185,7 +182,6 @@ class DecreasingSequence:
     def a(self, j: int) -> float:
         if j < 0:
             raise SpecError("sequence index must be >= 0")
-        j += self.shift
         if self.kind == "inv_sqrt":
             return self._c / math.sqrt(j + 1)
         if self.kind == "inv_sqrt_log":
@@ -193,14 +189,14 @@ class DecreasingSequence:
             return 1.0 / math.sqrt(x * math.log(x))
         return float(self.explicit[min(j, len(self.explicit) - 1)])
 
-    def values(self, J: int) -> np.ndarray:
-        """a_0, ..., a_(J-1) as a float array, computed in place."""
+    def values(self, J: int, start: int = 0) -> np.ndarray:
+        """a_start, ..., a_(start+J-1) as a float array, computed in place."""
         import numpy as np
 
         if self.kind == "explicit":
-            idx = np.minimum(np.arange(J) + self.shift, len(self.explicit) - 1)
+            idx = np.minimum(np.arange(J) + start, len(self.explicit) - 1)
             return np.array([float(self.explicit[i]) for i in idx])
-        x = np.arange(self.shift, self.shift + J, dtype=np.float64)
+        x = np.arange(start, start + J, dtype=np.float64)
         if self.kind == "inv_sqrt":
             x += 1.0
             return np.divide(self._c, np.sqrt(x, out=x), out=x)
@@ -208,9 +204,6 @@ class DecreasingSequence:
         t = np.log(x)
         np.multiply(x, t, out=t)
         return np.divide(1.0, np.sqrt(t, out=t), out=t)
-
-    # The four closed-form helpers below are for the spec's own sequence,
-    # shift 0.
 
     def _sq(self, x: float) -> float:
         """a(x)^2 at a real x >= -1/2 of a closed form."""
@@ -354,13 +347,14 @@ class MarginalFamily:
         raise NotImplementedError
 
     def support(self, g: Element, extent: int):
-        """Yield, once each, the points where c_g can be nonzero; `extent`
-        truncates infinite supports."""
+        """Yield, once each, the points of the window of `extent` where c_g
+        can be nonzero, and possibly some where it is 0; `extent` truncates
+        infinite supports, and `tail` bounds the mass past it."""
         raise NotImplementedError
 
     def window_values(self, g: Element, extent: int):
-        """(F(h), F(g^-1 h)) as float arrays over support(g, extent), each
-        point once in some order; None, the default, makes the cocycles
+        """(F(h), F(g^-1 h)) as float arrays over support(g, extent), in the
+        order it yields the points; None, the default, makes the cocycles
         module read the window from `value_pairs`."""
         return None
 
@@ -631,39 +625,47 @@ class ZSequence(MarginalFamily):
         return lo, hi, r
 
     def _depth(self, k, target):
-        """(J, panels, rest): a depth J and panel count at which the width of
-        `_rest` is at most target, and that bracket. Where the work budget
-        (J <= _MAX_VALUES // 5, panels <= _MAX_PANELS) runs out first, the
-        narrowest bracket it found, the head's rounding included.
+        """(J, panels, rest): a depth J and panel count at which the bracket
+        of `norm_sq` is at most target wide, and the bracket of `_rest` there.
+        Its width is the rest's plus twice the head's rounding, gamma_(2J+8)
+        times the norm and more (`_head_rounding`), here with the norm
+        bounded by 2 sum_{j<k} a_j^2: (a_j - a_(j+k))^2 <= a_j^2 - a_(j+k)^2
+        as 0 < a_(j+k) <= a_j, and those differences telescope. Where the
+        work budget (J <= _MAX_VALUES // 5, panels <= _MAX_PANELS) runs out
+        first, the narrowest bracket it found.
 
-        The guess comes from the width's leading terms: about 3 k^2 a^2 /
+        The guess comes from the rest's leading terms: about 3 k^2 a^2 /
         (32 y^3) for y >> k and a^2 / (4 y) for y << k, y the closed form's
         argument, and for inv_sqrt_log the quadrature's 0.9 I / panels^2 with
-        I about k^2 a^2 / (8 y). A width w > target then scales J by
-        (w / target)^(1/p), p = 4 or 2 as the width falls like J^-4 (inv_sqrt,
-        J >> k) or at least like J^-2, and past the budget's J the panels of
-        an inv_sqrt_log quadrature by (w / target)^(1/2).
-
-        On a budget miss the rounding of the long head, gamma_(2J+8) times
-        the norm (see `norm_sq`), can outweigh the rest's width: J then
-        halves while the width, that rounding included, falls. The norm is
-        taken at the upper end of `_rest` at depth 0, the integral test's
-        bound on the whole sum."""
-        log_kind = self.seq.kind == "inv_sqrt_log"
+        I about k^2 a^2 / (8 y). While the rest's width w exceeds both target
+        and the rounding, J grows by (w / target)^(1/p), p = 4 or 2 as the
+        width falls like J^-4 (inv_sqrt, J >> k) or at least like J^-2. Past
+        the budget's J, or once the rounding, which grows with J, is what
+        keeps the width above target, the panels of an inv_sqrt_log
+        quadrature grow by (w / target)^(1/2), at least twofold. When neither
+        can grow, J halves while the width falls."""
+        seq = self.seq
+        log_kind = seq.kind == "inv_sqrt_log"
         panels, cap = _PANELS, _MAX_VALUES // 5
-        c2 = self.seq._c ** 2
+        _, s_hi, s_r = convex_sum(seq._sq, seq._sq_integral, 0, k, ulps=_ULPS)
+        norm = 2.0 * (s_hi + s_r)
+
+        def width(J, panels):
+            lo, hi, r = rest = self._rest(k, J, panels)
+            return hi - lo + 2.0 * r, 2.0 * self._head_rounding(k, J, norm), rest
+
+        c2 = seq._c ** 2
         if log_kind:  # a(y)^2 y = 1 / ln y, taken at y = n0 + k
-            c2 = 1.0 / math.log(self.seq.n0 + k)
+            c2 = 1.0 / math.log(seq.n0 + k)
         y = min((3.0 * k * k * c2 / (32.0 * target)) ** 0.25, 0.5 * math.sqrt(c2 / target))
         if log_kind:
             y = max(y, k / panels * math.sqrt(0.3 * c2 / target))
         J = min(max(1, math.ceil(y)), cap)
         while True:
-            lo, hi, r = rest = self._rest(k, J, panels)
-            w = hi - lo + 2.0 * r
-            if w <= target:
+            w, rounding, rest = width(J, panels)
+            if w + rounding <= target:
                 return J, panels, rest
-            if J < cap:
+            if J < cap and w > max(target, rounding):
                 p = 2.0 if log_kind or J < 2 * k else 4.0
                 J = min(cap, math.ceil(1.05 * J * (w / target) ** (1.0 / p)))
             elif log_kind and panels < _MAX_PANELS:
@@ -671,15 +673,13 @@ class ZSequence(MarginalFamily):
                 panels = min(_MAX_PANELS, panels * max(2, grow))
             else:
                 break
-        norm = self._rest(k, 0, panels)[1]
-        best = (w + 2.0 * self._head_rounding(k, J, norm), J, rest)
+        best = (w + rounding, J, rest)
         while J > 1:
             J //= 2
-            lo, hi, r = rest = self._rest(k, J, panels)
-            w = hi - lo + 2.0 * r + 2.0 * self._head_rounding(k, J, norm)
-            if w >= best[0]:
+            w, rounding, rest = width(J, panels)
+            if w + rounding >= best[0]:
                 break
-            best = (w, J, rest)
+            best = (w + rounding, J, rest)
         return best[1], panels, best[2]
 
     def _head_rounding(self, k, J, total):
@@ -710,8 +710,7 @@ class ZSequence(MarginalFamily):
             import numpy as np
 
             # a_0 ... a_(J-1), then a_k ... a_(k+J-1): the head below with m = J
-            a = np.concatenate((self.seq.values(J),
-                                replace(self.seq, shift=k).values(J)))
+            a = np.concatenate((self.seq.values(J), self.seq.values(J, k)))
         head = _kernels.zseq_norm_head(a, m, J)
         # Float error of head. values() gives each a_j within eta = 8u of the
         # real one (at most three roundings, or numpy's log within a few ulps
@@ -1030,17 +1029,6 @@ def make_folner_family(
                          parse_fraction(offset), parse_fraction(delta_f))
 
 
-def _merged(spans):
-    """The union of closed integer intervals as sorted disjoint intervals."""
-    out = []
-    for lo, hi in sorted(spans):
-        if out and lo <= out[-1][1] + 1:
-            out[-1][1] = max(out[-1][1], hi)
-        else:
-            out.append([lo, hi])
-    return out
-
-
 @functools.cache
 def _bump_cocycle(D: Fraction) -> BumpCocycle:
     """One BumpCocycle per D, so that its memos of H and of the gamma_k
@@ -1109,50 +1097,48 @@ class SpecialCocycle(_SyllableFamily):
             parts *= 8
         return [self.gamma(x, e, tol / parts) for x, e in syls]
 
+    def _runs(self, g, extent):
+        """support(g, extent) as runs (stem, x, lo, hi, rest, t): the points
+        stem x^m, lo <= m <= hi, where g^-1 stem x^m = rest x^(m + t), with
+        stem and rest syllable tuples not ending in x.
+
+        Off the identity, c_g lives on g's n syllable lines (see
+        `_SyllableFamily`): line j is p_(j-1)<x_j>, with the point
+        p_(j-1) x_j^m at m. On each, the runs keep |m| <= extent and
+        |m - e_j| <= extent, the windows around p_(j-1) and p_j, clipped
+        below at m = min(0, e_j): for lower m both p_(j-1) x_j^m and
+        g^-1 p_(j-1) x_j^m = rest x_j^(m - e_j) end in a negative exponent,
+        so F is base at both. The point m = 0, p_(j-1), is kept on line j - 1
+        at m = e_(j-1), and the identity on the line of a: line 1, or a run
+        of its own ahead of it when x_1 is b."""
+        syls = g.syls
+        inverse = tuple((y, -e) for y, e in reversed(syls))
+        runs = []
+        if not syls or syls[0][0] != 1:
+            runs.append(((), 1, 0, 0, inverse, 0))
+        for j, (x, c) in enumerate(syls):
+            rest = inverse[:len(syls) - j - 1]
+            low = min(0, c)
+            (lo, hi), (lo2, hi2) = sorted((max(s - extent, low), s + extent)
+                                          for s in (0, c))
+            spans = [(lo, max(hi, hi2))] if lo2 <= hi + 1 else [(lo, hi), (lo2, hi2)]
+            for lo, hi in spans:
+                if lo <= 0 <= hi and (j or x != 1):
+                    pieces = [(lo, -1), (1, hi)]
+                else:
+                    pieces = [(lo, hi)]
+                runs.extend((syls[:j], x, a, b, rest, -c) for a, b in pieces if a <= b)
+        return runs
+
     def support(self, g, extent):
-        # axis windows |n| <= extent through every prefix of g
-        seen = set()
-        prefixes = [Word(2, ())]
-        for j in range(len(g.syls)):
-            prefixes.append(Word(2, g.syls[: j + 1]))
-        for p in prefixes:
-            for gen in (1, 2):
-                for n in range(-extent, extent + 1):
-                    if n == 0:
-                        h = p
-                    else:
-                        h = mul(p, Word(2, ((gen, n),)))
-                    if h not in seen:
-                        seen.add(h)
-                        yield h
+        for stem, x, lo, hi, _, _ in self._runs(g, extent):
+            for m in range(lo, hi + 1):
+                yield Word(2, stem + ((x, m),) if m else stem)
 
     def window_values(self, g, extent):
         import numpy as np
 
-        # F depends on the last syllable only, so every point of support(g,
-        # extent) is base x^m on the axis line (base, x) through a prefix of
-        # g, with base not ending in x. Syllable tuples stand for the words.
-        lines = {}
-        for j in range(len(g.syls) + 1):
-            p = g.syls[:j]
-            for x in (1, 2):
-                base, c = (p[:-1], p[-1][1]) if p and p[-1][0] == x else (p, 0)
-                lines.setdefault((base, x), []).append((c - extent, c + extent))
-        runs = []
-        for (base, x), spans in lines.items():
-            # base is a prefix of g, so g^-1 base inverts the rest of g;
-            # g^-1 base x^m = rest x^(t + m) with rest not ending in x
-            r = tuple((gen, -e) for gen, e in reversed(g.syls[len(base):]))
-            t, rest = (r[-1][1], r[:-1]) if r and r[-1][0] == x else (0, r)
-            for lo, hi in _merged(spans):
-                # m = 0 is base itself. The line of its last syllable (x_j,
-                # e_j) holds it at m = e_j, as the prefix base gave that line
-                # the span around e_j; the empty base is kept on the line of a.
-                if lo <= 0 <= hi and (base, x) != ((), 1):
-                    pieces = [(lo, -1), (1, hi)]
-                else:
-                    pieces = [(lo, hi)]
-                runs.extend((base, x, a, b, rest, t) for a, b in pieces if a <= b)
+        runs = self._runs(g, extent)
         # one table of H over 0..top serves every run, since H(n) = 0 for
         # n <= 0: top covers each index and each exponent of g, which is
         # where a stem's last syllable comes from
@@ -1164,9 +1150,9 @@ class SpecialCocycle(_SyllableFamily):
         size = sum(hi - lo + 1 for _, _, lo, hi, _, _ in runs)
         f_h, f_g = np.empty(size), np.empty(size)
         at = 0
-        for base, x, lo, hi, rest, t in runs:
+        for stem, x, lo, hi, rest, t in runs:
             end = at + hi - lo + 1
-            self._run_f(h, base, x, lo, hi, f_h[at:end])
+            self._run_f(h, stem, x, lo, hi, f_h[at:end])
             self._run_f(h, rest, x, lo + t, hi + t, f_g[at:end])
             at = end
         return f_h, f_g

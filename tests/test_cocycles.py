@@ -168,16 +168,22 @@ class TestBumpCocycle:
 
     @pytest.mark.parametrize("D", [36, 3])
     def test_scalar_lookup_matches_the_int64_tables(self, D):
-        # bump_index_at and h_exact read the Python-int table, h_float and
-        # the gamma brackets the int64 arrays: every position below 10^6
-        # finds the same bump in both, and H the same value
+        # bump_index_at and h_exact read the bump table as Python ints,
+        # h_float and the gamma brackets through its int64 views: every
+        # position below 10^6 finds the same bump both ways, and H the same
+        # value; the table grown bump by bump is a_n = ceil(delta n^2) and
+        # b = the cumulative sum of 2a, as numpy makes them
         top = 10**6
         bc = BumpCocycle(D)
         bc._cover(top)
-        want = np.searchsorted(bc._b, np.arange(top), side="right") - 1
+        a, b = bc._tables()
+        n = np.arange(len(a))
+        p, q = bc.delta.numerator, bc.delta.denominator
+        assert a.tolist() == np.maximum((p * n * n + q - 1) // q, 1).tolist()
+        assert b.tolist() == [0] + np.cumsum(2 * a).tolist() and b[-1] > top
+        want = np.searchsorted(b, np.arange(top), side="right") - 1
+        del a, b  # a view pins the table
         assert list(map(bc.bump_index_at, range(top))) == want.tolist()
-        n = len(bc._bs)
-        assert bc._bs.tolist() == bc._b[:n].tolist() and bc._b[n - 1] > top
         m = np.arange(-3, 20000)
         assert [float(bc.h_exact(int(i))) for i in m] == bc.h_float(m).tolist()
 
@@ -208,10 +214,9 @@ class TestBumpCocycle:
         # 2^21 and 2^22 tables were built before the 2^23 step was refused
         bc = BumpCocycle(36)
         bc.ensure_bumps(8)
-        a, b = bc._a, bc._b
         with pytest.raises(SpecError, match="needs at least") as info:
             bc.h_exact(pos)
-        assert bc._a is a and bc._b is b
+        assert len(bc._a) == 8 and len(bc._b) == 9
         # the count named is the first N whose bound on b_N passes pos
         need = int(str(info.value).split("at least ")[1].split()[0])
         d = bc.delta
@@ -359,7 +364,7 @@ class TestBumpCocycle:
         its integer sums of p^2, p p' and p'^2. h_exact checks the two
         fractions at the first position of every run."""
         bc.ensure_bumps(N)
-        a_all, b_all = bc._a[:N], bc._b[: N + 1]
+        a_all, b_all = np.array(bc._a[:N]), np.array(bc._b[: N + 1])
         shares = []
         for n in range(N):
             a, b = int(a_all[n]), int(b_all[n])
@@ -470,8 +475,72 @@ SPECIAL_SPECS = [ActionSpec(F2, SpecialCocycle(D, Fraction(1, 2), Fraction(1, 4)
                             delta=Fraction(1, 4)) for D in (Fraction(1), Fraction(36))]
 
 
+def prefix_sweep(g, extent):
+    """Every point of the axis windows |n| <= extent through every prefix of
+    g, in both generators, each once: the reference for SpecialCocycle's
+    runs, which hold the points of this sweep where c_g can be nonzero."""
+    seen = set()
+    prefixes = [Word(2, ())]
+    for j in range(len(g.syls)):
+        prefixes.append(Word(2, g.syls[: j + 1]))
+    for p in prefixes:
+        for gen in (1, 2):
+            for n in range(-extent, extent + 1):
+                if n == 0:
+                    h = p
+                else:
+                    h = mul(p, Word(2, ((gen, n),)))
+                if h not in seen:
+                    seen.add(h)
+                    yield h
+
+
+def special_float_f(fam, h):
+    """F(h) in floats by the evaluator's one formula, base + (+-scale) H(e)
+    for h ending in a syllable (x, e), the identity as (a, 0)."""
+    x, e = h.syls[-1] if h.syls else (1, 0)
+    c = float(fam.scale) if x == 1 else -float(fam.scale)
+    return float(fam.base) + c * float(fam.bc.h_exact(e))
+
+
+# rank-2 words of 1 to 5 syllables with exponents in [-300, 300]
+long_words = st.tuples(st.integers(1, 2), st.lists(
+    st.integers(-300, 300).filter(bool), min_size=1, max_size=5)).map(
+    lambda t: Word(2, tuple((1 + (t[0] + i) % 2, e) for i, e in enumerate(t[1]))))
+
+
 class TestSpecialWindow:
     """SpecialCocycle.window_values against the exact (Fraction, Word) values."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(g=long_words, extent=st.integers(0, 2048), which=st.integers(0, 1))
+    @example(g=w("a"), extent=0, which=0)
+    @example(g=w("b^-300 a^300"), extent=2048, which=1)
+    # exponents past 2 extent + 1: each line's two windows stay apart
+    @example(g=w("a^-300 b^300 a^7 b^-1 a^2"), extent=100, which=0)
+    def test_runs_match_the_prefix_sweep(self, g, extent, which):
+        # c_g is 0 exactly at every sweep point the runs leave out, and the
+        # window holds the sweep's other points with F(h) != F(g^-1 h), bit
+        # for bit, grouped by axis line in the order the sweep first meets
+        # each line and ascending along it (a point is on the line of its
+        # last syllable, the identity on that of a)
+        spec = SPECIAL_SPECS[which]
+        fam = spec.family
+        gi = inv(g)
+        support = set(fam.support(g, extent))
+        lines, kept = {}, []
+        for h in prefix_sweep(g, extent):
+            x, m = h.syls[-1] if h.syls else (1, 0)
+            line = lines.setdefault((h.syls[:-1], x), len(lines))
+            if h not in support:
+                assert fam.f(h) == fam.f(mul(gi, h)), format_element(h)
+            p, q = special_float_f(fam, h), special_float_f(fam, mul(gi, h))
+            if p != q:
+                kept.append((line, m, p, q))
+        kept.sort()
+        p, q = cocycles._window(spec, g, extent)
+        assert p.tolist() == [r[2] for r in kept]
+        assert q.tolist() == [r[3] for r in kept]
 
     @settings(max_examples=80, deadline=None)
     @given(g=words, extent=st.integers(0, 64), which=st.integers(0, 1))
@@ -487,15 +556,16 @@ class TestSpecialWindow:
         spec = SPECIAL_SPECS[which]
         fam = spec.family
         gi = inv(g)
-        exact = [(fam.f(h), fam.f(mul(gi, h))) for h in fam.support(g, extent)]
+        points = list(fam.support(g, extent))
+        assert len(set(points)) == len(points)
+        exact = [(fam.f(h), fam.f(mul(gi, h))) for h in points]
         fh, fg = fam.window_values(g, extent)
-        # the same multiset of points: a point counted twice or left out
-        # changes the length; the evaluator rounds H before scaling it, so
-        # the values agree with the exact ones to rounding
+        # support and window_values read the same runs: point by point, in
+        # support's order; the evaluator rounds H before scaling it, so the
+        # values agree with the exact ones to rounding
         assert len(fh) == len(fg) == len(exact)
-        want = sorted((float(p), float(q)) for p, q in exact)
-        got = sorted(zip(fh.tolist(), fg.tolist()))
-        for (p, q), (a, b) in zip(want, got):
+        got = zip(fh.tolist(), fg.tolist())
+        for (p, q), (a, b) in zip(exact, got):
             assert a == pytest.approx(p, rel=1e-15) and b == pytest.approx(q, rel=1e-15)
         total = sum((p - q) ** 2 for p, q in exact)
         assert float(((fh - fg) ** 2).sum()) == pytest.approx(float(total), rel=1e-12)
@@ -510,7 +580,7 @@ class TestSpecialWindow:
         import tracemalloc
 
         fam = preset("f2-dissipative").family
-        g = w("a^2 b^3")
+        g = w("b^2 a^-1 b^-2 a^7")
         fam.window_values(g, 2048)  # the H table and the bump memo are filled
         tracemalloc.start()
         try:
@@ -518,12 +588,24 @@ class TestSpecialWindow:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert fh.size > 16000
+        # the identity, then lines of 2050, 2049, 2050 and 2055 points
+        assert fh.size == 8205
         assert peak < 1.25 * (fh.nbytes + fg.nbytes)
+
+    def test_window_builds_the_syllable_lines_only(self):
+        # line j holds m in [min(0, e_j), max(0, e_j) + extent], less its
+        # m = 0 point past the first line: 2^20 + 2 and 2^21 + 6 points,
+        # where the lines through every prefix in both generators built
+        # 6,291,458 and 8,388,614
+        fam = preset("f2-dissipative").family
+        for text, size in (("a", 2**20 + 2), ("a^2 b^3", 2**21 + 6)):
+            fh, fg = fam.window_values(w(text), 2**20)
+            assert fh.size == fg.size == size
 
     @pytest.mark.parametrize("text", ["a", "b^-1", "a b a^-1", "b^2 a^-1 b^-2"])
     def test_work_does_not_grow_with_radius(self, text, monkeypatch):
-        # counted work, not time: group multiplications and Word constructions
+        # counted work, not time: group multiplications, Word constructions
+        # and the runs the windows are written in
         counts = Counter()
         real_mul = cocycles.mul
 
@@ -540,6 +622,14 @@ class TestSpecialWindow:
             post_init(self)
 
         monkeypatch.setattr(Word, "__post_init__", counting_post_init)
+        real_runs = SpecialCocycle._runs
+
+        def counting_runs(self, g, extent):
+            runs = real_runs(self, g, extent)
+            counts["run"] += len(runs)
+            return runs
+
+        monkeypatch.setattr(SpecialCocycle, "_runs", counting_runs)
         spec = preset("f2-dissipative")
         g = w(text)
         seen = []
@@ -549,7 +639,10 @@ class TestSpecialWindow:
             affinity_pairs(spec, g, radius)
             seen.append(dict(counts))
         assert seen[0] == seen[1]
-        assert sum(seen[0].values()) <= 4 * (len(g.syls) + 1)
+        # two windows, each of at most the identity and three runs per line
+        # of g: its two spans, one of them split at m = 0
+        assert set(seen[0]) == {"run"}
+        assert seen[0]["run"] <= 2 * (3 * len(g.syls) + 1)
 
 
 def fpw_spec():

@@ -470,9 +470,9 @@ def test_norm_sq_work_is_linear_in_k(name, monkeypatch):
     requested = []
     values = DecreasingSequence.values
 
-    def counting(self, J):
+    def counting(self, J, start=0):
         requested.append(J)
-        return values(self, J)
+        return values(self, J, start)
 
     monkeypatch.setattr(DecreasingSequence, "values", counting)
     spec = preset(name)
@@ -538,9 +538,9 @@ def _count_values(monkeypatch):
     requested = []
     values = DecreasingSequence.values
 
-    def counting(self, J):
+    def counting(self, J, start=0):
         requested.append(J)
-        return values(self, J)
+        return values(self, J, start)
 
     monkeypatch.setattr(DecreasingSequence, "values", counting)
     return requested
@@ -565,6 +565,18 @@ def test_norm_at_huge_k_reads_o_of_j_values(monkeypatch):
     nv = norm_sq(preset("explicit-z-sqrt6"), 10**8, 1e-6)
     assert nv.err <= 1e-6
     assert len(requested) == 2 and requested[0] == requested[1] <= 1000
+
+
+@pytest.mark.parametrize("seq", [
+    DecreasingSequence("inv_sqrt", scale=Fraction(1, 6)),
+    DecreasingSequence("inv_sqrt_log", n0=16),
+    DecreasingSequence("explicit", explicit=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))])
+def test_values_from_start(seq):
+    # the far half of the norm's head, a_k ... a_(k+J-1): the same floats as
+    # the tail of one array from a_0
+    for start in (0, 1, 2, 5, 300):
+        want = seq.values(start + 9)[start:]
+        assert seq.values(9, start).tolist() == want.tolist()
 
 
 def w(text):
