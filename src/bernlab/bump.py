@@ -15,7 +15,7 @@ from fractions import Fraction
 # numpy is imported in the functions that use it (see the package docstring)
 
 from . import _kernels
-from .exact import SpecError, convex_sum, parse_fraction
+from .exact import _U, SpecError, convex_sum, parse_fraction
 
 __all__ = ["BumpCocycle"]
 
@@ -29,7 +29,6 @@ _MAX_BUMPS = 2**22
 _MAX_TERMS = 2**24
 # the f_k pass makes a_n from n this many bumps at a time
 _CHUNK = 2**15
-_U = 2.0**-53  # unit roundoff of a float
 # relative rounding radius of a partial sum G_N (see gamma_norm_sq_bounds)
 _RHO = 256 * _U
 
@@ -40,7 +39,6 @@ class _GammaMemo:
     def __init__(self, n_k: int, head: float):
         self.n_k, self.head = n_k, head  # G_{n_k}
         self.chunks = []  # chunk j sums f_k over n_k + j C <= n < n_k + (j+1) C
-        self.brackets = {}  # chunk count -> (lo, hi)
         self.answers = {}  # tol -> (lo, hi)
 
 
@@ -218,9 +216,9 @@ class BumpCocycle:
 
         The bracket depends on k and tol alone, not on earlier calls. Per |k|
         the instance keeps the head, the sum of every chunk of f_k terms
-        summed so far and each bracket made from them, so a repeated request,
-        or one that needs no more chunks than are summed, sums nothing new,
-        and a tighter one only the chunks past the last.
+        summed so far and the bracket of each tol, so a repeated request, or
+        one that needs no more chunks than are summed, sums nothing new, and
+        a tighter one only the chunks past the last.
 
         The f_k form. Each m >= 1 lies in one bump span [b_n, b_n + 2a),
         a = a_n, at offset j = m - b_n, where H(m) = min(j, 2a - j)/a. Let n_k
@@ -245,7 +243,7 @@ class BumpCocycle:
         5k)/6 < 0, c_m = k(k^2-1)/3 and c_p = k(k+1)(2k+1)/6.
 
         The bracket. The partial sum G_N over the bumps n < N is the narrow
-        head G_{n_k}, by `_breakpoint_sum`, plus f_k(a_{n-1}, a_n) for n_k <= n
+        head G_{n_k}, by `_head_sum`, plus f_k(a_{n-1}, a_n) for n_k <= n
         < N, with a_n made from n in chunks of _CHUNK, and N = n_k + j _CHUNK.
         The rest R_N = sum_{n >= N} f_k is bracketed by `_remainder`. j starts
         where delta N^2 >= 4k and grows until the width meets tol, to at most
@@ -261,11 +259,12 @@ class BumpCocycle:
         levels. So a term meets <= 26 + bit_length(n) additions, 42 for a
         chunk, and a chunk's nonnegative terms sum to within 13u + 42u,
         second order included in the bound below. math.fsum adds the chunks
-        with one rounding. The head's segments are within 91u and their sum
-        within 91u + 51u (see `_breakpoint_sum`). Adding the head to the
-        chunks adds u of the total. So G_N is within 144u G_N of the exact
-        partial sum; _RHO = 256u covers that and the three additions that
-        form each end, and _remainder's radius covers the float tail bounds.
+        with one rounding. The head's segments are within 91u, each chunk's
+        sum of them within 91u + 51u, and their math.fsum within 143u (see
+        `_head_sum`). Adding the head to the chunks adds u of the total. So
+        G_N is within 144u G_N of the exact partial sum; _RHO = 256u covers
+        that and the three additions that form each end, and _remainder's
+        radius covers the float tail bounds.
         """
         k = abs(int(k))
         if k == 0:
@@ -273,7 +272,7 @@ class BumpCocycle:
         memo = self._gamma_cache.get(k)
         if memo is None:
             n_k = self._head_end(k)
-            memo = self._gamma_cache[k] = _GammaMemo(n_k, self._partial_sum(k, n_k))
+            memo = self._gamma_cache[k] = _GammaMemo(n_k, self._head_sum(k, n_k))
         out = memo.answers.get(tol)
         if out is None:
             out = memo.answers[tol] = self._answer(k, memo, tol)
@@ -307,16 +306,13 @@ class BumpCocycle:
         _CHUNK, and the two-sided remainder past it, padded by the rounding
         radius (see `gamma_norm_sq_bounds`). Each f_k is nonnegative, so the
         remainder's lower end is clipped at 0."""
-        out = memo.brackets.get(j)
-        if out is None:
-            start = memo.n_k + len(memo.chunks) * _CHUNK
-            N = memo.n_k + j * _CHUNK
-            memo.chunks += self._pass_sums(k, start, N)
-            G = memo.head + math.fsum(memo.chunks[:j])
-            r_lo, r_hi, r = self._remainder(k, N)
-            pad = _RHO * G + r
-            out = memo.brackets[j] = (G + max(r_lo, 0.0) - pad, G + r_hi + pad)
-        return out
+        start = memo.n_k + len(memo.chunks) * _CHUNK
+        N = memo.n_k + j * _CHUNK
+        memo.chunks += self._pass_sums(k, start, N)
+        G = memo.head + math.fsum(memo.chunks[:j])
+        r_lo, r_hi, r = self._remainder(k, N)
+        pad = _RHO * G + r
+        return G + max(r_lo, 0.0) - pad, G + r_hi + pad
 
     def _tail_start(self, k: int, N: int, want: float, cap: int) -> int:
         """The first N2 >= N (in a geometric search) at which the remainder
@@ -389,14 +385,6 @@ class BumpCocycle:
         size = sum(map(abs, hi_terms)) + sum(map(abs, lo_terms))
         return math.fsum(lo_terms), math.fsum(hi_terms), 64.0 * _U * size
 
-    def _partial_sum(self, k: int, N: int) -> float:
-        """G_N for k >= 1: the head G_{n_k} by `_breakpoint_sum` and the
-        bumps n_k <= n < N by f_k (see `gamma_norm_sq_bounds`). Only the head
-        is tabled."""
-        n_k = min(self._head_end(k), N)
-        self.ensure_bumps(n_k)
-        return self._breakpoint_sum(k, n_k) + math.fsum(self._pass_sums(k, n_k, N))
-
     def _pass_sums(self, k: int, n0: int, n1: int) -> list:
         """The sums of f_k(a_{n-1}, a_n) over n_k <= n0 <= n < n1, one per
         chunk of _CHUNK bumps, with a_n made from n: no table grows."""
@@ -455,14 +443,16 @@ class BumpCocycle:
             sums.append(float(np.sum(f_)))
         return sums
 
-    def _breakpoint_sum(self, k: int, N: int) -> float:
-        """sum_{1 <= m < b_N} (H(m) - H(m-k))^2, closed-form per linear piece.
+    def _head_sum(self, k: int, N: int) -> float:
+        """sum_{1 <= m < b_N} (H(m) - H(m-k))^2, closed-form per linear piece,
+        summed chunk by chunk of _CHUNK bumps.
 
-        The breakpoints of H(m) (bump starts and peaks) and of H(m - k) are
-        two sorted runs, merged in linear time with no np.unique, and between
-        merged points the difference is linear. The merge also counts the
-        breakpoints below each point, which gives its bump and that of the
-        point minus k without a search.
+        A chunk lo <= n < hi spans the positions [b_lo, b_hi), from 1 on. Its
+        own breakpoints of H (bump starts and peaks) and those of H(m - k)
+        that land in its span are two sorted runs, merged by one stable sort
+        (timsort, linear on two runs) and freed of duplicates. Between merged
+        points d = H(m) - H(m - k) is linear, and the bumps of each point and
+        of the point minus k are found by a search in b.
 
         Rounding. With H(m) = p/a and H(m - k) = p'/a', a segment's first
         difference is n0/(aa') and its step S/(aa'), with n0 = p a' - p' a and
@@ -472,46 +462,50 @@ class BumpCocycle:
         which moves L m^2 by at most 15u L m^2 + 5u L sigma^2, and L sigma^2 is
         at most 16 times the second term for L >= 2 (s = 0 when L = 1). With
         the roundings that form the two terms and their sum, a segment is
-        within 91u, and the pairwise sum of at most 2^25 of them adds
-        26 + 25 more (see `gamma_norm_sq_bounds`).
+        within 91u. A chunk's segments are those of the whole head in its
+        span, at most 4N + 1 < 2^25 of them, so its pairwise sum adds 26 + 25
+        more (see `gamma_norm_sq_bounds`), and math.fsum of the chunk sums
+        one rounding.
         """
         import numpy as np
 
-        a_all, b_all = self._tables()
-        b, a = b_all[: N + 1], a_all[:N]
-        if int(a[-1]) >= 2**31:
+        self.ensure_bumps(N)
+        if self._a[N - 1] >= 2**31:
             raise SpecError(f"gamma_{k} of the bump cocycle with D = {self.D} "
-                            f"needs bumps of half-width {int(a[-1])} in its "
+                            f"needs bumps of half-width {self._a[N - 1]} in its "
                             f"head, past the 2^31 its sums are exact to")
-        end = int(b[N])
-        # breakpoints of H, strictly increasing: P'_0 = b_0 = 0, b_0 + a_0 = 1,
-        # b_1, b_1 + a_1, ..., b_N = end; P'_p starts or peaks bump p // 2
-        P = np.empty(2 * N + 1, dtype=np.int64)
-        P[0::2] = b
-        P[1::2] = b[:-1] + a
-        # H(m - k) breaks at Q_q = P'_q + k. A stable argsort of the sorted
-        # runs P'[1:] and Q is one linear merge (timsort); d = H(m) - H(m - k)
-        # is linear between the merged points, which run from 1 to end.
-        Q = P[: np.searchsorted(P, end - k, side="right")] + k
-        both = np.concatenate([P[1:], Q])
-        order = np.argsort(both, kind="stable")
-        pts = both[order]
-        # at sorted position t, c points of P'[1:] and t + 1 - c of Q are
-        # <= pts[t]; the last copy of each point counts its duplicates too
-        t = np.arange(len(pts))
-        c = np.where(order < 2 * N, order + 1, t + 2 * N - order)
-        last = np.append(pts[1:] != pts[:-1], True)
-        pts, c, t = pts[last], c[last], t[last]
-        X = pts[:-1]
-        L = pts[1:] - X
-        # so P'_c is the last breakpoint <= X, and Q_(t-c) the last <= X, or
-        # none where t - c = -1 (then X < k); X and X + 1 lie in one bump span
-        # wherever L > 1, as do X - k and X + 1 - k
-        i = c[:-1] // 2
-        j = np.maximum((t - c)[:-1] // 2, 0)
-        ai, aj = a_all[i], a_all[j]
-        n0 = self._num(X, i) * aj - self._num(X - k, j) * ai
-        n1 = self._num(X + 1, i) * aj - self._num(X + 1 - k, j) * ai
-        den = (ai * aj).astype(np.float64)
-        s = np.where(L > 1, n1 - n0, 0) / den
-        return _kernels.segment_square_sum(n0 / den, s, L)
+        a_all, b_all = self._tables()
+
+        def breakpoints(first, stop):  # b_first, b_first + a_first, ..., b_stop
+            P = np.empty(2 * (stop - first) + 1, dtype=np.int64)
+            P[0::2] = b_all[first:stop + 1]
+            P[1::2] = b_all[first:stop] + a_all[first:stop]
+            return P
+
+        sums = []
+        for lo in range(0, N, _CHUNK):
+            hi = min(lo + _CHUNK, N)
+            start, end = max(b_all[lo], 1), b_all[hi]
+            # H(m - k) breaks at the breakpoints of H plus k: those in
+            # [start, end] are breakpoints of the bumps from the one holding
+            # start - k to the last starting by end - k
+            Q = breakpoints(max(np.searchsorted(b_all, start - k, "right") - 1, 0),
+                            np.searchsorted(b_all, end - k, "right"))
+            Q = Q[np.searchsorted(Q, start - k):np.searchsorted(Q, end - k, "right")]
+            # the first chunk's own run starts at b_0 + a_0 = 1, not at b_0
+            pts = np.concatenate([breakpoints(lo, hi)[int(lo == 0):], Q + k])
+            pts.sort(kind="stable")
+            pts = pts[np.append(True, pts[1:] != pts[:-1])]
+            X = pts[:-1]
+            L = pts[1:] - X
+            # X and X + 1 lie in one bump span wherever L > 1, as do X - k
+            # and X + 1 - k
+            i = np.maximum(np.searchsorted(b_all, X, "right") - 1, 0)
+            j = np.maximum(np.searchsorted(b_all, X - k, "right") - 1, 0)
+            ai, aj = a_all[i], a_all[j]
+            n0 = self._num(X, i) * aj - self._num(X - k, j) * ai
+            n1 = self._num(X + 1, i) * aj - self._num(X + 1 - k, j) * ai
+            den = (ai * aj).astype(np.float64)
+            s = np.where(L > 1, n1 - n0, 0) / den
+            sums.append(_kernels.segment_square_sum(n0 / den, s, L))
+        return math.fsum(sums)

@@ -12,9 +12,9 @@ from typing import Optional
 # numpy is imported in the functions that use it (see the package docstring)
 
 from .cocycles import MAX_EXTENT, BoundedValue, _window, norm_sq
-from .exact import parse_fraction
+from .exact import _U, parse_fraction
 from .groups import FreeGroup, Word, format_element, inv, is_identity, word_length
-from .marginals import _U, ActionSpec, SpecError, substream_rng
+from .marginals import ActionSpec, SpecError, substream_rng
 
 __all__ = [
     "CriterionVerdict",

@@ -22,6 +22,7 @@ from typing import ClassVar, Optional
 from . import _kernels
 from .bump import BumpCocycle
 from .exact import (
+    _U,
     BoundedValue,
     LogValue,
     SpecError,
@@ -99,7 +100,6 @@ def _spec_int(value) -> int:
     return int(value)
 
 
-_U = 2.0**-53  # unit roundoff of a float
 # most doubles the arrays of one ZSequence norm hold at once (32 MB): the
 # head takes at most 4 J of them, so J <= _MAX_VALUES // 5, and a quadrature
 # of an inv_sqrt_log tail at most 64 blocks of _MAX_PANELS + 1 points
@@ -699,8 +699,9 @@ class ZSequence(MarginalFamily):
         the narrowest bracket `_depth` found is returned, wider than tol."""
         k = abs(k)
         if self.seq.kind == "explicit":
-            a = self.seq.explicit
-            head = sum(a[min(j, len(a) - 1)] ** 2 for j in range(k))
+            # a_j = a_(L-1) for j >= L: k - L equal squares past the list
+            a, L = self.seq.explicit, len(self.seq.explicit)
+            head = sum(a[j] ** 2 for j in range(min(k, L))) + max(k - L, 0) * a[-1] ** 2
             return BoundedValue.from_exact(head + self._explicit_diffs(k, 0))
         J, _, (lo, hi, r) = self._depth(k, tol / 4.0)
         m = min(k, J)

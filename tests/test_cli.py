@@ -67,9 +67,9 @@ class TestPresets:
         # finds every bracket it needs in the memo of the first
         assert preset("f2-dissipative").family.bc is preset("f2-dissipative").family.bc
         calls = []
-        partial_sum = BumpCocycle._partial_sum
-        monkeypatch.setattr(BumpCocycle, "_partial_sum",
-                            lambda bc, k, N: calls.append(k) or partial_sum(bc, k, N))
+        head_sum = BumpCocycle._head_sum
+        monkeypatch.setattr(BumpCocycle, "_head_sum",
+                            lambda bc, k, N: calls.append(k) or head_sum(bc, k, N))
         first = run(capsys, "criterion", "--preset", "f2-dissipative(12)")
         calls.clear()
         second = run(capsys, "criterion", "--preset", "f2-dissipative(12)")

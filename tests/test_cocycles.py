@@ -401,7 +401,55 @@ class TestBumpCocycle:
         bc = BumpCocycle(D)
         for k in (1, 2, 3, 5, 8, 17, 40):
             exact = self.exact_partial_sum(bc, k, 150)
-            assert bc._partial_sum(k, 150) == pytest.approx(float(exact), rel=1e-12)
+            n_k = min(bc._head_end(k), 150)
+            G = bc._head_sum(k, n_k) + math.fsum(bc._pass_sums(k, n_k, 150))
+            assert G == pytest.approx(float(exact), rel=1e-12)
+
+    @pytest.mark.parametrize("D", [Fraction(1, 20), Fraction(1, 3), 1, 2])
+    def test_head_across_chunks_matches_exact(self, D, monkeypatch):
+        # chunks of 7 bumps put chunk boundaries inside the head, where the
+        # breakpoints of H(m - k) that fall in a chunk come from bumps of
+        # earlier chunks; a breakpoint dropped or counted twice at a boundary
+        # moves the sum by a whole segment
+        monkeypatch.setattr(bump, "_CHUNK", 7)
+        bc = BumpCocycle(D)
+        for k in (1, 2, 5, 17, 40):
+            for N in (1, 6, 7, 8, 14, 15, 60):
+                exact = self.exact_partial_sum(bc, k, N)
+                assert bc._head_sum(k, N) == pytest.approx(float(exact), rel=1e-12)
+
+    # G_{n_k} as hex floats from a merge of the whole head at once: these
+    # heads fit in one chunk, so the chunked sum must give the same floats
+    HEADS = {12: {1: "0x1.0000000000000p+0", 2: "0x1.2000000000000p+1",
+                  3: "0x1.5d71c71c71c72p+8", 6: "0x1.20560b60b60b7p+8",
+                  40: "0x1.274db7df2f5a8p+12", 1000: "0x1.269e6d6d274a5p+19"},
+             36: {1: "0x1.0000000000000p+0", 2: "0x1.2000000000000p+1",
+                  3: "0x1.051c71c71c71cp+10", 6: "0x1.adb7d27d27d28p+9",
+                  40: "0x1.b59147a2452e2p+13", 1000: "0x1.b9908132f7d8bp+20"}}
+
+    @pytest.mark.parametrize("D", [12, 36])
+    def test_head_pinned(self, D):
+        bc = BumpCocycle(D)
+        for k, head in self.HEADS[D].items():
+            assert bc._head_sum(k, bc._head_end(k)).hex() == head
+
+    def test_head_memory_is_bounded_by_a_chunk(self):
+        # k = 2^20 at D = 36 has a head of 442,369 bumps, whose breakpoints
+        # merged at once take about 290 MB of numpy arrays
+        import tracemalloc
+
+        bc = BumpCocycle(36)
+        k = 2**20
+        n_k = bc._head_end(k)
+        bc.ensure_bumps(n_k)
+        tracemalloc.start()
+        try:
+            head = bc._head_sum(k, n_k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+        assert head == pytest.approx(61392025538.2863, rel=1e-14)
 
     # delta = 1/144, 1/36 and 1
     @settings(max_examples=40, deadline=None)

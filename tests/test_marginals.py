@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -337,6 +338,25 @@ def test_explicit_zsequence_exact_norm():
 
 
 EXPLICIT_3 = {"kind": "explicit", "values": ["1/5", "1/10", "1/20"]}
+
+
+def test_explicit_zsequence_norm_at_huge_k():
+    # a_j = 1/20 for j >= 2, so ||c_k||^2 = a_0^2 + a_1^2 + (k - 2) a_2^2 +
+    # (a_0 - a_2)^2 + (a_1 - a_2)^2 for k >= 2: exact, and O(1) in k
+    spec = spec_from_json(zsequence_json(EXPLICIT_3, n0=0))
+    a0, a1, a2 = Fraction(1, 5), Fraction(1, 10), Fraction(1, 20)
+    k = 10**12
+    start = time.perf_counter()
+    nv = norm_sq(spec, k)
+    assert time.perf_counter() - start < 1.0
+    assert nv.exact == a0**2 + a1**2 + (k - 2) * a2**2 + (a0 - a2) ** 2 + (a1 - a2) ** 2
+    assert nv.exact == Fraction(250000000007, 100)
+    # the closed form against the sum over every j < k on short translates
+    for k in range(0, 12):
+        a = [a0, a1] + [a2] * max(k, 1)
+        head = sum((a[j] ** 2 for j in range(k)), Fraction(0))
+        diffs = sum(((a[j] - a[min(j + k, 2)]) ** 2 for j in range(2)), Fraction(0))
+        assert norm_sq(spec, k).exact == head + diffs
 
 
 def test_explicit_zsequence_exact_tail():
