@@ -7,7 +7,6 @@ required. Reports carry schema "bernlab/1", the spec digest and the seeds.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -19,16 +18,6 @@ from fractions import Fraction
 
 from . import __version__
 from . import groups
-from .cocycles import norm_sq, norm_sq_bruteforce, value_pairs
-from .criteria import (
-    HELLINGER_TAIL,
-    classify_conservativity,
-    integral_products,
-    kappa0,
-    mc_omega,
-    nonamenability_check,
-    verify_certificate,
-)
 from .exact import LogValue, format_fraction, parse_fraction
 from .groups import FreeGroup, Integers, format_element, is_identity, parse_element
 from .marginals import (
@@ -43,12 +32,9 @@ from .marginals import (
     spec_from_json,
     spec_to_json,
 )
-from .typeclass import (
-    krieger_type,
-    ratio_group,
-    stable_params,
-    stable_type_set,
-)
+
+# cocycles, criteria and typeclass (and csv) are imported inside the functions
+# that call them, so a command loads only the modules it runs
 
 SCHEMA = "bernlab/1"
 
@@ -156,6 +142,8 @@ def _emit(report: dict, out: str | None):
 
 
 def _write_csv(path: str, rows):
+    import csv
+
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["index", "value", "lower_bound", "upper_bound"])
@@ -192,6 +180,9 @@ def _finite_or_none(x: float):
 def verify_bounds(spec: ActionSpec, grid, tol: float = 1e-6) -> dict:
     """Per-element inequality suite relating the integral products to the
     cocycle norm; failures are report content, not errors."""
+    from .cocycles import norm_sq
+    from .criteria import HELLINGER_TAIL, integral_products, kappa0
+
     k0 = float(kappa0(spec.delta))
     # the integral products only need a loose tail: it widens the certified
     # bracket slightly but keeps slowly decaying families fast
@@ -231,6 +222,8 @@ def verify_bounds(spec: ActionSpec, grid, tol: float = 1e-6) -> dict:
 
 def element_ratio_values(spec: ActionSpec, g):
     """Exact values of the Radon-Nikodym cocycle omega(g, .) per coordinate."""
+    from .cocycles import value_pairs
+
     values = set()
     for _, p, q in value_pairs(spec, g, 0):
         if not isinstance(p, Fraction) or not isinstance(q, Fraction):
@@ -258,6 +251,8 @@ def _type_json(t):
 
 
 def classify_report(mu0, mu1, stable: bool) -> dict:
+    from .typeclass import krieger_type, ratio_group, stable_params, stable_type_set
+
     rg = ratio_group(mu0.t_values(mu1))
     results = {
         "type": _type_json(krieger_type(rg)),
@@ -291,6 +286,8 @@ def cmd_spec(args) -> int:
 
 
 def cmd_cocycle(args) -> int:
+    from .cocycles import norm_sq, norm_sq_bruteforce
+
     started = time.monotonic()
     spec = _load_spec(args)
     if args.action == "norm":
@@ -343,6 +340,8 @@ def cmd_cocycle(args) -> int:
 
 
 def cmd_criterion(args) -> int:
+    from .criteria import classify_conservativity, verify_certificate
+
     started = time.monotonic()
     spec = _load_spec(args)
     kappa = None if args.kappa == "auto" else parse_fraction(args.kappa)
@@ -366,6 +365,8 @@ def cmd_criterion(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .typeclass import krieger_type, ratio_group
+
     started = time.monotonic()
     if args.mu0 or args.mu1:
         if not (args.mu0 and args.mu1):
@@ -391,6 +392,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .criteria import mc_omega
+
     started = time.monotonic()
     spec = _load_spec(args)
     g = _parse_g(spec, args.g)
@@ -434,6 +437,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_nonamenable(args) -> int:
+    from .criteria import nonamenability_check
+
     started = time.monotonic()
     spec = _load_spec(args)
     results = nonamenability_check(spec)

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar, Optional
 
-# numpy is imported in the functions that use it (see the package docstring)
+# numpy, bump and folner are imported in the functions that use them (see the
+# package docstring)
 
 from . import _kernels
-from .bump import BumpCocycle
 from .exact import (
     _U,
     BoundedValue,
@@ -30,7 +30,6 @@ from .exact import (
     format_fraction,
     parse_fraction,
 )
-from .folner import FolnerCocycle, build_folner
 from .groups import (
     Element,
     FreeGroup,
@@ -951,6 +950,8 @@ class FolnerInduced(MarginalFamily):
     finite = True
 
     def __post_init__(self):
+        from .folner import build_folner
+
         try:
             coc = build_folner(self.phi, horizon=self.horizon,
                                delta=float(self.delta_f))
@@ -1034,6 +1035,8 @@ def make_folner_family(
 def _bump_cocycle(D: Fraction) -> BumpCocycle:
     """One BumpCocycle per D, so that its memos of H and of the gamma_k
     brackets serve every SpecialCocycle with that D."""
+    from .bump import BumpCocycle
+
     return BumpCocycle(D)
 
 

@@ -589,29 +589,36 @@ def _run_python(args, cwd=None):
                           text=True, timeout=120)
 
 
-# Imports bernlab, builds every preset and a FreeProductW spec, then runs
-# the README commands that do exact work in one process with cli.main;
-# prints which of numpy and concurrent.futures were loaded after each step,
-# and the exit codes.
+# Imports bernlab.cli, builds f2-wsplit and a FreeProductW spec, then
+# f2-dissipative, folner-z and every other preset,
+# then runs the README commands that do exact work in one process with
+# cli.main; prints which of numpy, concurrent.futures and the bernlab modules
+# were loaded after each step, and the exit codes.
 _START_UP = """
 import contextlib, io, json, sys
 from fractions import Fraction
-import bernlab, bernlab.cli as cli
+import bernlab.cli as cli
 from bernlab.groups import FreeGroup
 from bernlab.marginals import (ActionSpec, FreeProductW, measures_from_lambda,
                                spec_from_json, spec_to_json)
 
 def loaded():
-    return [m for m in ("numpy", "concurrent.futures") if m in sys.modules]
+    return sorted(m for m in sys.modules
+                  if m in ("numpy", "concurrent.futures") or m.startswith("bernlab"))
 
 steps = {"import": loaded()}
-for name in ("f2-wsplit", "f2-wsplit-512", "explicit-z", "explicit-z(1/3)",
-             "explicit-z-sqrt6", "f2-dissipative", "f2-dissipative(12)",
-             "folner-z"):
-    cli.preset(name)
+cli.preset("f2-wsplit")
 fpw = ActionSpec(FreeGroup(2), FreeProductW(*measures_from_lambda(Fraction(2, 5))),
                  delta=Fraction(1, 5))
 spec_from_json(json.dumps(spec_to_json(fpw)))
+steps["free-group"] = loaded()
+cli.preset("f2-dissipative")
+steps["dissipative"] = loaded()
+cli.preset("folner-z")
+steps["folner"] = loaded()
+for name in ("f2-wsplit-512", "explicit-z", "explicit-z(1/3)", "explicit-z-sqrt6",
+             "f2-dissipative(12)"):
+    cli.preset(name)
 steps["build"] = loaded()
 codes = []
 for argv in (
@@ -640,12 +647,22 @@ def test_start_up_leaves_numpy_and_thread_pool_unloaded(tmp_path):
     # numpy costs tens of milliseconds to import and concurrent.futures about
     # 5 ms; the functions that compute with them import them, so the import,
     # the presets (whose constructors build no array) and the exact commands
-    # load neither
+    # load neither. Each bernlab module is loaded by the first step that runs
+    # it: bump by a SpecialCocycle, folner by a FolnerInduced, and cocycles,
+    # criteria and typeclass by the commands
     done = _run_python(["-c", _START_UP], cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
-    assert report == {"steps": {"import": [], "build": [], "commands": []},
-                      "codes": [0] * 13}
+    core = ["bernlab", "bernlab._kernels", "bernlab.cli", "bernlab.exact",
+            "bernlab.groups", "bernlab.marginals"]
+    with_bump = sorted(core + ["bernlab.bump"])
+    built = sorted(with_bump + ["bernlab.folner"])
+    assert report == {
+        "steps": {"import": core, "free-group": core, "dissipative": with_bump,
+                  "folner": built, "build": built,
+                  "commands": sorted(built + ["bernlab.cocycles", "bernlab.criteria",
+                                              "bernlab.typeclass"])},
+        "codes": [0] * 13}
 
 
 def test_simulate_in_a_fresh_process_is_pinned():
@@ -679,24 +696,45 @@ def test_simulate_in_a_fresh_process_is_pinned():
 ], ids=["verify", "nonamenable", "folner-norm", "folner-growth",
         "dissipative-norm", "dissipative-classify"])
 def test_numpy_commands_in_a_fresh_process(capsys, tmp_path, monkeypatch, argv):
-    # a fresh process builds the arrays at its first command that needs them;
-    # the results, and any file written, are those of the same command run
-    # through main in this process
+    # a fresh process builds the arrays at its first command that needs them
+    _same_in_a_fresh_process(capsys, tmp_path, monkeypatch, [argv])
+
+
+@pytest.mark.parametrize("argvs", [
+    [["criterion", "--preset", "folner-z"]],
+    [["build", "--preset", "f2-dissipative", "--out", "d.json"],
+     ["spec", "validate", "d.json"]],
+    [["classify", "--mu0", "2/3,1/3", "--mu1", "1/3,2/3", "--stable"]],
+], ids=["folner-criterion", "build-validate", "classify-stable"])
+def test_exact_commands_in_a_fresh_process(capsys, tmp_path, monkeypatch, argvs):
+    # each command imports the analysis modules it calls on first use; in
+    # this process earlier tests have loaded them all, so an import that
+    # fails on first use shows only in a fresh one
+    _same_in_a_fresh_process(capsys, tmp_path, monkeypatch, argvs)
+
+
+def _same_in_a_fresh_process(capsys, tmp_path, monkeypatch, argvs):
+    """Run each command of `argvs` in its own fresh process, in one
+    directory; the results, and the files written, are those of the same
+    commands run through main in this process."""
     fresh, here = tmp_path / "fresh", tmp_path / "here"
     fresh.mkdir()
     here.mkdir()
-    done = _run_python(["-m", "bernlab.cli", *argv], cwd=fresh)
-    assert done.returncode == 0, done.stderr
 
     def reject(name):
         raise ValueError(f"{name} is not JSON")
 
-    report = json.loads(done.stdout, parse_constant=reject)
-    assert report["schema"] == "bernlab/1"
+    reports = []
+    for argv in argvs:
+        done = _run_python(["-m", "bernlab.cli", *argv], cwd=fresh)
+        assert done.returncode == 0, done.stderr
+        reports.append(json.loads(done.stdout, parse_constant=reject))
+        assert reports[-1]["schema"] == "bernlab/1"
     monkeypatch.chdir(here)
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert json.loads(out)["results"] == report["results"]
+    for argv, report in zip(argvs, reports):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["results"] == report["results"]
     files = sorted(p.name for p in fresh.iterdir())
     assert files == sorted(p.name for p in here.iterdir())
     for name in files:
