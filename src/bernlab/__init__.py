@@ -12,6 +12,8 @@ per-point or per-word function, so a command loads only the modules it runs:
   constructor builds an array;
 - `cocycles`, `criteria` and `typeclass` in the CLI commands that call them;
 - `bump` and `folner` in the constructors of the families built on them.
+No module uses `dataclasses`, whose import and class creation took a third of
+the start-up: the value classes derive `exact.Record` instead.
 """
 
 __version__ = "1.0.0"

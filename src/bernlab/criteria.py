@@ -5,14 +5,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 # numpy is imported in the functions that use it (see the package docstring)
 
 from .cocycles import MAX_EXTENT, BoundedValue, _window, norm_sq
-from .exact import _U, parse_fraction
+from .exact import _U, Record, parse_fraction
 from .groups import FreeGroup, Word, format_element, inv, is_identity, word_length
 from .marginals import ActionSpec, SpecError, substream_rng
 
@@ -50,11 +49,14 @@ def auto_kappa(delta) -> int:
     return k if k > k0 else k + 1
 
 
-@dataclass(frozen=True)
-class CriterionVerdict:
-    verdict: str  # Conservative | Dissipative | Inconclusive
-    kappa: Optional[float] = None
-    evidence: dict = field(default_factory=dict)
+class CriterionVerdict(Record):
+    _fields = ("verdict", "kappa", "evidence")
+
+    def __init__(self, verdict: str, kappa: Optional[float] = None,
+                 evidence: Optional[dict] = None):
+        # verdict: Conservative | Dissipative | Inconclusive
+        self._set(verdict=verdict, kappa=kappa,
+                  evidence={} if evidence is None else evidence)
 
 
 # --- partial sums ------------------------------------------------------------

@@ -8,12 +8,11 @@ travel as `BoundedValue`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-__all__ = ["BoundedValue", "LogValue", "SpecError", "convex_sum", "parse_fraction",
-           "format_fraction"]
+__all__ = ["BoundedValue", "LogValue", "Record", "SpecError", "convex_sum",
+           "parse_fraction", "format_fraction"]
 
 # relative allowance for float rounding in a certified float sum
 _FLOAT_SLACK = 1e-12
@@ -22,6 +21,47 @@ _U = 2.0**-53  # unit roundoff of a float
 
 class SpecError(ValueError):
     """Invalid input: a malformed or inadmissible spec, measure or argument."""
+
+
+class Record:
+    """Base of the immutable value classes. `_fields` names the fields that
+    make up equality, the hash and the repr: records are equal when they are
+    of the same class with equal fields, and hash as the tuple of their
+    fields, as frozen dataclasses do. A subclass writes its own `__init__`,
+    which stores its attributes with `_set` (or slot descriptors); otherwise
+    assignment and deletion raise AttributeError. A subclass without
+    `__slots__` keeps the instance `__dict__` that `functools.cached_property`
+    writes to."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _set(self, **attrs):
+        # object.__setattr__, as in frozen dataclasses, keeps the key-sharing
+        # instance values, read twice as fast as a materialized `__dict__`
+        for name, value in attrs.items():
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
 
 def parse_fraction(text) -> Fraction:
@@ -78,16 +118,15 @@ def convex_sum(phi, integral, N, M=math.inf, ulps: float = 0.0):
     return lo, high, (ulps + 3.0) * _U * (abs(low) + abs(high) + abs(p_n) + abs(p_m))
 
 
-@dataclass(frozen=True, order=False)
-class LogValue:
+class LogValue(Record):
     """log(arg) for a positive rational arg, stored exactly."""
 
-    arg: Fraction
+    _fields = ("arg",)
 
-    def __post_init__(self):
-        if self.arg <= 0:
-            raise ValueError(f"LogValue argument must be positive, got {self.arg}")
-        object.__setattr__(self, "arg", Fraction(self.arg))
+    def __init__(self, arg: Fraction):
+        if arg <= 0:
+            raise ValueError(f"LogValue argument must be positive, got {arg}")
+        self._set(arg=Fraction(arg))
 
     def __float__(self) -> float:
         # math.log(Fraction) loses precision for huge numerators; split the log
@@ -97,20 +136,18 @@ class LogValue:
         return f"log({format_fraction(self.arg)})"
 
 
-@dataclass(frozen=True)
-class BoundedValue:
+class BoundedValue(Record):
     """A real number known to lie in [value - err, value + err]."""
 
-    value: float
-    err: float
-    exact: Optional[Fraction] = None
-    # the lower end of a bracket [lo, inf], where value and err are inf and
-    # value - err would be nan
-    _lo: Optional[float] = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("value", "err", "exact")
 
-    def __post_init__(self):
-        if self.err < 0:
+    def __init__(self, value: float, err: float, exact: Optional[Fraction] = None, *,
+                 _lo: Optional[float] = None):
+        if err < 0:
             raise ValueError("error radius must be nonnegative")
+        # _lo: the lower end of a bracket [lo, inf], where value and err are
+        # inf and value - err would be nan; it is no field
+        self._set(value=value, err=err, exact=exact, _lo=_lo)
 
     @classmethod
     def from_exact(cls, q) -> "BoundedValue":
@@ -131,9 +168,7 @@ class BoundedValue:
         if math.isinf(mid) and math.isfinite(lo) and math.isfinite(hi):
             mid = lo / 2.0 + hi / 2.0  # lo + hi overflowed
         if hi == math.inf:
-            out = cls(mid, (hi - lo) / 2.0)
-            object.__setattr__(out, "_lo", lo)
-            return out
+            return cls(mid, (hi - lo) / 2.0, _lo=lo)
         err = max(mid - lo, hi - mid)
         while mid - err > lo or mid + err < hi:
             err = math.nextafter(err, math.inf)

@@ -7,8 +7,9 @@ Integer-group elements are plain Python ints.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
+
+from .exact import Record
 
 __all__ = [
     "FreeGroup",
@@ -35,39 +36,42 @@ class GroupError(ValueError):
 _GEN_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True)
-class FreeGroup:
-    rank: int
+class FreeGroup(Record):
+    _fields = ("rank",)
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise GroupError(f"free group rank must be >= 1, got {self.rank}")
-        if self.rank > len(_GEN_NAMES):
+    def __init__(self, rank: int):
+        if rank < 1:
+            raise GroupError(f"free group rank must be >= 1, got {rank}")
+        if rank > len(_GEN_NAMES):
             raise GroupError(
                 f"free group rank must be <= {len(_GEN_NAMES)}, one letter per "
-                f"generator, got {self.rank}")
+                f"generator, got {rank}")
+        self._set(rank=rank)
 
 
-@dataclass(frozen=True)
-class Integers:
+class Integers(Record):
     pass
 
 
 Group = Union[FreeGroup, Integers]
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     """Freely reduced word, stored as alternating syllables (gen, exponent).
 
     Invariants: generators in 1..rank, exponents nonzero, adjacent syllables
-    carry distinct generators.
+    carry distinct generators. `syls` is a tuple[tuple[int, int], ...].
     """
 
-    rank: int
-    syls: tuple  # tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("rank", "syls")
+
+    def __init__(self, rank: int, syls: tuple):
+        _set_rank(self, rank)
+        _set_syls(self, syls)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Check the invariants."""
         for gen, exp in self.syls:
             if not (1 <= gen <= self.rank):
                 raise GroupError(f"generator {gen} out of range for rank {self.rank}")
@@ -77,17 +81,33 @@ class Word:
             if g1 == g2:
                 raise GroupError("adjacent syllables share a generator (not reduced)")
 
+    # the Record formulas, spelled out for the hot path
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rank, self.syls) == (other.rank, other.syls)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rank, self.syls))
+
     def __str__(self):
         return format_element(self)
+
+    def __reduce__(self):  # copy and pickle cannot set the slots
+        return Word, (self.rank, self.syls)
 
     @classmethod
     def _trusted(cls, rank: int, syls: tuple) -> "Word":
         """A Word from syllables already known to satisfy the invariants,
         built without checking them again."""
-        w = object.__new__(cls)
-        object.__setattr__(w, "rank", rank)
-        object.__setattr__(w, "syls", syls)
+        w = _new(cls)
+        _set_rank(w, rank)
+        _set_syls(w, syls)
         return w
+
+
+_new = object.__new__
+_set_rank, _set_syls = Word.rank.__set__, Word.syls.__set__
 
 
 Element = Union[int, Word]

@@ -13,7 +13,6 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar, Optional
 
@@ -25,6 +24,7 @@ from .exact import (
     _U,
     BoundedValue,
     LogValue,
+    Record,
     SpecError,
     convex_sum,
     format_fraction,
@@ -63,18 +63,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BaseMeasure:
+class BaseMeasure(Record):
     """Probability vector on a finite base space of size >= 2, with exact
     rational masses (each read by `parse_fraction`)."""
 
-    probs: tuple
+    _fields = ("probs",)
 
-    def __post_init__(self):
-        if len(self.probs) < 2:
+    def __init__(self, probs: tuple):
+        if len(probs) < 2:
             raise SpecError("base space must have at least 2 points")
-        probs = tuple(parse_fraction(p) for p in self.probs)
-        object.__setattr__(self, "probs", probs)
+        probs = tuple(parse_fraction(p) for p in probs)
+        self._set(probs=probs)
         for p in probs:
             if not (0 < p < 1):
                 raise SpecError(f"marginal mass {p} outside (0,1)")
@@ -144,8 +143,7 @@ def _log_far(y: float, k: int) -> float:
     return k * k * (L + 1.0) ** 2 / (8.0 * y * y * L**3)
 
 
-@dataclass(frozen=True)
-class DecreasingSequence:
+class DecreasingSequence(Record):
     """a_0 >= a_1 >= ... > 0 given by a closed form or an explicit list.
 
     A closed form is a function a(x) of a real x >= -1/2 with a_j = a(j):
@@ -153,17 +151,16 @@ class DecreasingSequence:
     (y ln y)^-1/2 (inv_sqrt_log).
     """
 
-    kind: str  # inv_sqrt | inv_sqrt_log | explicit
-    scale: Optional[Fraction] = None
-    n0: int = 2
-    explicit: tuple = ()
-    _c: float = field(default=0.0, init=False, compare=False, repr=False)  # float(scale)
+    _fields = ("kind", "scale", "n0", "explicit")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, scale: Optional[Fraction] = None, n0: int = 2,
+                 explicit: tuple = ()):
+        # kind: inv_sqrt | inv_sqrt_log | explicit; _c is float(scale)
+        self._set(kind=kind, scale=scale, n0=n0, explicit=explicit, _c=0.0)
         if self.kind == "inv_sqrt":
             if self.scale is None or self.scale <= 0:
                 raise SpecError(f"inv_sqrt needs scale > 0, got {self.scale}")
-            object.__setattr__(self, "_c", float(self.scale))
+            self._set(_c=float(self.scale))
         elif self.kind == "inv_sqrt_log":
             if not 2 <= self.n0 <= 2**32:
                 raise SpecError(f"inv_sqrt_log needs 2 <= n0 <= 2^32, got {self.n0}")
@@ -305,7 +302,7 @@ def _geometric(rate: float, m: int):
                                  "power": m})
 
 
-class MarginalFamily:
+class MarginalFamily(Record):
     """Base of the marginal families: one subclass per construction.
 
     A family is registered under its JSON `kind` in `_FAMILIES`. Norms and
@@ -498,19 +495,14 @@ class _BallFamily(_SyllableFamily):
         return total
 
 
-@dataclass(frozen=True)
 class ZSequence(MarginalFamily):
     """F(n) = lam + a_{n - n0} for n >= n0, lam otherwise."""
 
-    lam: Fraction
-    n0: int
-    seq: DecreasingSequence
-    _lam: float = field(default=0.0, init=False, compare=False, repr=False)  # float(lam)
-
+    _fields = ("lam", "n0", "seq")
     kind = "zsequence"
 
-    def __post_init__(self):
-        object.__setattr__(self, "_lam", float(self.lam))
+    def __init__(self, lam: Fraction, n0: int, seq: DecreasingSequence):
+        self._set(lam=lam, n0=n0, seq=seq, _lam=float(lam))
 
     def to_json(self):
         return {"kind": self.kind, "lambda": _frac_str(self.lam), "n0": self.n0,
@@ -790,16 +782,15 @@ def _zero_rate(kappa: float, generator: str):
     })
 
 
-@dataclass(frozen=True)
 class WSplit(_BallFamily):
     """F = p_a on words ending in a positive power of a, p_b on words ending
     in a positive power of b, and p_w elsewhere (e included)."""
 
-    p_a: Fraction
-    p_b: Fraction
-    p_w: Fraction
-
+    _fields = ("p_a", "p_b", "p_w")
     kind = "wsplit"
+
+    def __init__(self, p_a: Fraction, p_b: Fraction, p_w: Fraction):
+        self._set(p_a=p_a, p_b=p_b, p_w=p_w)
 
     def to_json(self):
         return {"kind": self.kind, "p_a": _frac_str(self.p_a),
@@ -882,17 +873,16 @@ class WSplit(_BallFamily):
         return None
 
 
-@dataclass(frozen=True)
 class FreeProductW(_BallFamily):
     """mu_g = mu1 on words ending in a strictly positive power of the
     distinguished generator, mu0 elsewhere. Both are two-point measures:
     F is the mass of point 0, which determines only a two-point measure."""
 
-    mu0: BaseMeasure
-    mu1: BaseMeasure
-    distinguished: int = 1
-
+    _fields = ("mu0", "mu1", "distinguished")
     kind = "free_product_w"
+
+    def __init__(self, mu0: BaseMeasure, mu1: BaseMeasure, distinguished: int = 1):
+        self._set(mu0=mu0, mu1=mu1, distinguished=distinguished)
 
     def to_json(self):
         return {"kind": self.kind, "mu0": [_frac_str(p) for p in self.mu0.probs],
@@ -934,30 +924,28 @@ class FreeProductW(_BallFamily):
         return None
 
 
-@dataclass(frozen=True)
 class FolnerInduced(MarginalFamily):
     """Marginal mu_k(0) = F(k) + offset for a Folner-interval cocycle on Z
     whose amplitudes stay below delta_f."""
 
-    phi_kind: str  # log | sqrt_log
-    phi_scale: Fraction
-    horizon: int
-    offset: Fraction
-    delta_f: Fraction = Fraction(1, 2)
-    cocycle: FolnerCocycle = field(init=False, compare=False, repr=False)
-
+    _fields = ("phi_kind", "phi_scale", "horizon", "offset", "delta_f")
     kind = "folner"
     finite = True
 
-    def __post_init__(self):
+    def __init__(self, phi_kind: str, phi_scale: Fraction, horizon: int,
+                 offset: Fraction, delta_f: Fraction = Fraction(1, 2)):
         from .folner import build_folner
+
+        # phi_kind: log | sqrt_log
+        self._set(phi_kind=phi_kind, phi_scale=phi_scale, horizon=horizon,
+                  offset=offset, delta_f=delta_f)
 
         try:
             coc = build_folner(self.phi, horizon=self.horizon,
                                delta=float(self.delta_f))
         except ValueError as exc:  # SpecError included: keep its message
             raise SpecError(str(exc)) from exc
-        object.__setattr__(self, "cocycle", coc)
+        self._set(cocycle=coc)
 
     def phi(self, k: int) -> float:
         if self.phi_kind == "log":
@@ -1040,7 +1028,6 @@ def _bump_cocycle(D: Fraction) -> BumpCocycle:
     return BumpCocycle(D)
 
 
-@dataclass(frozen=True)
 class SpecialCocycle(_SyllableFamily):
     """psi_a = scale * H and psi_b = -scale * H, with the bounded oscillating
     H of `bump` (H(n) = 0 for n <= 0), so that Gamma_x(e) = scale^2 times the
@@ -1054,19 +1041,14 @@ class SpecialCocycle(_SyllableFamily):
     brackets are memoized per |e| in the `BumpCocycle` shared by every
     instance with this D, so a repeated request costs nothing."""
 
-    D: Fraction
-    base: Fraction
-    scale: Fraction
-    bc: BumpCocycle = field(init=False, compare=False, repr=False)
-    _s2: float = field(init=False, compare=False, repr=False)
-
+    _fields = ("D", "base", "scale")
     kind = "special"
 
-    def __post_init__(self):
-        if self.D <= 0:
-            raise SpecError(f"D must be positive, got {self.D}")
-        object.__setattr__(self, "bc", _bump_cocycle(self.D))
-        object.__setattr__(self, "_s2", float(self.scale) ** 2)
+    def __init__(self, D: Fraction, base: Fraction, scale: Fraction):
+        if D <= 0:
+            raise SpecError(f"D must be positive, got {D}")
+        self._set(D=D, base=base, scale=scale, bc=_bump_cocycle(D),
+                  _s2=float(scale) ** 2)
 
     def to_json(self):
         return {"kind": self.kind, "D": _frac_str(self.D),
@@ -1201,22 +1183,19 @@ _FAMILIES = {cls.kind: cls for cls in
              (WSplit, ZSequence, FreeProductW, FolnerInduced, SpecialCocycle)}
 
 
-@dataclass(frozen=True)
-class ActionSpec:
-    group: Group
-    family: MarginalFamily
-    multiplicity: int = 1
-    delta: Fraction = Fraction(1, 3)
+class ActionSpec(Record):
+    _fields = ("group", "family", "multiplicity", "delta")
 
-    def __post_init__(self):
-        if self.multiplicity < 1:
+    def __init__(self, group: Group, family: MarginalFamily, multiplicity: int = 1,
+                 delta: Fraction = Fraction(1, 3)):
+        if multiplicity < 1:
             raise SpecError("multiplicity must be >= 1")
-        delta = parse_fraction(self.delta)
+        delta = parse_fraction(delta)
         if not (0 < delta <= Fraction(1, 2)):
             raise SpecError(f"delta must lie in (0, 1/2], got {delta}")
-        object.__setattr__(self, "delta", delta)
+        self._set(group=group, family=family, multiplicity=multiplicity, delta=delta)
         lo, hi = delta, 1 - delta
-        for what, v in self.family.validate(self.group):
+        for what, v in family.validate(group):
             if not (lo <= v <= hi):
                 raise SpecError(f"{what} = {v} leaves [{lo}, {hi}]")
 

@@ -6,11 +6,10 @@ Everything is decided by unique factorization of the exact rational masses.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exact import LogValue, format_fraction, parse_fraction
+from .exact import LogValue, Record, format_fraction, parse_fraction
 from .marginals import BaseMeasure, SpecError
 
 __all__ = [
@@ -115,11 +114,12 @@ def _canonical(q: Fraction) -> Fraction:
     return q if q < 1 else 1 / q
 
 
-@dataclass(frozen=True)
-class RatioGroup:
-    kind: str  # trivial | cyclic | dense
-    generator: Optional[Fraction] = None
-    basis: tuple = ()
+class RatioGroup(Record):
+    _fields = ("kind", "generator", "basis")
+
+    def __init__(self, kind: str, generator: Optional[Fraction] = None, basis: tuple = ()):
+        # kind: trivial | cyclic | dense
+        self._set(kind=kind, generator=generator, basis=basis)
 
     def __repr__(self):
         if self.kind == "trivial":
@@ -155,11 +155,12 @@ def ratio_group(values) -> RatioGroup:
     return RatioGroup("dense", basis=rats)
 
 
-@dataclass(frozen=True)
-class TypeLabel:
-    kind: str  # II1 | III_lambda | III1
-    lam_base: Optional[Fraction] = None  # lambda = lam_base^(1/root)
-    root: int = 1
+class TypeLabel(Record):
+    _fields = ("kind", "lam_base", "root")
+
+    def __init__(self, kind: str, lam_base: Optional[Fraction] = None, root: int = 1):
+        # kind: II1 | III_lambda | III1, and lambda = lam_base^(1/root)
+        self._set(kind=kind, lam_base=lam_base, root=root)
 
     @property
     def lam(self) -> Optional[float]:
@@ -190,12 +191,13 @@ def plain_type(mu0: BaseMeasure, mu1: BaseMeasure) -> TypeLabel:
     return krieger_type(ratio_group(mu0.t_values(mu1)))
 
 
-@dataclass(frozen=True)
-class StableParams:
-    L: RatioGroup
-    a: Optional[LogValue]  # None when L is trivial or dense
-    b: Optional[LogValue]
-    k1: Optional[int]  # None encodes infinite order
+class StableParams(Record):
+    _fields = ("L", "a", "b", "k1")
+
+    def __init__(self, L: RatioGroup, a: Optional[LogValue], b: Optional[LogValue],
+                 k1: Optional[int]):
+        # a and b are None when L is trivial or dense; k1 None encodes infinite order
+        self._set(L=L, a=a, b=b, k1=k1)
 
 
 def stable_params(mu0: BaseMeasure, mu1: BaseMeasure) -> StableParams:

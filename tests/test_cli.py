@@ -592,8 +592,8 @@ def _run_python(args, cwd=None):
 # Imports bernlab.cli, builds f2-wsplit and a FreeProductW spec, then
 # f2-dissipative, folner-z and every other preset,
 # then runs the README commands that do exact work in one process with
-# cli.main; prints which of numpy, concurrent.futures and the bernlab modules
-# were loaded after each step, and the exit codes.
+# cli.main; prints which of numpy, concurrent.futures, dataclasses, inspect
+# and the bernlab modules were loaded after each step, and the exit codes.
 _START_UP = """
 import contextlib, io, json, sys
 from fractions import Fraction
@@ -604,7 +604,8 @@ from bernlab.marginals import (ActionSpec, FreeProductW, measures_from_lambda,
 
 def loaded():
     return sorted(m for m in sys.modules
-                  if m in ("numpy", "concurrent.futures") or m.startswith("bernlab"))
+                  if m in ("numpy", "concurrent.futures", "dataclasses", "inspect")
+                  or m.startswith("bernlab"))
 
 steps = {"import": loaded()}
 cli.preset("f2-wsplit")
@@ -647,7 +648,9 @@ def test_start_up_leaves_numpy_and_thread_pool_unloaded(tmp_path):
     # numpy costs tens of milliseconds to import and concurrent.futures about
     # 5 ms; the functions that compute with them import them, so the import,
     # the presets (whose constructors build no array) and the exact commands
-    # load neither. Each bernlab module is loaded by the first step that runs
+    # load neither. No module uses dataclasses, which costs about 6 ms to
+    # import (inspect with it) and about 0.5 ms per class, so no step loads
+    # it or inspect. Each bernlab module is loaded by the first step that runs
     # it: bump by a SpecialCocycle, folner by a FolnerInduced, and cocycles,
     # criteria and typeclass by the commands
     done = _run_python(["-c", _START_UP], cwd=tmp_path)

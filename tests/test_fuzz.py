@@ -4,7 +4,8 @@ Preset names and parameters near their limits, malformed names and mutated
 spec JSON go through `build` and `spec validate`. Whatever the input, `main`
 exits 0 or 2 without raising, and exit 0 prints strict JSON with schema
 "bernlab/1"; exit 2 prints nothing on stdout and a `bernlab: error:` message on
-stderr.
+stderr. A spec read back from its JSON equals the spec, with the same hash and
+the same digest in reports.
 """
 import contextlib
 import io
@@ -13,11 +14,13 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from bernlab.cli import SCHEMA, main, preset
-from bernlab.marginals import spec_to_json
+from bernlab.cli import SCHEMA, CliError, main, preset, spec_digest
+from bernlab.groups import FreeGroup
+from bernlab.marginals import (ActionSpec, FreeProductW, SpecError, measures_from_lambda,
+                               spec_from_json, spec_to_json)
 
 FUZZ = settings(max_examples=40, deadline=1000, derandomize=True)
 
@@ -181,3 +184,40 @@ def test_mutated_spec_json(text):
 def test_truncated_spec_json(name, cut):
     text = json.dumps(spec_to_json(preset(name)))
     validate_text(text[:cut % (len(text) + 1)])
+
+
+def _round_trip(spec):
+    back = spec_from_json(json.dumps(spec_to_json(spec)))
+    assert back == spec and hash(back) == hash(spec)
+    assert spec_digest(back) == spec_digest(spec)
+
+
+def _built(make, arg):
+    try:
+        return make(arg)
+    except (CliError, SpecError):  # outside the family's range
+        reject()
+
+
+open_unit = st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(
+    lambda q: 0 < q < 1)
+
+
+@FUZZ
+@given(open_unit)
+def test_explicit_z_spec_round_trips(lam):
+    _round_trip(_built(lambda q: preset(f"explicit-z({q})"), lam))
+
+
+@FUZZ
+@given(dissipative_d.filter(lambda d: d > 0))
+def test_f2_dissipative_spec_round_trips(d):
+    _round_trip(_built(lambda q: preset(f"f2-dissipative({q})"), d))
+
+
+@FUZZ
+@given(open_unit, st.sampled_from((1, 2)))
+def test_free_product_w_spec_round_trips(lam, distinguished):
+    # delta = lam/(1 + lam), the smaller mass, is the largest admissible one
+    fam = FreeProductW(*measures_from_lambda(lam), distinguished=distinguished)
+    _round_trip(ActionSpec(FreeGroup(2), fam, delta=lam / (1 + lam)))

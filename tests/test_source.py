@@ -54,6 +54,34 @@ def test_check_sees_a_lost_import(tmp_path):
     assert undefined_globals(src) == [("f", "np"), ("g", "undefined_name")]
 
 
+def imported_modules(path: Path) -> set:
+    """Top-level names of the modules that `path` imports, anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.partition(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_imports_dataclasses(path):
+    # creating a dataclass runs exec on generated source, about 0.5 ms per
+    # class, and importing dataclasses loads inspect, ast and dis: a start-up
+    # cost that every command paid; the classes derive `exact.Record` instead
+    assert "dataclasses" not in imported_modules(path)
+
+
+def test_check_sees_an_import(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import os.path, json as j\n"
+                   "from . import exact\n"
+                   "def f():\n"
+                   "    from dataclasses import dataclass\n")
+    assert imported_modules(src) == {"os", "json", "dataclasses"}
+
+
 # The memos that may outlive one CLI call, each with the reason. perfbench
 # runs `cli.main` in-process, so a memo at module level (or in a class body)
 # that is not listed here would time a warm cache that no CLI user gets.
