@@ -23,7 +23,8 @@ from .groups import FreeGroup, Integers, format_element, is_identity, parse_elem
 from .marginals import (
     ActionSpec,
     BaseMeasure,
-    DecreasingSequence,
+    InvSqrt,
+    InvSqrtLog,
     SpecError,
     SpecialCocycle,
     WSplit,
@@ -52,7 +53,7 @@ def _explicit_z(lam: Fraction) -> ActionSpec:
     if not (0 < lam < 1):
         raise CliError(f"lambda must lie in (0,1), got {lam}")
     n0 = max(2, math.ceil(1 / float((1 - lam) ** 2)))
-    seq = DecreasingSequence("inv_sqrt_log", n0=n0)
+    seq = InvSqrtLog(n0)
     # delta small enough that lam + a_0 stays below 1 - delta
     room = min(float(lam), 1.0 - float(lam) - seq.a(0))
     if room <= 0:
@@ -77,8 +78,7 @@ def preset(name: str, power: int = 1) -> ActionSpec:
         spec = _explicit_z(parse_fraction(arg) if arg else Fraction(3, 4))
         return _spec_with_power(spec, power)
     if base == "explicit-z-sqrt6":
-        fam = ZSequence(Fraction(1, 2), 1,
-                       DecreasingSequence("inv_sqrt", scale=Fraction(1, 6)))
+        fam = ZSequence(Fraction(1, 2), 1, InvSqrt(Fraction(1, 6)))
         return ActionSpec(Integers(), fam, multiplicity=power, delta=Fraction(1, 3))
     if base == "f2-wsplit":
         fam = WSplit(Fraction(3, 5), Fraction(2, 5), Fraction(1, 2))

@@ -19,7 +19,6 @@ from .marginals import ActionSpec, SpecError, f_value
 __all__ = [
     "MAX_EXTENT",
     "BoundedValue",
-    "cocycle_coeff",
     "norm_sq",
     "norm_sq_bruteforce",
     "support_elements",
@@ -31,13 +30,6 @@ __all__ = [
 # largest window extent; a window's arrays and tables grow with its extent
 # (about 10^6 pairs for g = a on f2-dissipative at 2^20)
 MAX_EXTENT = 2**20
-
-
-def cocycle_coeff(spec: ActionSpec, g: Element, h: Element):
-    """c_g(h); exact rational whenever the family is rational-valued."""
-    a = f_value(spec, h)
-    b = f_value(spec, mul(inv(g), h))
-    return a - b
 
 
 def norm_sq(spec: ActionSpec, g: Element, tol: float = 1e-6) -> BoundedValue:

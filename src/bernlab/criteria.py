@@ -22,7 +22,6 @@ __all__ = [
     "criterion_partial_sums",
     "classify_conservativity",
     "verify_certificate",
-    "witness_partial_sum",
     "integral_products",
     "hellinger_product",
     "negsq_product",
@@ -139,14 +138,6 @@ def criterion_partial_sums(spec: ActionSpec, kappa: float, radius: int):
 
 
 # --- classification ----------------------------------------------------------
-
-def witness_partial_sum(fam, kappa: float, m: int, levels: int,
-                        n_terms: int) -> float:
-    """Partial sum of exp(-kappa ||c_g||^2) over the witness subfamily of a
-    WSplit family with subgroup length <= levels and inner exponents <= n_terms."""
-    log_q, log_const = fam.witness_log_q(kappa, m, n_terms)
-    return sum(math.exp(log_const + k * log_q) for k in range(1, levels + 1))
-
 
 def classify_conservativity(spec: ActionSpec, kappa=None) -> CriterionVerdict:
     """Verdict with a machine-checkable certificate.

@@ -30,8 +30,8 @@ class Record:
     fields, as frozen dataclasses do. A subclass writes its own `__init__`,
     which stores its attributes with `_set` (or slot descriptors); otherwise
     assignment and deletion raise AttributeError. A subclass without
-    `__slots__` keeps the instance `__dict__` that `functools.cached_property`
-    writes to."""
+    `__slots__` stores its derived attributes and memos with `_set` in its
+    `__init__` too, so that every instance keeps the same keys."""
 
     __slots__ = ()
     _fields: tuple = ()

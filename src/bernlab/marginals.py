@@ -46,6 +46,9 @@ from .groups import (
 __all__ = [
     "BaseMeasure",
     "DecreasingSequence",
+    "InvSqrt",
+    "InvSqrtLog",
+    "ExplicitSequence",
     "MarginalFamily",
     "ZSequence",
     "WSplit",
@@ -99,13 +102,14 @@ def _spec_int(value) -> int:
 
 
 # most doubles the arrays of one ZSequence norm hold at once (32 MB): the
-# head takes at most 4 J of them, so J <= _MAX_VALUES // 5, and a quadrature
-# of an inv_sqrt_log tail at most 64 blocks of _MAX_PANELS + 1 points
+# head takes at most 4 J of them, so J <= _MAX_DEPTH, and a quadrature of an
+# inv_sqrt_log tail at most 64 blocks of _MAX_PANELS + 1 points
 _MAX_VALUES = 2**22
+_MAX_DEPTH = _MAX_VALUES // 5
 _MAX_PANELS = 2**11
 _PANELS = 32  # panels per block of an inv_sqrt_log quadrature, at first
 # relative error, in units of u, of the floats the ZSequence tail brackets
-# are made of (see `ZSequence.tail`)
+# are made of (see `_ClosedForm.tail`)
 _ULPS = 128.0
 
 
@@ -144,149 +148,375 @@ def _log_far(y: float, k: int) -> float:
 
 
 class DecreasingSequence(Record):
-    """a_0 >= a_1 >= ... > 0 given by a closed form or an explicit list.
+    """a_0 >= a_1 >= ... > 0, the sequence of a `ZSequence`: one subclass per
+    JSON `kind`, in `_SEQUENCES`. With a_j = 0 for j < 0, the ZSequence c_k
+    is a shift of a_j - a_(j-k), and for k >= 0 ||c_k||^2 = sum_{j<k} a_j^2
+    + sum_{j>=0} (a_j - a_(j+k))^2. A sequence stores `a0_bound`, an exact
+    upper bound on a_0 (a_0 where it is rational), and gives the float a_j
+    (`a(j)`, j >= 0), `norm_sq(k, tol)`, a bound `tail(k, J)` on the terms
+    j >= J of the second sum, and `certificate(m, kappa, k0)`."""
 
-    A closed form is a function a(x) of a real x >= -1/2 with a_j = a(j):
-    c (x + 1)^-1/2 (inv_sqrt, c = scale) or g(x + n0) with g(y) =
-    (y ln y)^-1/2 (inv_sqrt_log).
-    """
+    def certificate(self, m: int, kappa: float, k0: float):
+        return None
 
-    _fields = ("kind", "scale", "n0", "explicit")
+    @classmethod
+    def from_json(cls, data: dict) -> "DecreasingSequence":
+        return _registered(_SEQUENCES, data, "sequence").from_json(data)
 
-    def __init__(self, kind: str, scale: Optional[Fraction] = None, n0: int = 2,
-                 explicit: tuple = ()):
-        # kind: inv_sqrt | inv_sqrt_log | explicit; _c is float(scale)
-        self._set(kind=kind, scale=scale, n0=n0, explicit=explicit, _c=0.0)
-        if self.kind == "inv_sqrt":
-            if self.scale is None or self.scale <= 0:
-                raise SpecError(f"inv_sqrt needs scale > 0, got {self.scale}")
-            self._set(_c=float(self.scale))
-        elif self.kind == "inv_sqrt_log":
-            if not 2 <= self.n0 <= 2**32:
-                raise SpecError(f"inv_sqrt_log needs 2 <= n0 <= 2^32, got {self.n0}")
-        elif self.kind == "explicit":
-            vals = self.explicit
-            if not vals:
-                raise SpecError("explicit sequence needs at least one value")
-            if min(vals) <= 0:
-                raise SpecError("explicit sequence values must be positive")
-            if any(x < y for x, y in zip(vals, vals[1:])):
-                raise SpecError("explicit sequence values must be nonincreasing")
+
+class _ClosedForm(DecreasingSequence):
+    """a_j = a(j) for a closed form a(x), x >= -1/2, with a > 0, a' < 0,
+    a'' > 0 and a''' < 0. A subclass gives `values(J, start)` (a_start ...
+    a_(start+J-1), in place), a(x)^2 (`_sq`), a(x) - a(x + k) without
+    cancellation (`_diff`), their integrals, `_c2` and `_far_power`."""
+
+    def _finer(self, ratio: float):
+        """This sequence with a tail integral `ratio` times narrower, or None."""
+        return None
+
+    def tail(self, k, extent):
+        """The upper end of `_tail_bracket`.
+
+        f = D^2, D(x) = a(x) - a(x + k), is convex and decreasing on x >=
+        -1/2: D >= 0, D' = a'(x) - a'(x + k) <= 0 as a' increases, and D'' =
+        a''(x) - a''(x + k) >= 0 as a'' decreases, so f' = 2 D D' <= 0 and
+        f'' = 2 D'^2 + 2 D D'' >= 0; so is a^2. So `convex_sum` brackets the
+        tail between I(J) + f(J)/2 and I(J - 1/2), I(x) = int_x^inf f
+        (`_diff_integral`), about -f'(J)/8 apart. Three derivatives are all
+        the proof needs: inv_sqrt's are -c/2 u^-3/2, 3c/4 u^-5/2 and
+        -15c/8 u^-7/2, u = x + 1; inv_sqrt_log's, with h = y ln y, L = ln y
+        and y = x + n0 >= 3/2,
+            g' = -1/2 h^-3/2 (L + 1),
+            g'' = h^-5/2 [3/4 (L + 1)^2 - L/2],
+            g''' = h^-7/2 [-15/8 (L + 1)^3 + 11/4 L (L + 1) - L/2],
+        where 3/4 L^2 + L + 3/4 has no real root, and (L + 1)^2 >= 4L gives
+        15/8 (L + 1)^3 >= 15/2 L (L + 1) > 11/4 L (L + 1) for L >= 0.
+
+        Rounding. a(x), D, a^2, the closed-form integrals and the far tail
+        take at most 20 operations each, with libm's log, log1p and sqrt
+        within an ulp; a quadrature point's D takes 16, with numpy's log and
+        log1p taken within 4 ulps, so D^2 times its weight is within 72u and
+        math.fsum adds u. So every float `convex_sum` is given is within
+        _ULPS = 128 u of its bound, and its radius r covers the rest.
+        """
+        _, hi, r = self._tail_bracket(k, extent)
+        return hi + r
+
+    def _tail_bracket(self, k, J):
+        """(lo, hi, r) of sum_{j >= J} (a_j - a_{j+k})^2 (see `tail`)."""
+        return convex_sum(lambda x: self._diff(x, k) ** 2,
+                          lambda x, y, upper: self._diff_integral(x, k, upper),
+                          J, ulps=_ULPS)
+
+    def _guess(self, k, target):
+        """A first depth: with y the closed form's argument and c2 = `_c2(k)`
+        about a^2 y, the rest's width is about 3 k^2 c2 / (32 y^4) for y >> k
+        and c2 / (4 y^2) for y << k."""
+        c2 = self._c2(k)
+        return min((3.0 * k * k * c2 / (32.0 * target)) ** 0.25,
+                   0.5 * math.sqrt(c2 / target))
+
+    def _depth(self, k, target):
+        """(J, rest): a depth J where the bracket of `norm_sq` is at most
+        target wide, and there the bracket (lo, hi, r) of the rest, the tail
+        plus sum_{J <= j < k} a_j^2 (by `convex_sum` on the convex a^2). The
+        width adds twice the head's rounding, here with the norm at most
+        2 sum_{j<k} a_j^2: (a_j - a_(j+k))^2 <= a_j^2 - a_(j+k)^2 telescope.
+
+        From `_guess`, while the rest's width w exceeds target and the
+        rounding, J grows by (w / target)^(1/p): the width falls like J^-p,
+        p = `_far_power` for J >= 2k, and at least like J^-2. Past
+        _MAX_DEPTH, or where the rounding keeps the width above target, a
+        `_finer` tail integral is taken while there is one; then J halves
+        while the width falls, and the narrowest bracket is returned."""
+        _, s_hi, s_r = convex_sum(self._sq, self._sq_integral, 0, k, ulps=_ULPS)
+        norm = 2.0 * (s_hi + s_r)
+        seq = self  # the rest's sequence: self, or one with a finer tail integral
+
+        def width(J):
+            lo, hi, r = seq._tail_bracket(k, J)
+            if J < k:
+                s_lo, s_hi, s_r = convex_sum(self._sq, self._sq_integral, J, k, ulps=_ULPS)
+                lo, hi, r = lo + s_lo, hi + s_hi, r + s_r
+            return hi - lo + 2.0 * r, 2.0 * self._head_rounding(k, J, norm), (lo, hi, r)
+
+        J = min(max(1, math.ceil(self._guess(k, target))), _MAX_DEPTH)
+        while True:
+            w, rounding, rest = width(J)
+            if w + rounding <= target:
+                return J, rest
+            if J < _MAX_DEPTH and w > max(target, rounding):
+                p = self._far_power if J >= 2 * k else 2.0
+                J = min(_MAX_DEPTH, math.ceil(1.05 * J * (w / target) ** (1.0 / p)))
+            elif (finer := seq._finer(w / target)) is not None:
+                seq = finer
+            else:
+                break
+        while J > 1:
+            half = width(J // 2)
+            if half[0] + half[1] >= w + rounding:
+                break
+            J, (w, rounding, rest) = J // 2, half
+        return J, rest
+
+    def _head_rounding(self, k, J, total):
+        """Float error of the head of `norm_sq` at depth J; total >= head + hi."""
+        eta = 8.0 * _U
+        return (_gamma(2 * J + 8) * total
+                + 8.0 * eta * (min(k, J) + eta * J) * self.a(0) ** 2)
+
+    def norm_sq(self, k, tol):
+        """The head sums both series over j < J, J from `_depth` at tol/4
+        (J grows like the width^-1/4 to ^-1/2, so nearer tol saves little),
+        from a_0 ... a_(J-1) and a_k ... a_(k+J-1): O(J) values at any k.
+        Past the work budget the bracket is the narrowest found, wider than tol."""
+        J, (lo, hi, r) = self._depth(k, tol / 4.0)
+        if k <= J:
+            a = self.values(J + k)
         else:
-            raise SpecError(f"unknown sequence kind {self.kind!r}")
+            import numpy as np
+
+            # a_0 ... a_(J-1), then a_k ... a_(k+J-1): the head with m = J
+            a = np.concatenate((self.values(J), self.values(J, k)))
+        head = _kernels.zseq_norm_head(a, min(k, J), J)
+        # Float error of head. values() gives each a_j within eta = 8u of the
+        # real one (at most three roundings, or numpy's log within a few ulps
+        # and three more). So the squares of the first m = min(k, J) terms
+        # move by <= 3 eta m a_0^2, and each difference by <= 2 eta a_j, which
+        # moves the difference squares by <= 4 eta sum a_j (a_j - a_{j+k}) +
+        # 4 eta^2 sum a_j^2 <= 4 eta m a_0^2 + 4 eta^2 J a_0^2, as
+        # sum_{j<J} (a_j - a_{j+k}) <= sum_{j<m} a_j. Summing the J + m
+        # squares, the subtraction and the final additions adds
+        # gamma_{2J+8} (head + hi); r covers the rounding of the rest.
+        rounding = self._head_rounding(k, J, head + hi) + r
+        return BoundedValue.from_bracket(head + lo - rounding, head + hi + rounding)
+
+
+class InvSqrt(_ClosedForm):
+    """a(x) = c (x + 1)^-1/2 with c = scale > 0."""
+
+    _fields = ("scale",)
+    kind = "inv_sqrt"
+    _far_power = 4.0
+
+    def __init__(self, scale: Fraction):
+        if not scale > 0:
+            raise SpecError(f"inv_sqrt needs scale > 0, got {scale}")
+        self._set(scale=scale, _c=float(scale), a0_bound=scale)
+
+    def to_json(self):
+        return {"kind": self.kind, "scale": _frac_str(self.scale)}
+
+    @classmethod
+    def from_json(cls, data):
+        return cls(parse_fraction(data["scale"]))
 
     def a(self, j: int) -> float:
-        if j < 0:
-            raise SpecError("sequence index must be >= 0")
-        if self.kind == "inv_sqrt":
-            return self._c / math.sqrt(j + 1)
-        if self.kind == "inv_sqrt_log":
-            x = j + self.n0
-            return 1.0 / math.sqrt(x * math.log(x))
-        return float(self.explicit[min(j, len(self.explicit) - 1)])
+        return self._c / math.sqrt(j + 1)
 
     def values(self, J: int, start: int = 0) -> np.ndarray:
-        """a_start, ..., a_(start+J-1) as a float array, computed in place."""
         import numpy as np
 
-        if self.kind == "explicit":
-            idx = np.minimum(np.arange(J) + start, len(self.explicit) - 1)
-            return np.array([float(self.explicit[i]) for i in idx])
-        x = np.arange(start, start + J, dtype=np.float64)
-        if self.kind == "inv_sqrt":
-            x += 1.0
-            return np.divide(self._c, np.sqrt(x, out=x), out=x)
-        x += self.n0
-        t = np.log(x)
-        np.multiply(x, t, out=t)
-        return np.divide(1.0, np.sqrt(t, out=t), out=t)
+        x = np.arange(start + 1.0, start + 1.0 + J)
+        return np.divide(self._c, np.sqrt(x, out=x), out=x)
 
-    def _sq(self, x: float) -> float:
-        """a(x)^2 at a real x >= -1/2 of a closed form."""
-        if self.kind == "inv_sqrt":
-            return self._c * self._c / (x + 1.0)
-        y = x + self.n0
-        return 1.0 / (y * math.log(y))
+    def _c2(self, k):
+        return self._c ** 2
 
-    def _sq_integral(self, x: float, y: float, upper: bool = False) -> float:
-        """int_x^y a(t)^2 dt for -1/2 <= x <= y < inf, without cancellation:
-        c^2 ln((y + 1)/(x + 1)) for inv_sqrt, and ln ln(y + n0) - ln ln(x + n0)
-        for inv_sqrt_log, as d/dt ln ln t = 1/(t ln t). `upper` is ignored:
-        the closed form is both bounds of `convex_sum`."""
-        if self.kind == "inv_sqrt":
-            return self._c * self._c * math.log1p((y - x) / (x + 1.0))
-        X = x + self.n0
-        return math.log1p(math.log1p((y - x) / X) / math.log(X))
+    def _sq(self, x):
+        return self._c * self._c / (x + 1.0)
 
-    def _diff(self, x: float, k: int) -> float:
-        """a(x) - a(x + k) at a real x >= -1/2 of a closed form, without the
-        cancellation of a difference of nearby floats."""
-        if self.kind == "inv_sqrt":
-            # c (u^-1/2 - v^-1/2) = c d / sqrt(uv), d = sqrt(v) - sqrt(u)
-            ru, rv = math.sqrt(x + 1.0), math.sqrt(x + 1.0 + k)
-            return self._c * (k / (ru + rv)) / (ru * rv)
+    def _sq_integral(self, x, y, upper=False):
+        # c^2 ln((y + 1)/(x + 1)), the same for both bounds
+        return self._c * self._c * math.log1p((y - x) / (x + 1.0))
+
+    def _diff(self, x, k):
+        # c (u^-1/2 - v^-1/2) = c d / sqrt(uv), d = sqrt(v) - sqrt(u)
+        ru, rv = math.sqrt(x + 1.0), math.sqrt(x + 1.0 + k)
+        return self._c * (k / (ru + rv)) / (ru * rv)
+
+    def _diff_integral(self, x, k, upper):
+        """I(x) for both bounds: int (u^-1/2 - v^-1/2)^2 dx, u = x + 1, v =
+        u + k, is 2 ln(sqrt(uv) / (sqrt(u) + sqrt(v))^2), which tends to
+        2 ln(1/4); with (sqrt(u) + sqrt(v))^2 = 4 sqrt(uv) + d^2 and d = k /
+        (sqrt(u) + sqrt(v)), I(x) = 2 c^2 log1p(d^2 / (4 sqrt(uv)))."""
+        ru, rv = math.sqrt(x + 1.0), math.sqrt(x + 1.0 + k)
+        d = k / (ru + rv)
+        return 2.0 * self._c * self._c * math.log1p(d * d / (4.0 * ru * rv))
+
+    def certificate(self, m, kappa, k0):
+        s = m * self._c ** 2 / 2.0
+        if s > 1.0:
+            return ("Dissipative", 0.5, {
+                "certificate": "integral-test",
+                "exponent": s,
+                "term_bound": "(1+k)^-s",
+                "tail_bound": 2.0 ** (1.0 - s) / (s - 1.0) + 2.0 ** (-s),
+                "power": m,
+            })
+        c = 2.0 * kappa * m * self._c ** 2
+        if kappa > k0 and c <= 1.0:
+            return ("Conservative", kappa, {
+                "witness": "logarithmic norm bound",
+                "minorant": f"exp(-{c:.6g}) * sum k^-{c:.6g}",
+                "constant": math.exp(-c),
+                "exponent": c,
+            })
+        return None
+
+
+class InvSqrtLog(_ClosedForm):
+    """a(x) = g(x + n0) with g(y) = (y ln y)^-1/2 and 2 <= n0 <= 2^32."""
+
+    _fields = ("n0",)
+    kind = "inv_sqrt_log"
+    _far_power = 2.0
+
+    def __init__(self, n0: int):
+        if not 2 <= n0 <= 2**32:
+            raise SpecError(f"inv_sqrt_log needs 2 <= n0 <= 2^32, got {n0}")
+        self._set(n0=n0, _panels=_PANELS)  # panels per block of `_diff_integral`
+        # a(0) rounded up by 8u: the log is within an ulp, 2u, and the three
+        # roundings after it take the float within 3.5u of a_0
+        self._set(a0_bound=Fraction(self.a(0)) * (1 + 8 * Fraction(_U)))
+
+    def to_json(self):
+        return {"kind": self.kind, "n0": self.n0}
+
+    @classmethod
+    def from_json(cls, data):
+        return cls(_spec_int(data["n0"]))
+
+    def a(self, j: int) -> float:
+        x = j + self.n0
+        return 1.0 / math.sqrt(x * math.log(x))
+
+    def values(self, J: int, start: int = 0) -> np.ndarray:
+        import numpy as np
+
+        x = np.arange(start + self.n0, start + self.n0 + J, dtype=np.float64)
+        x *= np.log(x)
+        return np.divide(1.0, np.sqrt(x, out=x), out=x)
+
+    def _c2(self, k):
+        return 1.0 / math.log(self.n0 + k)  # a(y)^2 y = 1 / ln y at y = n0 + k
+
+    def _guess(self, k, target):
+        # the quadrature's width, 0.9 I / panels^2 with I about k^2 a^2 / (8 y)
+        return max(super()._guess(k, target),
+                   k / self._panels * math.sqrt(0.3 * self._c2(k) / target))
+
+    def _finer(self, ratio):
+        if self._panels < _MAX_PANELS:  # ratio^(1/2) times the panels, at least twice
+            grow = 2 ** math.ceil(math.log2(ratio ** 0.5))
+            finer = InvSqrtLog(self.n0)
+            finer._set(_panels=min(_MAX_PANELS, self._panels * max(2, grow)))
+            return finer
+        return None
+
+    def _sq(self, x):
+        return 1.0 / ((x + self.n0) * math.log(x + self.n0))
+
+    def _sq_integral(self, x, y, upper=False):
+        # ln ln(y + n0) - ln ln(x + n0), as d/dt ln ln t = 1/(t ln t)
+        return math.log1p(math.log1p((y - x) / (x + self.n0)) / math.log(x + self.n0))
+
+    def _diff(self, x, k):
         return _log_diff(x + self.n0, k)
 
-    def _diff_integral(self, x: float, k: int, upper: bool, panels: int) -> float:
-        """A lower bound on I(x) = int_x^inf (a(t) - a(t + k))^2 dt (an upper
-        bound when `upper`); see `ZSequence.tail` for the proofs.
-
-        inv_sqrt: the closed form 2 c^2 log1p(d^2 / (4 sqrt(uv))), u = x + 1,
-        v = u + k, d = k / (sqrt(u) + sqrt(v)), for both bounds.
-
-        inv_sqrt_log: in y = t + n0, the midpoint (lower) or trapezoid (upper)
-        rule with `panels` panels (a power of 2) on each block [y0 2^i,
-        y0 2^(i+1)], y0 = x + n0, i < B, and for the upper bound the far tail
-        `_log_far` past y0 2^B; B is the least with that far tail at most
-        I_hat / (4 panels^2), where I_hat >= I(x) is the smaller of
-        _log_far(y0) and int_y0^(y0+k) g^2 + _log_far(y0 + k).
-        """
-        if k == 0:
-            return 0.0
-        if self.kind == "inv_sqrt":
-            u = x + 1.0
-            ru, rv = math.sqrt(u), math.sqrt(u + k)
-            d = k / (ru + rv)
-            return 2.0 * self._c * self._c * math.log1p(d * d / (4.0 * ru * rv))
+    def _diff_integral(self, x, k, upper):
+        """A lower bound on I(x) = int_x^inf f, an upper one when `upper`. In
+        y = t + n0, f is convex on each block [y0 2^i, y0 2^(i+1)], y0 = x +
+        n0, i < B, so on a panel of width w, ends l, r and midpoint m, w f(m)
+        <= int <= w (f(l) + f(r))/2: the midpoint sum is a lower bound, and
+        the trapezoid sum plus the far tail `_log_far` past y0 2^B an upper
+        one, about 0.9 I / panels^2 apart. B is the least with that far tail
+        at most I_hat / (4 panels^2), I_hat >= I(x) the smaller of
+        _log_far(y0) and int_y0^(y0+k) g^2 + _log_far(y0 + k). The points
+        y0 2^i (1 + t/panels) are floats: y0 is a half-integer below 2^33,
+        panels a power of 2 up to 2^11, and 2 y0 (2 panels + 2t) < 2^53."""
         import numpy as np
 
         y0 = x + self.n0
         i_hat = min(_log_far(y0, k),
                     math.log1p(math.log1p(k / y0) / math.log(y0)) + _log_far(y0 + k, k))
-        limit = i_hat / (4.0 * panels * panels)
+        limit = i_hat / (4.0 * self._panels * self._panels)
         B, top = 0, y0
         while _log_far(top, k) > limit and B < 64:
             B, top = B + 1, 2.0 * top
         start = y0 * np.exp2(np.arange(B))[:, None]  # exact: powers of 2
-        h = start / panels  # exact: panels is a power of 2
+        h = start / self._panels  # exact: panels is a power of 2
         if upper:
-            w = np.full(panels + 1, 1.0)
+            w = np.full(self._panels + 1, 1.0)
             w[0] = w[-1] = 0.5
-            y = start + h * np.arange(panels + 1.0)
+            y = start + h * np.arange(self._panels + 1.0)
         else:
             w = 1.0
-            y = start + h * (np.arange(panels) + 0.5)
+            y = start + h * (np.arange(self._panels) + 0.5)
         d = _log_diff(y, k, np)
         total = math.fsum((d * d * (h * w)).ravel().tolist())
         return total + _log_far(top, k) if upper else total
 
-    def to_json(self) -> dict:
-        if self.kind == "inv_sqrt":
-            return {"kind": self.kind, "scale": _frac_str(self.scale)}
-        if self.kind == "inv_sqrt_log":
-            return {"kind": self.kind, "n0": self.n0}
-        return {"kind": self.kind, "values": [_frac_str(v) for v in self.explicit]}
+    def certificate(self, m, kappa, k0):
+        c = 2.0 * kappa * m
+        if kappa <= k0 or c == math.inf:
+            # at an infinite c the constant would be 0 * inf: no certificate
+            return None
+        try:
+            constant = math.exp(-c * self.a(0) ** 2) * math.log(self.n0) ** c
+        except OverflowError:
+            constant = None  # JSON has no infinity: reported as null
+        return ("Conservative", kappa, {
+            "witness": "iterated-logarithm norm bound",
+            "minorant": f"C * sum (log(k+{self.n0}))^-{c:.6g}",
+            "constant": constant,
+            "exponent": c,
+        })
+
+
+class ExplicitSequence(DecreasingSequence):
+    """a_j = terms[min(j, L - 1)] for L positive, nonincreasing rationals:
+    c_k has finite support, an exact norm and an exact finite tail."""
+
+    _fields = ("terms",)
+    kind = "explicit"
+
+    def __init__(self, terms: tuple):
+        if not terms:
+            raise SpecError("explicit sequence needs at least one value")
+        if min(terms) <= 0:
+            raise SpecError("explicit sequence values must be positive")
+        if any(x < y for x, y in zip(terms, terms[1:])):
+            raise SpecError("explicit sequence values must be nonincreasing")
+        self._set(terms=terms, a0_bound=terms[0])
+
+    def to_json(self):
+        return {"kind": self.kind, "values": [_frac_str(v) for v in self.terms]}
 
     @classmethod
-    def from_json(cls, data: dict) -> "DecreasingSequence":
-        kind = data["kind"]
-        if kind == "inv_sqrt":
-            return cls(kind, scale=parse_fraction(data["scale"]))
-        if kind == "inv_sqrt_log":
-            return cls(kind, n0=_spec_int(data["n0"]))
-        if kind == "explicit":
-            return cls(kind, explicit=tuple(parse_fraction(v) for v in data["values"]))
-        return cls(kind)  # rejected as unknown
+    def from_json(cls, data):
+        return cls(tuple(parse_fraction(v) for v in data["values"]))
+
+    def a(self, j: int) -> float:
+        return float(self.terms[min(j, len(self.terms) - 1)])
+
+    def norm_sq(self, k, tol):
+        # a_j = a_(L-1) for j >= L: k - L equal squares past the list
+        a, L = self.terms, len(self.terms)
+        head = sum(a[j] ** 2 for j in range(min(k, L))) + max(k - L, 0) * a[-1] ** 2
+        return BoundedValue.from_exact(head + self._diffs(k, 0))
+
+    def tail(self, k, extent):
+        return _float_up(self._diffs(k, extent))
+
+    def _diffs(self, k, start) -> Fraction:
+        """sum_{start <= j < L-1} (a_j - a_{min(j+k, L-1)})^2, exact."""
+        a, last = self.terms, len(self.terms) - 1
+        return sum(((a[j] - a[min(j + k, last)]) ** 2 for j in range(start, last)),
+                   Fraction(0))
+
+
+_SEQUENCES = {cls.kind: cls for cls in (InvSqrt, InvSqrtLog, ExplicitSequence)}
 
 
 # --- marginal families -------------------------------------------------------
@@ -398,16 +628,14 @@ class _SyllableFamily(MarginalFamily):
     stays inside its pair's block: the block additivity of `MarginalFamily`.
     """
 
-    # F by last syllable and the cross term by descending pair ((x, e),
-    # (y, k)), cached: each takes a few values over a ball, and a cache hit
-    # costs a twentieth of one Fraction operation
-    @functools.cached_property
-    def _f_of(self):
-        return functools.cache(lambda s: self.base + self.psi(*s))
-
-    @functools.cached_property
-    def _cross_of(self):
-        return functools.cache(lambda p: -2 * self.psi(*p[0]) * self.psi(p[1][0], -p[1][1]))
+    def __init__(self, **attrs):
+        """Store the attributes and memos of F by last syllable and of the
+        cross term by descending pair ((x, e), (y, k)): each takes a few
+        values over a ball, and a hit costs a twentieth of one Fraction
+        operation. `_set` keeps attribute reads on their fast path."""
+        self._set(**attrs, _f_of=functools.cache(lambda s: self.base + self.psi(*s)),
+                  _cross_of=functools.cache(
+                      lambda p: -2 * self.psi(*p[0]) * self.psi(p[1][0], -p[1][1])))
 
     def f(self, g):
         return self._f_of(g.syls[-1]) if g.syls else self.base
@@ -453,9 +681,8 @@ class _BallFamily(_SyllableFamily):
         v = abs(e) * self.psi(x, 1) ** 2
         return v, v
 
-    @functools.cached_property
-    def _norm_of(self) -> dict:
-        return {}
+    def __init__(self, **attrs):
+        super().__init__(**attrs, _norm_of={})  # the exact norm per key (l, d)
 
     def norm_sq(self, g, tol):
         r = g.rank
@@ -496,7 +723,10 @@ class _BallFamily(_SyllableFamily):
 
 
 class ZSequence(MarginalFamily):
-    """F(n) = lam + a_{n - n0} for n >= n0, lam otherwise."""
+    """F(n) = lam + a_(n - n0) for n >= n0, lam otherwise, for a
+    `DecreasingSequence` a. ZSequence keeps lam, the offset n0, F, the
+    support, `validate` and the JSON; c_k, free of lam and shifted by n0, is
+    the sequence's, which owns its norm, tail and certificate at |k|."""
 
     _fields = ("lam", "n0", "seq")
     kind = "zsequence"
@@ -516,9 +746,9 @@ class ZSequence(MarginalFamily):
     def validate(self, group):
         if not isinstance(group, Integers):
             raise SpecError("ZSequence requires the integer group")
+        # F runs from lam up to lam + a_0, and a0_bound >= a_0 is exact
         return (("lambda", self.lam),
-                ("lambda + a_0",
-                 Fraction(self.lam) + Fraction(self.seq.a(0)).limit_denominator(10**9)))
+                ("lambda + a_0", Fraction(self.lam) + self.seq.a0_bound))
 
     def f(self, n):
         if not isinstance(n, int):
@@ -530,231 +760,14 @@ class ZSequence(MarginalFamily):
     def support(self, k, extent):
         yield from range(self.n0 - max(-k, 0), self.n0 + extent + max(k, 0))
 
-    def tail(self, k, extent):
-        """Bound on sum_{j >= extent} (a_j - a_{j+k})^2, the mass of c_k
-        outside support(k, extent): the upper end of `_tail_bracket`.
-
-        An explicit sequence is constant from j = L-1 on: its tail is the
-        finite sum over extent <= j < L-1, exact and rounded up.
-
-        The closed forms. With a(x) as in `DecreasingSequence`, let D(x) =
-        a(x) - a(x + k) and f = D^2, so the tail is sum_{j >= J} f(j).
-        - f is convex and decreasing on x >= -1/2. Both closed forms have
-          a > 0, a' < 0, a'' > 0 and a''' < 0 there (they are completely
-          monotone; three derivatives are all the proof needs). Then D >= 0,
-          D' = a'(x) - a'(x + k) <= 0 as a' increases, and D'' = a''(x) -
-          a''(x + k) >= 0 as a'' decreases, so f' = 2 D D' <= 0 and f'' =
-          2 D'^2 + 2 D D'' >= 0; the same argument makes a^2 convex and
-          decreasing. inv_sqrt: the derivatives of c u^-1/2, u = x + 1, are
-          -c/2 u^-3/2, 3c/4 u^-5/2 and -15c/8 u^-7/2. inv_sqrt_log: with h =
-          y ln y, L = ln y and y = x + n0 >= 3/2,
-              g' = -1/2 h^-3/2 (L + 1),
-              g'' = h^-5/2 [3/4 (L + 1)^2 - L/2],
-              g''' = h^-7/2 [-15/8 (L + 1)^3 + 11/4 L (L + 1) - L/2];
-          3/4 L^2 + L + 3/4 has no real root, and (L + 1)^2 >= 4L gives
-          15/8 (L + 1)^3 >= 15/2 L (L + 1) > 11/4 L (L + 1) for L >= 0.
-        - So `convex_sum` brackets the tail between I(J) + f(J)/2 and
-          I(J - 1/2), with I(x) = int_x^inf f; the width is about -f'(J)/8,
-          3 k^2 c^2 / (32 J^4) for inv_sqrt when J >> k.
-        - inv_sqrt: int (u^-1/2 - v^-1/2)^2 dx, v = u + k, is ln u + ln v -
-          4 ln(sqrt(u) + sqrt(v)) = 2 ln(sqrt(uv) / (sqrt(u) + sqrt(v))^2),
-          which tends to 2 ln(1/4); and (sqrt(u) + sqrt(v))^2 = 4 sqrt(uv) +
-          d^2 with d = sqrt(v) - sqrt(u) = k / (sqrt(u) + sqrt(v)). So
-              I(x) = 2 c^2 log1p(d^2 / (4 sqrt(uv))),
-          a form with no cancellation.
-        - inv_sqrt_log: I has no closed form. On each block of
-          `DecreasingSequence._diff_integral` f is convex, so on a panel of
-          width w with ends l, r and midpoint m, w f(m) <= int <= w (f(l) +
-          f(r))/2: the midpoint sum is a lower bound on I, and the trapezoid
-          sum plus the far tail (`_log_far`) an upper bound. Their gap is
-          about 0.9 I / panels^2. Every point y0 2^i (1 + t/panels) is a
-          float: y0 is a half-integer below 2^33 (n0 <= 2^32, and J below
-          2^20), panels at most 2^11, and 2 y0 (2 panels + 2t) < 2^53.
-
-        Rounding. a(x), D (free of cancellation), a^2, the closed-form
-        integrals and the far tail take at most 20 operations each, with
-        libm's log, log1p and sqrt within an ulp; a quadrature point's D
-        takes 16 operations, with numpy's log and log1p taken to be within 4
-        ulps, so D^2 times its weight is within 72u and math.fsum adds u. So
-        every float `convex_sum` is given is within _ULPS = 128 u of the
-        bound it stands for, and its radius r covers the rest.
-        """
-        k = abs(k)
-        if self.seq.kind == "explicit":
-            return _float_up(self._explicit_diffs(k, extent))
-        _, hi, r = self._tail_bracket(k, extent, _PANELS)
-        return hi + r
-
-    def _tail_bracket(self, k, J, panels):
-        """(lo, hi, r) of sum_{j >= J} (a_j - a_{j+k})^2 for a closed form,
-        k >= 0; `panels` is the quadrature's for inv_sqrt_log (see `tail`)."""
-        if k == 0:
-            return 0.0, 0.0, 0.0
-        seq = self.seq
-        return convex_sum(lambda x: seq._diff(x, k) ** 2,
-                          lambda x, y, upper: seq._diff_integral(x, k, upper, panels),
-                          J, ulps=_ULPS)
-
-    def _explicit_diffs(self, k, start) -> Fraction:
-        """sum_{start <= j < L-1} (a_j - a_{min(j+k, L-1)})^2 of an explicit
-        sequence: the differences vanish from j = L-1 on."""
-        a = self.seq.explicit
-        last = len(a) - 1
-        return sum(((a[j] - a[min(j + k, last)]) ** 2 for j in range(start, last)),
-                   Fraction(0))
-
-    def _rest(self, k, J, panels):
-        """(lo, hi, r): the bracket of what the head of `norm_sq` leaves out
-        at depth J, sum_{j >= J} (a_j - a_{j+k})^2 plus, for J < k,
-        sum_{J <= j < k} a_j^2 (by `convex_sum` on the convex, decreasing
-        a^2; see `tail`)."""
-        lo, hi, r = self._tail_bracket(k, J, panels)
-        if J < k:
-            seq = self.seq
-            s_lo, s_hi, s_r = convex_sum(seq._sq, seq._sq_integral, J, k, ulps=_ULPS)
-            lo, hi, r = lo + s_lo, hi + s_hi, r + s_r
-        return lo, hi, r
-
-    def _depth(self, k, target):
-        """(J, panels, rest): a depth J and panel count at which the bracket
-        of `norm_sq` is at most target wide, and the bracket of `_rest` there.
-        Its width is the rest's plus twice the head's rounding, gamma_(2J+8)
-        times the norm and more (`_head_rounding`), here with the norm
-        bounded by 2 sum_{j<k} a_j^2: (a_j - a_(j+k))^2 <= a_j^2 - a_(j+k)^2
-        as 0 < a_(j+k) <= a_j, and those differences telescope. Where the
-        work budget (J <= _MAX_VALUES // 5, panels <= _MAX_PANELS) runs out
-        first, the narrowest bracket it found.
-
-        The guess comes from the rest's leading terms: about 3 k^2 a^2 /
-        (32 y^3) for y >> k and a^2 / (4 y) for y << k, y the closed form's
-        argument, and for inv_sqrt_log the quadrature's 0.9 I / panels^2 with
-        I about k^2 a^2 / (8 y). While the rest's width w exceeds both target
-        and the rounding, J grows by (w / target)^(1/p), p = 4 or 2 as the
-        width falls like J^-4 (inv_sqrt, J >> k) or at least like J^-2. Past
-        the budget's J, or once the rounding, which grows with J, is what
-        keeps the width above target, the panels of an inv_sqrt_log
-        quadrature grow by (w / target)^(1/2), at least twofold. When neither
-        can grow, J halves while the width falls."""
-        seq = self.seq
-        log_kind = seq.kind == "inv_sqrt_log"
-        panels, cap = _PANELS, _MAX_VALUES // 5
-        _, s_hi, s_r = convex_sum(seq._sq, seq._sq_integral, 0, k, ulps=_ULPS)
-        norm = 2.0 * (s_hi + s_r)
-
-        def width(J, panels):
-            lo, hi, r = rest = self._rest(k, J, panels)
-            return hi - lo + 2.0 * r, 2.0 * self._head_rounding(k, J, norm), rest
-
-        c2 = seq._c ** 2
-        if log_kind:  # a(y)^2 y = 1 / ln y, taken at y = n0 + k
-            c2 = 1.0 / math.log(seq.n0 + k)
-        y = min((3.0 * k * k * c2 / (32.0 * target)) ** 0.25, 0.5 * math.sqrt(c2 / target))
-        if log_kind:
-            y = max(y, k / panels * math.sqrt(0.3 * c2 / target))
-        J = min(max(1, math.ceil(y)), cap)
-        while True:
-            w, rounding, rest = width(J, panels)
-            if w + rounding <= target:
-                return J, panels, rest
-            if J < cap and w > max(target, rounding):
-                p = 2.0 if log_kind or J < 2 * k else 4.0
-                J = min(cap, math.ceil(1.05 * J * (w / target) ** (1.0 / p)))
-            elif log_kind and panels < _MAX_PANELS:
-                grow = 2 ** math.ceil(math.log2((w / target) ** 0.5))
-                panels = min(_MAX_PANELS, panels * max(2, grow))
-            else:
-                break
-        best = (w + rounding, J, rest)
-        while J > 1:
-            J //= 2
-            w, rounding, rest = width(J, panels)
-            if w + rounding >= best[0]:
-                break
-            best = (w + rounding, J, rest)
-        return best[1], panels, best[2]
-
-    def _head_rounding(self, k, J, total):
-        """The float error of the head of `norm_sq` at depth J, where total
-        >= head + the rest's upper end (see `norm_sq` for the proof)."""
-        eta = 8.0 * _U
-        return (_gamma(2 * J + 8) * total
-                + 8.0 * eta * (min(k, J) + eta * J) * self.seq.a(0) ** 2)
-
     def norm_sq(self, k, tol):
-        """||c_k||^2 = sum_{j<k} a_j^2 + sum_{j>=0} (a_j - a_{j+k})^2 for
-        k >= 0 (c_-k is c_k reflected): the head sums both over j < J,
-        `_rest` brackets the rest, and `_depth` picks J from the width,
-        aimed at tol/4 (J grows like the width^-1/4 to ^-1/2, so aiming
-        nearer tol saves little). The head reads a_0 ... a_(J-1) and
-        a_k ... a_(k+J-1): O(J) values whatever k is. Past the work budget
-        the narrowest bracket `_depth` found is returned, wider than tol."""
-        k = abs(k)
-        if self.seq.kind == "explicit":
-            # a_j = a_(L-1) for j >= L: k - L equal squares past the list
-            a, L = self.seq.explicit, len(self.seq.explicit)
-            head = sum(a[j] ** 2 for j in range(min(k, L))) + max(k - L, 0) * a[-1] ** 2
-            return BoundedValue.from_exact(head + self._explicit_diffs(k, 0))
-        J, _, (lo, hi, r) = self._depth(k, tol / 4.0)
-        m = min(k, J)
-        if k <= J:
-            a = self.seq.values(J + k)
-        else:
-            import numpy as np
+        return self.seq.norm_sq(abs(k), tol)
 
-            # a_0 ... a_(J-1), then a_k ... a_(k+J-1): the head below with m = J
-            a = np.concatenate((self.seq.values(J), self.seq.values(J, k)))
-        head = _kernels.zseq_norm_head(a, m, J)
-        # Float error of head. values() gives each a_j within eta = 8u of the
-        # real one (at most three roundings, or numpy's log within a few ulps
-        # and three more). So the squares of the first m terms move by
-        # <= 3 eta m a_0^2, and each difference by <= 2 eta a_j, which moves
-        # the difference squares by <= 4 eta sum a_j (a_j - a_{j+k}) +
-        # 4 eta^2 sum a_j^2 <= 4 eta m a_0^2 + 4 eta^2 J a_0^2, as
-        # sum_{j<J} (a_j - a_{j+k}) <= sum_{j<m} a_j. Summing the J + m
-        # squares, the subtraction and the final additions adds
-        # gamma_{2J+8} (head + hi); r covers the rounding of the rest.
-        rounding = self._head_rounding(k, J, head + hi) + r
-        return BoundedValue.from_bracket(head + lo - rounding, head + hi + rounding)
+    def tail(self, k, extent):
+        return self.seq.tail(abs(k), extent)
 
     def certificate(self, group, m, kappa, k0):
-        kind = self.seq.kind
-        if kind == "inv_sqrt":
-            sig2 = float(self.seq.scale) ** 2
-            s = m * sig2 / 2.0
-            if s > 1.0:
-                tail = 2.0 ** (1.0 - s) / (s - 1.0) + 2.0 ** (-s)
-                return ("Dissipative", 0.5, {
-                    "certificate": "integral-test",
-                    "exponent": s,
-                    "term_bound": "(1+k)^-s",
-                    "tail_bound": tail,
-                    "power": m,
-                })
-            c = 2.0 * kappa * m * sig2
-            if kappa > k0 and c <= 1.0:
-                return ("Conservative", kappa, {
-                    "witness": "logarithmic norm bound",
-                    "minorant": f"exp(-{c:.6g}) * sum k^-{c:.6g}",
-                    "constant": math.exp(-c),
-                    "exponent": c,
-                })
-        elif kind == "inv_sqrt_log" and kappa > k0:
-            n0 = self.seq.n0
-            c = 2.0 * kappa * m
-            if c == math.inf:
-                # the constant would be 0 * inf: no certificate at this kappa
-                return None
-            try:
-                constant = math.exp(-c * self.seq.a(0) ** 2) * math.log(n0) ** c
-            except OverflowError:
-                constant = None  # JSON has no infinity: reported as null
-            return ("Conservative", kappa, {
-                "witness": "iterated-logarithm norm bound",
-                "minorant": f"C * sum (log(k+{n0}))^-{c:.6g}",
-                "constant": constant,
-                "exponent": c,
-            })
-        return None
+        return self.seq.certificate(m, kappa, k0)
 
 
 def _log_one_minus_exp(log_y: float) -> float:
@@ -790,7 +803,7 @@ class WSplit(_BallFamily):
     kind = "wsplit"
 
     def __init__(self, p_a: Fraction, p_b: Fraction, p_w: Fraction):
-        self._set(p_a=p_a, p_b=p_b, p_w=p_w)
+        super().__init__(p_a=p_a, p_b=p_b, p_w=p_w)
 
     def to_json(self):
         return {"kind": self.kind, "p_a": _frac_str(self.p_a),
@@ -820,15 +833,15 @@ class WSplit(_BallFamily):
         """(alpha, beta) = (p_a - p_w, p_w - p_b)."""
         return self.p_a - self.p_w, self.p_w - self.p_b
 
-    def witness_log_q(self, kappa: float, m: int, n_terms: Optional[int] = None):
+    def witness_log_q(self, kappa: float, m: int):
         """(log q, log const) of the two-generator witness subgroup family.
 
         Words (a^-1 b^{n_1} a b^{m_1}) ... (a^-1 b^{n_k} a b^{m_k}) have
         2k a-letters, sum(n_i + m_i) b-letters and k-1 descending pairs; summing
         the geometric series over the inner exponents leaves const * q^k with
-            q = exp(-2 kappa m (alpha^2 + alpha beta + beta^2)) (1 - x^N)^2 / (1 - x)^2,
+            q = exp(-2 kappa m (alpha^2 + alpha beta + beta^2)) / (1 - x)^2,
             const = exp(2 kappa m alpha beta),
-        x = exp(-y), y = kappa m beta^2 and N = n_terms (x^N = 0 when None).
+        x = exp(-y) and y = kappa m beta^2.
         Both are returned as logarithms, which stay finite where q or const
         leaves the float range. log y is taken from the Fraction beta, so a
         beta^2 below the float range still counts; beta must be nonzero.
@@ -839,8 +852,6 @@ class WSplit(_BallFamily):
                                       - math.log(beta.denominator)))
         log_q = -2.0 * c * float(alpha * alpha + alpha * beta + beta * beta) \
             - 2.0 * _log_one_minus_exp(log_y)
-        if n_terms is not None:
-            log_q += 2.0 * _log_one_minus_exp(log_y + math.log(n_terms))
         return log_q, 2.0 * c * float(alpha * beta)
 
     def certificate(self, group, m, kappa, k0):
@@ -882,7 +893,7 @@ class FreeProductW(_BallFamily):
     kind = "free_product_w"
 
     def __init__(self, mu0: BaseMeasure, mu1: BaseMeasure, distinguished: int = 1):
-        self._set(mu0=mu0, mu1=mu1, distinguished=distinguished)
+        super().__init__(mu0=mu0, mu1=mu1, distinguished=distinguished)
 
     def to_json(self):
         return {"kind": self.kind, "mu0": [_frac_str(p) for p in self.mu0.probs],
@@ -975,8 +986,7 @@ class FolnerInduced(MarginalFamily):
             raise SpecError("FolnerInduced requires the integer group")
         fmax = max(self.cocycle.values)
         return (("offset", self.offset),
-                ("offset + max F",
-                 Fraction(self.offset) + Fraction(fmax).limit_denominator(10**9)))
+                ("offset + max F", Fraction(self.offset) + Fraction(fmax)))
 
     def f(self, k):
         return float(self.offset) + self.cocycle.f(k)
@@ -1047,8 +1057,8 @@ class SpecialCocycle(_SyllableFamily):
     def __init__(self, D: Fraction, base: Fraction, scale: Fraction):
         if D <= 0:
             raise SpecError(f"D must be positive, got {D}")
-        self._set(D=D, base=base, scale=scale, bc=_bump_cocycle(D),
-                  _s2=float(scale) ** 2)
+        super().__init__(D=D, base=base, scale=scale, bc=_bump_cocycle(D),
+                         _s2=float(scale) ** 2)
 
     def to_json(self):
         return {"kind": self.kind, "D": _frac_str(self.D),
@@ -1295,6 +1305,14 @@ def spec_to_json(spec: ActionSpec) -> dict:
     }
 
 
+def _registered(registry: dict, data: dict, what: str) -> type:
+    """The class that `registry` holds under data's `kind`."""
+    kind = data["kind"]
+    if kind not in registry:
+        raise SpecError(f"unknown {what} kind {kind!r}")
+    return registry[kind]
+
+
 def spec_from_json(data) -> ActionSpec:
     if isinstance(data, str):
         data = json.loads(data)
@@ -1306,12 +1324,10 @@ def spec_from_json(data) -> ActionSpec:
             group = Integers()
         else:
             raise SpecError(f"unknown group type {gspec['type']!r}")
-        kind = data["family"]["kind"]
-        if kind not in _FAMILIES:
-            raise SpecError(f"unknown family kind {kind!r}")
         return ActionSpec(
             group=group,
-            family=_FAMILIES[kind].from_json(data["family"]),
+            family=_registered(_FAMILIES, data["family"], "family").from_json(
+                data["family"]),
             multiplicity=_spec_int(data.get("multiplicity", 1)),
             delta=parse_fraction(data.get("delta", "1/3")),
         )

@@ -12,7 +12,6 @@ from bernlab.criteria import (
     classify_conservativity,
     hellinger_product,
     mc_omega,
-    witness_partial_sum,
 )
 from bernlab.exact import LogValue
 from bernlab.folner import build_folner, enum_z
@@ -38,6 +37,7 @@ from bernlab.typeclass import (
     stable_params,
     stable_type_set,
 )
+from reference import witness_partial_sum
 
 F2 = FreeGroup(2)
 

@@ -831,7 +831,7 @@ def test_z_norm_past_its_budget_is_the_narrowest_bracket(capsys):
     assert abs(res["value"] - ref["value"]) <= res["err"] + ref["err"]
     # at tol 1e-6 the depth is what it was; at 1e-12 J grew to 98,096 on the
     # rest's width alone, where the head's rounding made err 2.24e-12
-    assert preset("explicit-z").family._depth(5, 1e-6 / 4)[0] == 99
+    assert preset("explicit-z").family.seq._depth(5, 1e-6 / 4)[0] == 99
     code, out, _ = run(capsys, "cocycle", "norm", "--preset", "explicit-z", "-g", "5",
                        "--tol", "1e-12")
     res = json.loads(out)["results"]

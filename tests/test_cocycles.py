@@ -12,7 +12,6 @@ from bernlab.bump import BumpCocycle
 from bernlab.cli import preset
 from bernlab.cocycles import (
     affinity_pairs,
-    cocycle_coeff,
     norm_sq,
     norm_sq_bruteforce,
     support_elements,
@@ -33,8 +32,8 @@ from bernlab.groups import (
 )
 from bernlab.marginals import (
     ActionSpec,
-    DecreasingSequence,
     FreeProductW,
+    InvSqrt,
     SpecError,
     SpecialCocycle,
     WSplit,
@@ -43,6 +42,7 @@ from bernlab.marginals import (
     make_folner_family,
     measures_from_lambda,
 )
+from reference import cocycle_coeff
 
 F2 = FreeGroup(2)
 
@@ -57,8 +57,7 @@ def wsplit_spec(p_a="3/5", p_b="2/5", p_w="1/2"):
 
 
 def zseq_spec(m=1):
-    seq = DecreasingSequence("inv_sqrt", scale=Fraction(1, 6))
-    return ActionSpec(Integers(), ZSequence(Fraction(1, 2), 1, seq),
+    return ActionSpec(Integers(), ZSequence(Fraction(1, 2), 1, InvSqrt(Fraction(1, 6))),
                       multiplicity=m, delta=Fraction(1, 3))
 
 

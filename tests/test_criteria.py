@@ -26,7 +26,6 @@ from bernlab.criteria import (
     negsq_product,
     nonamenability_check,
     verify_certificate,
-    witness_partial_sum,
 )
 from bernlab.cocycles import BoundedValue, _window, affinity_pairs, norm_sq, value_pairs
 from bernlab.groups import FreeGroup, format_element, inv, parse_element, sphere
@@ -39,6 +38,7 @@ from bernlab.marginals import (
     measures_from_lambda,
     substream_rng,
 )
+from reference import witness_partial_sum
 
 
 def g_of(spec, text):

@@ -12,7 +12,7 @@ from bernlab.cli import preset
 from bernlab.criteria import classify_conservativity
 from bernlab.exact import BoundedValue, LogValue
 from bernlab.groups import FreeGroup, GroupError, Integers, Word, parse_element
-from bernlab.marginals import FreeProductW, measures_from_lambda
+from bernlab.marginals import ExplicitSequence, FreeProductW, measures_from_lambda
 from bernlab.typeclass import plain_type, ratio_group, stable_params
 
 ends = st.one_of(st.floats(min_value=0.0, max_value=10.0),
@@ -46,8 +46,9 @@ class TestFromBracket:
 F2 = FreeGroup(2)
 MU = measures_from_lambda(Fraction(2, 5))
 
-# (record, its compare fields, a field to change and its new value, the repr
-# the frozen dataclasses printed); built lazily, so collection stays cheap
+# (record, its compare fields, a field to change and its new value, its repr
+# in the format the frozen dataclasses printed); built lazily, so collection
+# stays cheap
 RECORDS = {
     "FreeGroup": lambda: (F2, ("rank",), "rank", 3, "FreeGroup(rank=2)"),
     "Integers": lambda: (Integers(), (), None, None, "Integers()"),
@@ -59,13 +60,17 @@ RECORDS = {
                              "BoundedValue(value=1.0, err=0.5, exact=None)"),
     "BaseMeasure": lambda: (MU[0], ("probs",), "probs", (Fraction(1, 3), Fraction(2, 3)),
                             "BaseMeasure(probs=(Fraction(5, 7), Fraction(2, 7)))"),
-    "DecreasingSequence": lambda: (
-        preset("explicit-z").family.seq, ("kind", "scale", "n0", "explicit"), "n0", 3,
-        "DecreasingSequence(kind='inv_sqrt_log', scale=None, n0=16, explicit=())"),
+    "InvSqrt": lambda: (
+        preset("explicit-z-sqrt6").family.seq, ("scale",), "scale", Fraction(1, 7),
+        "InvSqrt(scale=Fraction(1, 6))"),
+    "InvSqrtLog": lambda: (preset("explicit-z").family.seq, ("n0",), "n0", 3,
+                           "InvSqrtLog(n0=16)"),
+    "ExplicitSequence": lambda: (
+        ExplicitSequence((Fraction(1, 5), Fraction(1, 10))), ("terms",), "terms",
+        (Fraction(1, 5),), "ExplicitSequence(terms=(Fraction(1, 5), Fraction(1, 10)))"),
     "ZSequence": lambda: (
         preset("explicit-z").family, ("lam", "n0", "seq"), "lam", Fraction(2, 3),
-        "ZSequence(lam=Fraction(3, 4), n0=16, seq=DecreasingSequence("
-        "kind='inv_sqrt_log', scale=None, n0=16, explicit=()))"),
+        "ZSequence(lam=Fraction(3, 4), n0=16, seq=InvSqrtLog(n0=16))"),
     "WSplit": lambda: (
         preset("f2-wsplit").family, ("p_a", "p_b", "p_w"), "p_b", Fraction(5, 12),
         "WSplit(p_a=Fraction(3, 5), p_b=Fraction(2, 5), p_w=Fraction(1, 2))"),
@@ -144,8 +149,10 @@ def test_word_has_slots_and_families_keep_a_dict():
     w = parse_element(F2, "a b^-1")
     assert not hasattr(w, "__dict__")
     assert copy.copy(w) == pickle.loads(pickle.dumps(w)) == w
+    # the memos are stored by __init__, one set per instance
     fam = preset("f2-wsplit").family
-    assert fam.f(w) == fam.f(w) and "_f_of" in vars(fam)  # a cached_property
+    assert {"_f_of", "_cross_of", "_norm_of"} <= set(vars(fam))
+    assert fam.f(w) == fam.f(w) and fam._f_of is not preset("f2-wsplit").family._f_of
 
 
 def test_word_validates_through_the_class_attribute(monkeypatch):

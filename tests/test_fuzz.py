@@ -18,9 +18,10 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from bernlab.cli import SCHEMA, CliError, main, preset, spec_digest
-from bernlab.groups import FreeGroup
-from bernlab.marginals import (ActionSpec, FreeProductW, SpecError, measures_from_lambda,
-                               spec_from_json, spec_to_json)
+from bernlab.groups import FreeGroup, Integers
+from bernlab.marginals import (ActionSpec, ExplicitSequence, FreeProductW, InvSqrt,
+                               SpecError, ZSequence, measures_from_lambda, spec_from_json,
+                               spec_to_json)
 
 FUZZ = settings(max_examples=40, deadline=1000, derandomize=True)
 
@@ -221,3 +222,26 @@ def test_free_product_w_spec_round_trips(lam, distinguished):
     # delta = lam/(1 + lam), the smaller mass, is the largest admissible one
     fam = FreeProductW(*measures_from_lambda(lam), distinguished=distinguished)
     _round_trip(ActionSpec(FreeGroup(2), fam, delta=lam / (1 + lam)))
+
+
+def _z_spec(lam, n0, seq):
+    # delta = 1/100 leaves room for most lambda and a_0; the rest are rejected
+    return ActionSpec(Integers(), ZSequence(lam, n0, seq), delta=Fraction(1, 100))
+
+
+small_unit = st.fractions(min_value=0, max_value=Fraction(1, 2),
+                          max_denominator=10**9).filter(lambda q: q > 0)
+offsets = st.integers(-10**9, 10**9)
+
+
+@FUZZ
+@given(open_unit, offsets, small_unit)
+def test_inv_sqrt_spec_round_trips(lam, n0, scale):
+    _round_trip(_built(lambda q: _z_spec(lam, n0, InvSqrt(q)), scale))
+
+
+@FUZZ
+@given(open_unit, offsets, st.lists(small_unit, min_size=1, max_size=8))
+def test_explicit_sequence_spec_round_trips(lam, n0, values):
+    terms = tuple(sorted(values, reverse=True))
+    _round_trip(_built(lambda t: _z_spec(lam, n0, ExplicitSequence(t)), terms))

@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 from bernlab.cli import main, preset
 from bernlab.cocycles import norm_sq, norm_sq_bruteforce
 from bernlab.criteria import integral_products
-from bernlab.exact import LogValue
+from bernlab.exact import LogValue, format_fraction
 from bernlab.groups import FreeGroup, Integers, Word, ball, mul, parse_element, word_length
 from bernlab.marginals import (
     ActionSpec,
     BaseMeasure,
-    DecreasingSequence,
     FreeProductW,
+    InvSqrt,
+    InvSqrtLog,
     SpecError,
     SpecialCocycle,
     WSplit,
@@ -106,7 +107,7 @@ class TestFValue:
         assert cls.norm_sq is shared.norm_sq
 
     def test_zsequence(self):
-        seq = DecreasingSequence("inv_sqrt", scale=Fraction(1, 6))
+        seq = InvSqrt(Fraction(1, 6))
         spec = ActionSpec(Integers(), ZSequence(Fraction(1, 2), 1, seq),
                           delta=Fraction(1, 3))
         assert f_value(spec, 0) == 0.5
@@ -209,7 +210,10 @@ def test_growth_csv_matches_the_block_sum(source, monkeypatch, tmp_path, capsys)
 def test_statistics_memo_starts_cold_in_every_call(monkeypatch, tmp_path, capsys):
     # the memo lives on the family instance, and every CLI call builds its
     # preset afresh, so no call reads a norm another one computed
-    assert "_norm_of" not in vars(preset("f2-wsplit").family)
+    fam = preset("f2-wsplit").family
+    assert vars(fam)["_norm_of"] == {}
+    fam.norm_sq(w("a b^-1"), 1e-6)
+    assert vars(fam)["_norm_of"] and vars(preset("f2-wsplit").family)["_norm_of"] == {}
     calls = []
     psi = WSplit.psi
     monkeypatch.setattr(WSplit, "psi", lambda fam, x, e: calls.append(x) or psi(fam, x, e))
@@ -265,7 +269,7 @@ class TestSerialization:
         wsplit_spec(),
         ActionSpec(Integers(),
                    ZSequence(Fraction(1, 2), 1,
-                             DecreasingSequence("inv_sqrt", scale=Fraction(1, 6))),
+                             InvSqrt(Fraction(1, 6))),
                    multiplicity=73, delta=Fraction(1, 3)),
         ActionSpec(F2, FreeProductW(*measures_from_lambda(Fraction(1, 2))),
                    delta=Fraction(1, 4)),
@@ -323,6 +327,40 @@ def zsequence_json(sequence, n0=1):
 def test_bad_sequence_rejected(sequence):
     with pytest.raises(SpecError):
         spec_from_json(zsequence_json(sequence))
+
+
+# a_0 = 1/6 + 10^-15, so lambda + a_0 = 2/3 + 10^-15 at lambda = 1/2: the
+# float a_0 with its denominator limited to 10^9 reads 1/6, which let both
+# specs through at delta = 1/3
+A0_PAST = format_fraction(Fraction(1, 6) + Fraction(1, 10**15))
+
+
+@pytest.mark.parametrize("sequence", [
+    {"kind": "explicit", "values": [A0_PAST, "1/10"]},
+    {"kind": "inv_sqrt", "scale": A0_PAST},
+])
+def test_validation_reads_the_exact_a0(sequence):
+    def spec(seq):
+        return {"group": {"type": "integers"}, "delta": "1/3",
+                "family": {"kind": "zsequence", "lambda": "1/2", "n0": 1, "sequence": seq}}
+
+    with pytest.raises(SpecError, match="lambda \\+ a_0"):
+        spec_from_json(json.dumps(spec(sequence)))
+    # at a_0 = 1/6 exactly, lambda + a_0 = 1 - delta is admissible
+    at_limit = json.loads(json.dumps(sequence).replace(A0_PAST, "1/6"))
+    assert spec_from_json(json.dumps(spec(at_limit))).family.seq.a0_bound == Fraction(1, 6)
+
+
+@pytest.mark.parametrize("n0", [2, 3, 16, 1000, 2**20 + 1, 2**32])
+def test_inv_sqrt_log_a0_bound_is_above_a0(n0):
+    # (n0 ln n0)^-1/2 in 50-digit decimals lies below the bound, within 16u
+    seq = InvSqrtLog(n0)
+    bound = seq.a0_bound
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a0 = 1 / (Decimal(n0) * Decimal(n0).ln()).sqrt()
+        ratio = Decimal(bound.numerator) / Decimal(bound.denominator) / a0
+    assert 1 < ratio < 1 + Decimal(16) * Decimal(2) ** -53
 
 
 def test_explicit_zsequence_exact_norm():
@@ -397,7 +435,7 @@ def _old_bound(seq, k, J):
     decreasing sequence that tends to 0."""
     with localcontext() as ctx:
         ctx.prec = 50
-        if seq.kind == "inv_sqrt":
+        if isinstance(seq, InvSqrt):
             c = Decimal(seq.scale.numerator) / Decimal(seq.scale.denominator)
             a = [c / Decimal(J + 1 + i).sqrt() for i in (0, 1)]
         else:
@@ -419,10 +457,10 @@ def _inv_sqrt_integral(seq, k, x):
         return c * c * (2 * Decimal("0.25").ln() - at_x)
 
 
-@pytest.mark.parametrize("seq", [DecreasingSequence("inv_sqrt", scale=Fraction(1, 6)),
-                                 DecreasingSequence("inv_sqrt", scale=Fraction(7, 3)),
-                                 DecreasingSequence("inv_sqrt_log", n0=2),
-                                 DecreasingSequence("inv_sqrt_log", n0=16)])
+@pytest.mark.parametrize("seq", [InvSqrt(Fraction(1, 6)),
+                                 InvSqrt(Fraction(7, 3)),
+                                 InvSqrtLog(2),
+                                 InvSqrtLog(16)])
 def test_tail_bound_survives_rounding(seq):
     # cross-check against the old one-sided bound k^2 a_J (a_J - a_{J+1}):
     # the bracket's upper end, rounding included, is never looser, and about
@@ -435,16 +473,16 @@ def test_tail_bound_survives_rounding(seq):
             assert tail <= old
             if J >= 10**6:
                 assert tail >= old / 5
-            if seq.kind == "inv_sqrt":
+            if isinstance(seq, InvSqrt):
                 assert tail >= _inv_sqrt_integral(seq, k, J - 0.5)
 
 
 @pytest.mark.parametrize("k", [1, 3, 200, 10**6, 10**9])
 def test_inv_sqrt_integral_closed_form(k):
     # the cancellation-free closed form against the 50-digit antiderivative
-    seq = DecreasingSequence("inv_sqrt", scale=Fraction(7, 3))
+    seq = InvSqrt(Fraction(7, 3))
     for x in (-0.5, 0.0, 2.5, 1e3, 1e6 - 0.5, 3e9):
-        got = seq._diff_integral(x, k, True, 32)
+        got = seq._diff_integral(x, k, True)
         want = _inv_sqrt_integral(seq, k, x)
         assert abs(Decimal(got) / want - 1) < Decimal("1e-13")
 
@@ -455,7 +493,7 @@ N_TERMS = 10**5
 def _remainder_bound(seq, k, M):
     """Upper bound on sum_{j >= M} (a_j - a_{j+k})^2 by the mean value
     theorem, a_j - a_{j+k} <= k |g'(x_j)|, and an integral of g'^2."""
-    if seq.kind == "inv_sqrt":  # g(x) = c x^-1/2 at x_j = j + 1
+    if isinstance(seq, InvSqrt):  # g(x) = c x^-1/2 at x_j = j + 1
         return (k * float(seq.scale)) ** 2 / (8.0 * M * M)
     # g(x) = (x ln x)^-1/2 at x_j = j + n0: g'^2 = (L+1)^2 / (4 L^3 x^3), L = ln x
     X = M + seq.n0 - 1
@@ -464,9 +502,9 @@ def _remainder_bound(seq, k, M):
 
 
 closed_forms = st.one_of(
-    st.builds(lambda p, q: DecreasingSequence("inv_sqrt", scale=Fraction(p, q)),
+    st.builds(lambda p, q: InvSqrt(Fraction(p, q)),
               st.integers(1, 100), st.integers(1, 100)),
-    st.builds(lambda n0: DecreasingSequence("inv_sqrt_log", n0=n0),
+    st.builds(lambda n0: InvSqrtLog(n0),
               st.integers(2, 10**4)),
 )
 
@@ -487,14 +525,7 @@ def test_tail_bound_sound_and_tight(seq, k, J):
 @pytest.mark.parametrize("name", ["explicit-z-sqrt6", "explicit-z"])
 def test_norm_sq_work_is_linear_in_k(name, monkeypatch):
     # counted work, not time: the items requested from the sequence
-    requested = []
-    values = DecreasingSequence.values
-
-    def counting(self, J, start=0):
-        requested.append(J)
-        return values(self, J, start)
-
-    monkeypatch.setattr(DecreasingSequence, "values", counting)
+    requested = _count_values(monkeypatch)
     spec = preset(name)
     for k in range(1, 81):
         requested.clear()
@@ -505,7 +536,7 @@ def test_norm_sq_work_is_linear_in_k(name, monkeypatch):
 def _square_bound(seq, M, k):
     """Upper bound on sum_{M <= j < M+k} a_j^2 for M >= 1: a^2 decreases, so
     a_j^2 <= int_{j-1}^j a(t)^2 dt, a closed form."""
-    if seq.kind == "inv_sqrt":
+    if isinstance(seq, InvSqrt):
         return float(seq.scale) ** 2 * math.log1p(k / M)
     X = M - 1 + seq.n0
     return math.log1p(math.log1p(k / X) / math.log(X))
@@ -515,7 +546,7 @@ def _decimal_diff(seq, k, J):
     """a_J - a_{J+k} in 50-digit decimals."""
     with localcontext() as ctx:
         ctx.prec = 50
-        if seq.kind == "inv_sqrt":
+        if isinstance(seq, InvSqrt):
             c = Decimal(seq.scale.numerator) / Decimal(seq.scale.denominator)
             return c / Decimal(J + 1).sqrt() - c / Decimal(J + 1 + k).sqrt()
         x, y = Decimal(J + seq.n0), Decimal(J + seq.n0 + k)
@@ -527,20 +558,19 @@ LONG_TERMS = 10**6
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(seq=st.one_of(
-           st.builds(lambda p, q: DecreasingSequence("inv_sqrt", scale=Fraction(p, q)),
+           st.builds(lambda p, q: InvSqrt(Fraction(p, q)),
                      st.integers(1, 10**6), st.integers(1, 10**6)),
-           st.builds(lambda n0: DecreasingSequence("inv_sqrt_log", n0=n0),
+           st.builds(lambda n0: InvSqrtLog(n0),
                      st.integers(2, 10**6))),
        k=st.integers(1, 10**9), J=st.integers(0, 10**6))
 def test_tail_bracket_holds_a_long_sum(seq, k, J):
     # both ends of the two-sided tail bracket against the sum of its first
     # 10^6 terms, exact up to float rounding, and a proven bound on the rest
-    fam = ZSequence(Fraction(1, 2), 1, seq)
-    lo, hi, r = fam._tail_bracket(k, J, 32)
+    lo, hi, r = seq._tail_bracket(k, J)
     d_J = Decimal(seq._diff(J, k))
     assert abs(d_J / _decimal_diff(seq, k, J) - 1) < Decimal("1e-13")
     x = np.arange(J, J + LONG_TERMS, dtype=np.float64)
-    if seq.kind == "inv_sqrt":
+    if isinstance(seq, InvSqrt):
         ru, rv = np.sqrt(x + 1.0), np.sqrt(x + 1.0 + k)
         d = float(seq.scale) * (k / (ru + rv)) / (ru * rv)
     else:
@@ -554,15 +584,17 @@ def test_tail_bracket_holds_a_long_sum(seq, k, J):
 
 
 def _count_values(monkeypatch):
-    """The list of J of every DecreasingSequence.values(J) call from now on."""
+    """The list of J of every closed-form sequence's values(J) call from now on."""
     requested = []
-    values = DecreasingSequence.values
 
-    def counting(self, J, start=0):
-        requested.append(J)
-        return values(self, J, start)
+    def counting(values):
+        def count(self, J, start=0):
+            requested.append(J)
+            return values(self, J, start)
+        return count
 
-    monkeypatch.setattr(DecreasingSequence, "values", counting)
+    for cls in (InvSqrt, InvSqrtLog):
+        monkeypatch.setattr(cls, "values", counting(cls.values))
     return requested
 
 
@@ -587,10 +619,7 @@ def test_norm_at_huge_k_reads_o_of_j_values(monkeypatch):
     assert len(requested) == 2 and requested[0] == requested[1] <= 1000
 
 
-@pytest.mark.parametrize("seq", [
-    DecreasingSequence("inv_sqrt", scale=Fraction(1, 6)),
-    DecreasingSequence("inv_sqrt_log", n0=16),
-    DecreasingSequence("explicit", explicit=(Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))])
+@pytest.mark.parametrize("seq", [InvSqrt(Fraction(1, 6)), InvSqrtLog(16)])
 def test_values_from_start(seq):
     # the far half of the norm's head, a_k ... a_(k+J-1): the same floats as
     # the tail of one array from a_0
@@ -608,8 +637,8 @@ FAMILY_CASES = {
     "wsplit": lambda: (wsplit_spec(), [w("a"), w("a b^-1"), w("b a^2")], 4,
                        list(ball(F2, 2))),
     "zsequence": lambda: (
-        ActionSpec(Integers(), ZSequence(Fraction(1, 2), 1, DecreasingSequence(
-            "inv_sqrt", scale=Fraction(1, 6)))), [1, 2, -3], 4000, range(-5, 40)),
+        ActionSpec(Integers(), ZSequence(Fraction(1, 2), 1, InvSqrt(Fraction(1, 6)))),
+        [1, 2, -3], 4000, range(-5, 40)),
     "free_product_w": lambda: (
         ActionSpec(F2, FreeProductW(*measures_from_lambda(Fraction(1, 2))),
                    multiplicity=2, delta=Fraction(1, 4)),

@@ -144,3 +144,49 @@ def test_check_sees_a_planted_cache(tmp_path):
         "        return functools.cache(len)\n"
         "table = functools.lru_cache(maxsize=8)(len)\n")
     assert cross_call_caches(src) == ["mod.f", "mod.C.g", "mod.table"]
+
+
+def sequence_dispatch(path: Path, classes) -> list:
+    """Lines that branch on a sequence's kind: a comparison that reads an
+    attribute named `kind`, or compares a name `kind` with a string, and an
+    isinstance or issubclass call on one of `classes`. Each sequence kind is
+    its own class, so none is needed."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if (any(isinstance(n, ast.Attribute) and n.attr == "kind" for n in sides)
+                    or any(isinstance(n, ast.Name) and n.id == "kind" for n in sides)
+                    and any(isinstance(n, ast.Constant) and isinstance(n.value, str)
+                            for n in sides)):
+                found.append(node.lineno)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None)
+              in ("isinstance", "issubclass") and len(node.args) == 2):
+            named = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
+            if named & set(classes):
+                found.append(node.lineno)
+    return found
+
+
+def test_marginals_never_branches_on_a_sequence_kind():
+    from bernlab import marginals
+
+    classes = [name for name, obj in vars(marginals).items() if isinstance(obj, type)
+               and issubclass(obj, marginals.DecreasingSequence)]
+    assert {"InvSqrt", "InvSqrtLog", "ExplicitSequence"} <= set(classes)
+    assert sequence_dispatch(SRC / "marginals.py", classes) == []
+
+
+def test_check_sees_a_planted_kind_branch(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "def f(self, registry):\n"
+        "    if self.seq.kind == 'explicit':\n"
+        "        return 0\n"
+        "    kind = self.seq.kind\n"
+        "    log_kind = kind == 'inv_sqrt_log'\n"
+        "    if isinstance(self.seq, (InvSqrt, marginals.ExplicitSequence)):\n"
+        "        return 1\n"
+        "    if kind not in registry or self.phi_kind == 'log':\n"
+        "        return isinstance(self.seq, tuple)\n")
+    assert sequence_dispatch(src, ["InvSqrt", "ExplicitSequence"]) == [2, 5, 6]
